@@ -2,14 +2,15 @@
 
 Each entry bundles a validated :class:`~spin_atlas.system.SpinSystem`, the
 sweep settings that resolve its features, and the expected feature list used
-by the regression suite.  Serialized copies of every system ship in
-``spin_atlas/systems/*.json``.
+by the regression suite.  The builders below are the only source of the
+presets; ``get_system(id).system.to_json()`` gives a preset as a spec file
+to start a custom ``--spec`` system from.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import constants
 from .system import Coupling, Hyperfine, InteractionTensor, Site, SpinSystem

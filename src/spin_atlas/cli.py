@@ -4,8 +4,10 @@ temperature-shift curves, and trace fitting with reproducible outputs."""
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import io
 import json
+import math
 import os
 import sys
 import tempfile
@@ -28,6 +30,9 @@ __all__ = ["main"]
 EXIT_OK = 0
 EXIT_DOMAIN = 1
 EXIT_USAGE = 2
+
+# Largest temperature grid `tshift` accepts; each point costs a gap search.
+MAX_TEMPERATURES = 10_000
 
 
 class DomainError(Exception):
@@ -103,20 +108,20 @@ def _entry_and_system(args: argparse.Namespace):
 
 
 def _sweep_settings(entry, args, cfg):
+    """Grid points and detection settings: flag > config > entry > default."""
     points = _resolve("points", args, cfg)
     if points is None:
         points = entry.sweep_points if entry is not None else 2048
-    kwargs = {}
-    for key in ("jump_threshold", "gap_ceiling", "gap_true", "cluster_radius"):
-        value = _resolve(key, args, cfg)
-        if value is None and entry is not None:
-            if key == "cluster_radius":
-                value = entry.cluster_radius
-            elif key == "gap_ceiling":
-                value = entry.gap_ceiling
-        if value is not None:
-            kwargs[key] = float(value)
-    return int(points), SweepConfig(**kwargs)
+    base = entry.sweep_config() if entry is not None else SweepConfig()
+    try:
+        overrides = {}
+        for key in ("jump_threshold", "gap_ceiling", "gap_true", "cluster_radius"):
+            value = _resolve(key, args, cfg)
+            if value is not None:
+                overrides[key] = float(value)
+        return int(points), dataclasses.replace(base, **overrides)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"invalid detection settings: {exc}") from exc
 
 
 def _write_atomic(path: str | None, text: str) -> None:
@@ -218,10 +223,24 @@ def _cmd_tshift(args: argparse.Namespace) -> int:
     tmin = float(_resolve("tmin", args, cfg))
     tmax = float(_resolve("tmax", args, cfg))
     tstep = float(_resolve("tstep", args, cfg))
-    if tmin <= 0 or tmax < tmin or tstep <= 0:
+    if not (math.isfinite(tmax) and 0 < tmin <= tmax and 0 < tstep):
         raise DomainError(
             f"invalid temperature grid: tmin={tmin}, tmax={tmax}, tstep={tstep}"
         )
+    n_temps = int((tmax - tmin) / tstep) + 1
+    if n_temps > MAX_TEMPERATURES:
+        raise DomainError(
+            f"temperature grid of {n_temps} points exceeds the cap of "
+            f"{MAX_TEMPERATURES}; use a larger --tstep"
+        )
+    temps = []
+    t = tmin
+    while t <= tmax + 1e-9:
+        temps.append(round(t, 6))
+        t += tstep
+    if 300.0 not in temps:
+        temps.append(300.0)
+        temps.sort()
     model = _thermal_model(cfg)
     target = float(args.feature)
     window = 25.0
@@ -235,14 +254,6 @@ def _cmd_tshift(args: argparse.Namespace) -> int:
     if not feats:
         raise DomainError(f"no feature found within {window} G of {target} G")
     feature = min(feats, key=lambda f: abs(f.center - target))
-    temps = []
-    t = tmin
-    while t <= tmax + 1e-9:
-        temps.append(round(t, 6))
-        t += tstep
-    if 300.0 not in temps:
-        temps.append(300.0)
-        temps.sort()
     try:
         shift = temperature_shift(system, feature, temps, model=model,
                                   config=sweep_cfg)

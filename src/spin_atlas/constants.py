@@ -12,9 +12,6 @@ GAMMA_N14 = 3.077e-4
 GAMMA_N15 = -4.3156e-4
 GAMMA_C13 = 1.0705e-3
 
-# NV ground-state zero-field splitting, MHz.
-D_GS_300K = 2870.0
-
 # Two-phonon-mode thermal model of D(T).
 ZFS_D0 = 2877.6          # MHz, D at T = 0 (chosen so D(300 K) ~ 2870.4 MHz)
 ZFS_C1 = -54.91          # MHz
@@ -38,9 +35,6 @@ C13_A_PERP = 120.3
 # Keeps the secular (zz) component zero so crossing positions do not shift
 # while avoided-crossing gaps open visibly.
 EE_COUPLING_TRANSVERSE = 5.0
-
-# cos(theta) between distinct <111> axes in diamond.
-COS_TETRAHEDRAL = -1.0 / 3.0
 
 # Hard cap on the composite Hilbert-space dimension.
 DIMENSION_CAP = 1024

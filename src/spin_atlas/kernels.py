@@ -1,162 +1,44 @@
-"""Batched eigensolve + probe-projection kernels.
+"""Batched eigensolve + probe projection.
 
 The hot loop of a field sweep is "diagonalize H(B_k) and project every
-eigenvector onto the probe's m_S = 0 subspace" repeated over the grid. Two
-interchangeable backends implement it:
-
-* numba: @njit(parallel=True) kernels, eigensolve and projection fused per
-  grid point (default when numba imports cleanly);
-* numpy: plain per-point np.linalg.eigh loop with einsum projections.
-
-Selection: SPIN_ATLAS_BACKEND=numba|numpy|auto (default auto). The numba
-thread pool is capped by SPIN_ATLAS_THREADS (0 or unset = all cores).
+eigenvector onto the probe's m_S = 0 subspace" repeated over the grid. Each
+grid point is one LAPACK ``eigh`` call; the projection weight of eigenvector
+|psi> is <psi| I_pre (x) |v0><v0| (x) I_post |psi>, contracted over the probe
+slot without forming the projector.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
 __all__ = ["batched_eigh_project", "active_backend"]
 
-try:
-    import warnings
-
-    # Older TBB runtimes trigger a harmless threading-layer notice at the
-    # first parallel call; numba falls back to another layer automatically.
-    warnings.filterwarnings(
-        "ignore", message="The TBB threading layer requires TBB version"
-    )
-    import numba
-    from numba import njit, prange
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised via SPIN_ATLAS_BACKEND
-    _HAVE_NUMBA = False
-
 
 def active_backend() -> str:
-    """Backend that will actually run, after env-flag resolution."""
-    choice = os.environ.get("SPIN_ATLAS_BACKEND", "auto").lower()
-    if choice not in ("auto", "numba", "numpy"):
-        raise ValueError(f"SPIN_ATLAS_BACKEND must be auto|numba|numpy, got {choice!r}")
-    if choice == "numpy":
-        return "numpy"
-    if choice == "numba" and not _HAVE_NUMBA:
-        raise RuntimeError("SPIN_ATLAS_BACKEND=numba but numba is not importable")
-    return "numba" if _HAVE_NUMBA else "numpy"
+    """Name of the eigensolve implementation, recorded next to timings."""
+    return "numpy"
 
 
-def _apply_thread_cap() -> None:
-    cap = int(os.environ.get("SPIN_ATLAS_THREADS", "0") or "0")
-    if cap > 0 and _HAVE_NUMBA:
-        numba.set_num_threads(min(cap, numba.config.NUMBA_NUM_THREADS))
-
-
-if _HAVE_NUMBA:
-
-    @njit(parallel=True, cache=True)
-    def _eigh_project_real(hams, v0, d_pre, d_post, keep_vectors):
-        n, d, _ = hams.shape
-        vals = np.empty((n, d))
-        projs = np.empty((n, d))
-        vecs = np.empty((n * keep_vectors, d, d))
-        for k in prange(n):
-            w, v = np.linalg.eigh(hams[k])
-            vals[k] = w
-            if keep_vectors:
-                vecs[k] = v
-            for i in range(d):
-                acc = 0.0
-                for a in range(d_pre):
-                    base = a * 3 * d_post
-                    for b in range(d_post):
-                        s = 0.0
-                        for m in range(3):
-                            s += v0[m] * v[base + m * d_post + b, i]
-                        acc += s * s
-                projs[k, i] = acc
-        return vals, projs, vecs
-
-    @njit(parallel=True, cache=True)
-    def _eigh_project_cplx(hams, v0, d_pre, d_post, keep_vectors):
-        n, d, _ = hams.shape
-        vals = np.empty((n, d))
-        projs = np.empty((n, d))
-        vecs = np.empty((n * keep_vectors, d, d), dtype=np.complex128)
-        for k in prange(n):
-            w, v = np.linalg.eigh(hams[k])
-            vals[k] = w
-            if keep_vectors:
-                vecs[k] = v
-            for i in range(d):
-                acc = 0.0
-                for a in range(d_pre):
-                    base = a * 3 * d_post
-                    for b in range(d_post):
-                        s = 0.0 + 0.0j
-                        for m in range(3):
-                            s += np.conj(v0[m]) * v[base + m * d_post + b, i]
-                        acc += (s * np.conj(s)).real
-                projs[k, i] = acc
-        return vals, projs, vecs
-
-
-def _project_numpy(v: np.ndarray, v0: np.ndarray, d_pre: int, d_post: int) -> np.ndarray:
+def _project(v: np.ndarray, v0: np.ndarray, d_pre: int, d_post: int) -> np.ndarray:
     d = v.shape[0]
     amp = np.einsum("m,ambi->abi", v0.conj(), v.reshape(d_pre, 3, d_post, d))
-    return np.abs(amp).reshape(-1, d).__pow__(2).sum(axis=0)
+    return (np.abs(amp).reshape(-1, d) ** 2).sum(axis=0)
 
 
-def _numpy_backend(hams, v0, d_pre, d_post, keep_vectors):
-    n, d, _ = hams.shape
-    vals = np.empty((n, d))
-    projs = np.empty((n, d))
-    vecs = np.empty((n, d, d), dtype=hams.dtype) if keep_vectors else None
-    for k in range(n):
-        w, v = np.linalg.eigh(hams[k])
-        vals[k] = w
-        projs[k] = _project_numpy(v, v0, d_pre, d_post)
-        if keep_vectors:
-            vecs[k] = v
-    return vals, projs, vecs
-
-
-def batched_eigh_project(
-    hams: np.ndarray,
-    v0: np.ndarray,
-    d_pre: int,
-    d_post: int,
-    keep_vectors: bool = False,
-):
+def batched_eigh_project(hams: np.ndarray, v0: np.ndarray, d_pre: int, d_post: int):
     """Diagonalize a batch of Hermitian matrices and project eigenvectors.
 
     hams: (n, d, d) real symmetric or complex Hermitian.
     v0: probe m_S = 0 state (length 3); d = d_pre * 3 * d_post.
 
-    Returns (eigenvalues (n, d) ascending, projections (n, d),
-    eigenvectors (n, d, d) or None).
+    Returns (eigenvalues (n, d) ascending, projections (n, d)).
     """
-    if active_backend() == "numpy":
-        return _numpy_backend(hams, np.asarray(v0, dtype=complex), d_pre, d_post, keep_vectors)
-
-    _apply_thread_cap()
-    real_ok = not np.iscomplexobj(hams) and np.abs(np.asarray(v0).imag).max() < 1e-12
-    if real_ok:
-        vals, projs, vecs = _eigh_project_real(
-            np.ascontiguousarray(hams, dtype=np.float64),
-            np.ascontiguousarray(np.asarray(v0).real, dtype=np.float64),
-            d_pre,
-            d_post,
-            keep_vectors,
-        )
-    else:
-        vals, projs, vecs = _eigh_project_cplx(
-            np.ascontiguousarray(hams, dtype=np.complex128),
-            np.ascontiguousarray(v0, dtype=np.complex128),
-            d_pre,
-            d_post,
-            keep_vectors,
-        )
-    return vals, projs, (vecs if keep_vectors else None)
+    v0 = np.asarray(v0, dtype=complex)
+    n, d, _ = hams.shape
+    vals = np.empty((n, d))
+    projs = np.empty((n, d))
+    for k in range(n):
+        w, v = np.linalg.eigh(hams[k])
+        vals[k] = w
+        projs[k] = _project(v, v0, d_pre, d_post)
+    return vals, projs

@@ -11,8 +11,10 @@ true crossing (gap below threshold at 0.01 G resolution) or an avoided one.
 
 from __future__ import annotations
 
+import dataclasses
 import json
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import minimize_scalar
@@ -38,13 +40,14 @@ __all__ = [
 # Keep chunked Hamiltonian batches around this many float64 entries (~256 MB).
 _CHUNK_BUDGET = 32_000_000
 
-# Full eigenvector retention only below this dimension.
-_VECTOR_RETENTION_DIM = 128
-
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Detection and refinement thresholds (all configurable)."""
+    """Detection and refinement thresholds (all configurable).
+
+    Every field must be finite and non-negative; ``field_resolution`` must be
+    positive.
+    """
 
     jump_threshold: float = 0.4     # adjacent-point p jump marking an event
     exchange_threshold: float = 0.25  # windowed p exchange for gap-minimum relevance
@@ -52,6 +55,14 @@ class SweepConfig:
     gap_true: float = 0.05          # MHz, true-vs-avoided threshold
     field_resolution: float = 0.01  # G, refinement resolution
     cluster_radius: float = 15.0    # G, single-linkage clustering radius
+
+    def __post_init__(self) -> None:
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if not math.isfinite(value) or value < 0:
+                raise ValueError(f"{f.name} must be finite and non-negative, got {value}")
+        if self.field_resolution == 0:
+            raise ValueError("field_resolution must be positive")
 
 
 @dataclass
@@ -62,7 +73,7 @@ class SweepResult:
     shift_applied: float      # MHz added to the diagonal
     temperature: float
     d_zfs: float
-    eigenvectors: np.ndarray | None = None
+    eigenvectors: None = None  # always None; kept for perfbench/tracing.py
 
     @property
     def dimension(self) -> int:
@@ -144,9 +155,9 @@ class _Solver:
         self.v0, self.d_pre, self.d_post = probe_projector_vector(spec)
         self.dim = h0.shape[0]
 
-    def batch(self, fields: np.ndarray, keep_vectors: bool = False):
+    def batch(self, fields: np.ndarray):
         hams = self.h0[None, :, :] + fields[:, None, None] * self.h_b[None, :, :]
-        return batched_eigh_project(hams, self.v0, self.d_pre, self.d_post, keep_vectors)
+        return batched_eigh_project(hams, self.v0, self.d_pre, self.d_post)
 
     def eigvals(self, b: float) -> np.ndarray:
         return np.linalg.eigvalsh(self.h0 + b * self.h_b)
@@ -154,10 +165,6 @@ class _Solver:
     def gap(self, b: float, pair: int) -> float:
         w = self.eigvals(b)
         return float(w[pair + 1] - w[pair])
-
-    def projections(self, b: float) -> np.ndarray:
-        vals, projs, _ = self.batch(np.array([b]))
-        return projs[0]
 
 
 def sweep(
@@ -167,11 +174,10 @@ def sweep(
     n_points: int = 2048,
     temperature: float = 300.0,
     model: ThermalZfsModel | None = None,
-    keep_vectors: str | bool = "auto",
 ) -> SweepResult:
     """Diagonalize over an ascending field grid and track projections."""
-    if not b_min < b_max:
-        raise ValueError("require b_min < b_max")
+    if not (math.isfinite(b_min) and math.isfinite(b_max) and b_min < b_max):
+        raise ValueError(f"require finite b_min < b_max, got {b_min}, {b_max}")
     if n_points < 2:
         raise ValueError("need at least 2 grid points")
     model = model or ThermalZfsModel()
@@ -184,24 +190,14 @@ def sweep(
     low = min(solver.eigvals(b)[0] for b in pre)
     shift = abs(min(low, 0.0)) + 100.0
 
-    if keep_vectors == "auto":
-        keep_vectors = solver.dim < _VECTOR_RETENTION_DIM
-
     chunk = max(1, _CHUNK_BUDGET // (solver.dim * solver.dim))
     vals_out = np.empty((n_points, solver.dim))
     projs_out = np.empty((n_points, solver.dim))
-    vecs_out = (
-        np.empty((n_points, solver.dim, solver.dim), dtype=solver.h0.dtype)
-        if keep_vectors
-        else None
-    )
     for start in range(0, n_points, chunk):
         sl = slice(start, min(start + chunk, n_points))
-        vals, projs, vecs = solver.batch(grid[sl], keep_vectors=bool(keep_vectors))
+        vals, projs = solver.batch(grid[sl])
         vals_out[sl] = vals + shift
         projs_out[sl] = projs
-        if keep_vectors:
-            vecs_out[sl] = vecs
 
     return SweepResult(
         field=grid,
@@ -210,7 +206,6 @@ def sweep(
         shift_applied=shift,
         temperature=temperature,
         d_zfs=d_zfs,
-        eigenvectors=vecs_out,
     )
 
 
@@ -403,7 +398,7 @@ def find_features(
     """
     config = config or SweepConfig()
     model = model or ThermalZfsModel()
-    sr = sweep(spec, b_min, b_max, n_points, temperature, model, keep_vectors=False)
+    sr = sweep(spec, b_min, b_max, n_points, temperature, model)
     solver = _Solver(spec, sr.d_zfs)
     refined = []
     for cand in detect_events(sr, config):

@@ -18,8 +18,8 @@ def occupation(delta_mev: float, temperature: float, k_b: float = c.K_B_MEV) -> 
     """Mean Bose occupation 1/(exp(delta/kT) - 1); 0 at T = 0 by continuity."""
     if delta_mev <= 0:
         raise ValueError("mode energy must be positive")
-    if temperature < 0:
-        raise ValueError("temperature must be non-negative")
+    if not (math.isfinite(temperature) and temperature >= 0):
+        raise ValueError(f"temperature must be finite and non-negative, got {temperature}")
     if temperature == 0:
         return 0.0
     x = delta_mev / (k_b * temperature)

@@ -56,6 +56,8 @@ class Trace:
             raise TraceError(
                 f"trace too short: {len(self.field)} points (minimum {_MIN_POINTS})"
             )
+        if not (np.all(np.isfinite(self.field)) and np.all(np.isfinite(self.pl))):
+            raise TraceError("field and pl values must be finite")
         diffs = np.diff(self.field)
         if not np.all(diffs > 0):
             raise TraceError("field values must be strictly increasing")

@@ -6,10 +6,6 @@ with refinement takes tens of minutes, while the windows verify the same
 expected-feature triples at a fraction of the cost.
 """
 
-import os
-
-os.environ.setdefault("SPIN_ATLAS_THREADS", "1")
-
 import pytest
 
 from spin_atlas.catalog import get_system, system_ids

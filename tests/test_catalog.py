@@ -1,8 +1,5 @@
-"""Catalog presets: listing, lookup, shipped spec files, and the
+"""Catalog presets: listing, lookup, JSON round trips, and the
 reference-regression suite of expected feature positions."""
-
-import json
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,8 +12,6 @@ from spin_atlas.catalog import (
 )
 from spin_atlas.sweep import sweep
 from spin_atlas.system import SpinSystem
-
-SYSTEMS_DIR = Path(__file__).resolve().parents[1] / "src" / "spin_atlas" / "systems"
 
 REQUIRED_IDS = [
     "nv", "nv-nv", "nv-p1", "nv-2p1", "nv-3p1", "onv-2p1", "onv-3p1",
@@ -59,13 +54,10 @@ def test_entries_validate():
             assert 0.0 <= ef.center <= 1100.0
 
 
-def test_shipped_spec_files_match_catalog():
+def test_spec_json_round_trip():
     for sys_id in system_ids():
-        path = SYSTEMS_DIR / f"{sys_id}.json"
-        assert path.exists(), f"missing shipped spec for {sys_id}"
-        assert SpinSystem.from_json(path.read_text()) == get_system(sys_id).system
-    extras = {p.stem for p in SYSTEMS_DIR.glob("*.json")} - set(system_ids())
-    assert not extras, f"orphan spec files: {extras}"
+        system = get_system(sys_id).system
+        assert SpinSystem.from_json(system.to_json()) == system, sys_id
 
 
 def _match(features, expected):

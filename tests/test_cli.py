@@ -180,6 +180,64 @@ def test_fit_trace_bad_file_exits_1(tmp_path, capsys):
     assert code == 1
 
 
+def test_fit_trace_non_finite_exits_1(tmp_path, capsys):
+    grid = np.linspace(470.0, 550.0, 64)
+    rows = [f"{b:.4f},1.0" for b in grid]
+    rows[10] = f"{grid[10]:.4f},nan"
+    path = tmp_path / "nan.csv"
+    path.write_text("B_gauss,pl\n" + "\n".join(rows) + "\n")
+    code, out, err = run(["fit-trace", str(path)], capsys)
+    assert code == 1
+    assert out == ""
+    assert "finite" in err
+
+
+def test_detection_settings_precedence(tmp_path, monkeypatch, capsys):
+    # flag > config file > catalog entry > SweepConfig default
+    seen = []
+
+    def fake_find_features(system, bmin, bmax, points, *, config, **kwargs):
+        seen.append((points, config))
+        return []
+
+    monkeypatch.setattr("spin_atlas.cli.find_features", fake_find_features)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"cluster_radius": 7.0, "gap_true": 0.1}))
+    base = ["features", "--system", "2nv-13c"]
+    assert main(base) == 0
+    assert main(base + ["--config", str(cfg)]) == 0
+    assert main(base + ["--config", str(cfg), "--cluster-radius", "3"]) == 0
+    assert main(["features", "--system", "nv-onv-13c"]) == 0
+    capsys.readouterr()
+    (points, entry), (_, config), (_, flag), (_, other) = seen
+    assert points == 4096
+    assert (entry.cluster_radius, entry.gap_true) == (10.0, 0.05)
+    assert (config.cluster_radius, config.gap_true) == (7.0, 0.1)
+    assert (flag.cluster_radius, flag.gap_true) == (3.0, 0.1)
+    assert (other.cluster_radius, other.gap_ceiling) == (10.0, 60.0)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["features", "--gap-true", "-1"], "gap_true"),
+        (["features", "--cluster-radius", "nan"], "cluster_radius"),
+        (["features", "--temp", "inf"], "temperature"),
+        (["features", "--temp", "nan"], "temperature"),
+        (["features", "--bmax", "inf"], "b_max"),
+        (["tshift", "--feature", "1024", "--tstep", "1e-9"], "cap"),
+        (["tshift", "--feature", "1024", "--tmax", "inf"], "temperature grid"),
+    ],
+)
+def test_out_of_range_inputs_exit_1(argv, message, capsys):
+    args = argv[:1] + ["--system", "nv", "--bmin", "1000", "--bmax", "1050",
+                       "--points", "16"] + argv[1:]
+    code, out, err = run(args, capsys)
+    assert code == 1
+    assert out == ""
+    assert message in err and "Traceback" not in err
+
+
 def test_atomic_write_creates_file(tmp_path):
     out = tmp_path / "nested.json"
     code = main(["catalog", "--format", "json", "--out", str(out)])

@@ -111,9 +111,30 @@ def test_p1_hyperfine_block_present():
 
 
 @st.composite
-def random_systems(draw):
+def random_systems(draw, complex_probe=False):
+    """A probe NV with up to two hyperfine-coupled 13C/14N nuclei after it.
+
+    With ``complex_probe`` a coupled P1 electron precedes the probe
+    (d_pre = 2) and the probe axis has a nonzero y component, so its
+    m_S = 0 state v0 and the Hamiltonian are complex.
+    """
+    sites = []
+    couplings = []
+    probe_axis = (0.0, 0.0, 1.0)
+    if complex_probe:
+        sites.append(Site(kind="p1_electron"))
+        j = draw(st.floats(min_value=0.5, max_value=50.0))
+        couplings.append(Coupling(0, 1, InteractionTensor.axial(j, 0.0)))
+        theta = draw(st.floats(min_value=0.2, max_value=np.pi - 0.2))
+        phi = draw(st.floats(min_value=0.2, max_value=np.pi - 0.2))
+        probe_axis = (
+            float(np.sin(theta) * np.cos(phi)),
+            float(np.sin(theta) * np.sin(phi)),
+            float(np.cos(theta)),
+        )
+    probe = len(sites)
+    sites.append(Site(kind="nv_electron", axis=probe_axis))
     n_nuclei = draw(st.integers(min_value=0, max_value=2))
-    sites = [Site(kind="nv_electron")]
     for _ in range(n_nuclei):
         kind = draw(st.sampled_from(["c13", "n14"]))
         a_perp = draw(st.floats(min_value=-200, max_value=200))
@@ -123,10 +144,10 @@ def random_systems(draw):
         sites.append(
             Site(
                 kind=kind,
-                hyperfine=Hyperfine(InteractionTensor.axial(a_perp, a_par, axis), 0),
+                hyperfine=Hyperfine(InteractionTensor.axial(a_perp, a_par, axis), probe),
             )
         )
-    return SpinSystem(sites=sites)
+    return SpinSystem(sites=sites, couplings=couplings, probe_site=probe)
 
 
 @settings(max_examples=50, deadline=None)
@@ -158,6 +179,6 @@ def test_projection_sum_rule_small():
     spec = SpinSystem(sites=[Site(kind="nv_electron"), Site(kind="c13")])
     h = build_hamiltonian(spec, 400.0, D300)
     v0, d_pre, d_post = probe_projector_vector(spec)
-    vals, projs, _ = batched_eigh_project(h[None, :, :], v0, d_pre, d_post, False)
+    vals, projs = batched_eigh_project(h[None, :, :], v0, d_pre, d_post)
     assert np.isclose(projs.sum(), spec.dimension / 3.0, atol=1e-9)
     assert np.all(projs >= -1e-12) and np.all(projs <= 1.0 + 1e-12)

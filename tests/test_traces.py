@@ -180,3 +180,13 @@ def test_load_trace_errors(tmp_path):
     not_sorted.write_text("\n".join(rows) + "\n")
     with pytest.raises(TraceError, match="increasing"):
         load_trace(not_sorted)
+
+
+@pytest.mark.parametrize("column", ["field", "pl"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_non_finite_values_rejected(column, bad):
+    grid = np.linspace(450.0, 550.0, 32)
+    values = {"field": list(grid), "pl": [1.0] * len(grid)}
+    values[column][-1] = bad
+    with pytest.raises(TraceError, match="finite"):
+        Trace(tuple(values["field"]), tuple(values["pl"]))
