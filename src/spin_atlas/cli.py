@@ -82,11 +82,24 @@ def _resolve(name: str, args: argparse.Namespace, cfg: dict):
     return _DEFAULTS.get(name)
 
 
+def _resolve_float(name: str, args: argparse.Namespace, cfg: dict) -> float:
+    value = _resolve(name, args, cfg)
+    try:
+        return float(value)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"invalid {name} value {value!r}: expected a number") from exc
+
+
 def _thermal_model(cfg: dict) -> ThermalZfsModel:
     overrides = cfg.get("thermal_model", {})
-    if overrides:
+    if not overrides:
+        return ThermalZfsModel()
+    if not isinstance(overrides, dict):
+        raise DomainError(f"thermal_model must be a JSON object, got {overrides!r}")
+    try:
         return ThermalZfsModel.from_dict(overrides)
-    return ThermalZfsModel()
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"invalid thermal_model: {exc}") from exc
 
 
 def _entry_and_system(args: argparse.Namespace):
@@ -160,9 +173,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _load_config(args.config)
     entry, system = _entry_and_system(args)
     points, _ = _sweep_settings(entry, args, cfg)
-    bmin = float(_resolve("bmin", args, cfg))
-    bmax = float(_resolve("bmax", args, cfg))
-    temp = float(_resolve("temp", args, cfg))
+    bmin = _resolve_float("bmin", args, cfg)
+    bmax = _resolve_float("bmax", args, cfg)
+    temp = _resolve_float("temp", args, cfg)
     try:
         result = sweep(system, bmin, bmax, points, temperature=temp,
                        model=_thermal_model(cfg))
@@ -194,9 +207,9 @@ def _cmd_features(args: argparse.Namespace) -> int:
     cfg = _load_config(args.config)
     entry, system = _entry_and_system(args)
     points, sweep_cfg = _sweep_settings(entry, args, cfg)
-    bmin = float(_resolve("bmin", args, cfg))
-    bmax = float(_resolve("bmax", args, cfg))
-    temp = float(_resolve("temp", args, cfg))
+    bmin = _resolve_float("bmin", args, cfg)
+    bmax = _resolve_float("bmax", args, cfg)
+    temp = _resolve_float("temp", args, cfg)
     try:
         feats = find_features(system, bmin, bmax, points, temperature=temp,
                               model=_thermal_model(cfg), config=sweep_cfg)
@@ -220,9 +233,9 @@ def _cmd_tshift(args: argparse.Namespace) -> int:
     cfg = _load_config(args.config)
     entry, system = _entry_and_system(args)
     points, sweep_cfg = _sweep_settings(entry, args, cfg)
-    tmin = float(_resolve("tmin", args, cfg))
-    tmax = float(_resolve("tmax", args, cfg))
-    tstep = float(_resolve("tstep", args, cfg))
+    tmin = _resolve_float("tmin", args, cfg)
+    tmax = _resolve_float("tmax", args, cfg)
+    tstep = _resolve_float("tstep", args, cfg)
     if not (math.isfinite(tmax) and 0 < tmin <= tmax and 0 < tstep):
         raise DomainError(
             f"invalid temperature grid: tmin={tmin}, tmax={tmax}, tstep={tstep}"

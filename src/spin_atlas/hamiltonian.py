@@ -6,7 +6,9 @@ lab z axis) and the NV zero-field splitting D (MHz):
     H(B, D) = H_const + D * H_d + B * H_b
 
 so a field sweep or a temperature continuation only rescales precomputed
-matrices. All energies are in MHz (h = 1).
+matrices. All energies are in MHz (h = 1). The basis states split into blocks
+that no term couples (for spins all along z, the sectors of total M_z), and
+each block can be diagonalized on its own.
 """
 
 from __future__ import annotations
@@ -14,11 +16,13 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
+from scipy.sparse.csgraph import connected_components
 
 from .operators import embed, rotation_to_axis, spin_operators
 from .system import SpeciesKind, SpinSystem
 
 __all__ = [
+    "HamiltonianTerms",
     "hamiltonian_terms",
     "build_hamiltonian",
     "eigendecompose",
@@ -48,13 +52,34 @@ def _bilinear(ops_a, tensor_lab: np.ndarray, ops_b) -> np.ndarray:
     return out
 
 
+class HamiltonianTerms(tuple):
+    """The triple ``(H_const, H_d, H_b)`` plus its invariant ``blocks``.
+
+    ``blocks`` holds the ascending basis indices of each connected component
+    of the three terms' combined nonzero pattern. No term couples two blocks,
+    so H(B, D) leaves every block invariant for all B and D. For spins all
+    along z the blocks are the sectors of total M_z; a system that mixes
+    every basis state is a single block.
+    """
+
+    blocks: tuple[np.ndarray, ...]
+
+    def __new__(cls, h_const: np.ndarray, h_d: np.ndarray, h_b: np.ndarray):
+        self = super().__new__(cls, (h_const, h_d, h_b))
+        pattern = (h_const != 0) | (h_d != 0) | (h_b != 0)
+        n_blocks, labels = connected_components(pattern, directed=False)
+        self.blocks = tuple(np.flatnonzero(labels == k) for k in range(n_blocks))
+        return self
+
+
 @lru_cache(maxsize=64)
-def hamiltonian_terms(spec: SpinSystem):
-    """Precompute (H_const, H_d, H_b) for a system.
+def hamiltonian_terms(spec: SpinSystem) -> HamiltonianTerms:
+    """Precompute (H_const, H_d, H_b) and their invariant blocks for a system.
 
     H_const collects strain, hyperfine, quadrupole, nuclear/electron-fixed
     terms and pairwise couplings; H_d is the sum of (n.S)^2 over NV sites;
-    H_b is the total Zeeman derivative dH/dB.
+    H_b is the total Zeeman derivative dH/dB. The blocks are cached with the
+    terms, so ``hamiltonian_terms.cache_clear()`` drops both.
     """
     dims = spec.dims
     dim = spec.dimension
@@ -101,7 +126,7 @@ def hamiltonian_terms(spec: SpinSystem):
         ob = [embed(op, cp.site_b, dims) for op in site_ops[cp.site_b]]
         h_const += _bilinear(oa, t, ob)
 
-    return h_const, h_d, h_b
+    return HamiltonianTerms(h_const, h_d, h_b)
 
 
 def _realify(h: np.ndarray) -> np.ndarray:
@@ -119,7 +144,8 @@ def build_hamiltonian(spec: SpinSystem, b_field: float, d_zfs: float) -> np.ndar
         raise ValueError("zero-field splitting must be positive")
     h_const, h_d, h_b = hamiltonian_terms(spec)
     h = h_const + d_zfs * h_d + b_field * h_b
-    assert np.abs(h - h.conj().T).max() < _HERMITICITY_TOL
+    if not np.abs(h - h.conj().T).max() < _HERMITICITY_TOL:
+        raise ValueError("assembled Hamiltonian is not Hermitian")
     return _realify(h)
 
 

@@ -1,10 +1,13 @@
 """Batched eigensolve + probe projection.
 
 The hot loop of a field sweep is "diagonalize H(B_k) and project every
-eigenvector onto the probe's m_S = 0 subspace" repeated over the grid. Each
-grid point is one LAPACK ``eigh`` call; the projection weight of eigenvector
-|psi> is <psi| I_pre (x) |v0><v0| (x) I_post |psi>, contracted over the probe
-slot without forming the projector.
+eigenvector onto the probe's m_S = 0 subspace" repeated over the grid. The
+matrices may be one invariant block of the full Hamiltonian; its eigenvectors
+are scattered into their rows of the full space before projecting, so any
+probe state works. Stacks of matrices go to LAPACK ``eigh`` a few at a time;
+the projection weight of eigenvector |psi> is
+<psi| I_pre (x) |v0><v0| (x) I_post |psi>, contracted over the probe slot
+without forming the projector.
 """
 
 from __future__ import annotations
@@ -13,6 +16,10 @@ import numpy as np
 
 __all__ = ["batched_eigh_project", "active_backend"]
 
+# Full-space eigenvector entries held at once (~4 MB complex); at d = 648 this
+# is one matrix per eigh call.
+_STACK_ENTRIES = 1 << 18
+
 
 def active_backend() -> str:
     """Name of the eigensolve implementation, recorded next to timings."""
@@ -20,25 +27,34 @@ def active_backend() -> str:
 
 
 def _project(v: np.ndarray, v0: np.ndarray, d_pre: int, d_post: int) -> np.ndarray:
-    d = v.shape[0]
-    amp = np.einsum("m,ambi->abi", v0.conj(), v.reshape(d_pre, 3, d_post, d))
-    return (np.abs(amp).reshape(-1, d) ** 2).sum(axis=0)
+    """Probe weights of the eigenvector columns of a (m, d, b) stack."""
+    m, d, b = v.shape
+    amp = np.einsum("m,kambi->kabi", v0.conj(), v.reshape(m, d_pre, 3, d_post, b))
+    return (np.abs(amp).reshape(m, -1, b) ** 2).sum(axis=1)
 
 
-def batched_eigh_project(hams: np.ndarray, v0: np.ndarray, d_pre: int, d_post: int):
+def batched_eigh_project(hams: np.ndarray, v0: np.ndarray, d_pre: int, d_post: int, rows=None):
     """Diagonalize a batch of Hermitian matrices and project eigenvectors.
 
-    hams: (n, d, d) real symmetric or complex Hermitian.
+    hams: (n, b, b) real symmetric or complex Hermitian, the block of the
+    full d-dimensional Hamiltonian on the basis states ``rows`` (default: all
+    d of them, in order).
     v0: probe m_S = 0 state (length 3); d = d_pre * 3 * d_post.
 
-    Returns (eigenvalues (n, d) ascending, projections (n, d)).
+    Returns (eigenvalues (n, b) ascending, projections (n, b)).
     """
     v0 = np.asarray(v0, dtype=complex)
-    n, d, _ = hams.shape
-    vals = np.empty((n, d))
-    projs = np.empty((n, d))
-    for k in range(n):
-        w, v = np.linalg.eigh(hams[k])
-        vals[k] = w
-        projs[k] = _project(v, v0, d_pre, d_post)
+    n, b, _ = hams.shape
+    d = d_pre * 3 * d_post
+    rows = np.arange(d) if rows is None else rows
+    step = max(1, _STACK_ENTRIES // (d * b))
+    vals = np.empty((n, b))
+    projs = np.empty((n, b))
+    for start in range(0, n, step):
+        sl = slice(start, min(start + step, n))
+        w, v = np.linalg.eigh(hams[sl])
+        full = np.zeros((len(w), d, b), dtype=v.dtype)
+        full[:, rows] = v
+        vals[sl] = w
+        projs[sl] = _project(full, v0, d_pre, d_post)
     return vals, projs

@@ -37,7 +37,8 @@ __all__ = [
     "TemperatureShift",
 ]
 
-# Keep chunked Hamiltonian batches around this many float64 entries (~256 MB).
+# Keep each block's chunked Hamiltonian batch around this many float64
+# entries (~256 MB).
 _CHUNK_BUDGET = 32_000_000
 
 
@@ -143,28 +144,55 @@ def _central_line(feature: CrossingFeature) -> CrossingEvent:
 
 
 class _Solver:
-    """Single-field eigenvalue/projection evaluations for one (spec, D)."""
+    """Eigenvalue/projection evaluations for one (spec, D), block by block.
+
+    H(B) = H0 + B * H_b is cut into the invariant blocks of
+    ``hamiltonian_terms(spec).blocks``. Each block is diagonalized on its
+    own and the levels of all blocks are merged into one ascending order; a
+    stable sort keeps exactly degenerate levels in block order.
+    """
 
     def __init__(self, spec, d_zfs: float):
-        h_const, h_d, h_b = hamiltonian_terms(spec)
+        terms = hamiltonian_terms(spec)
+        h_const, h_d, h_b = terms
         h0 = h_const + d_zfs * h_d
         if np.abs(h0.imag).max() < 1e-12 and np.abs(h_b.imag).max() < 1e-12:
             h0, h_b = h0.real, h_b.real
-        self.h0 = np.ascontiguousarray(h0)
-        self.h_b = np.ascontiguousarray(h_b)
+        self.rows = terms.blocks
+        self.h0 = [h0[np.ix_(r, r)] for r in self.rows]
+        self.h_b = [h_b[np.ix_(r, r)] for r in self.rows]
         self.v0, self.d_pre, self.d_post = probe_projector_vector(spec)
         self.dim = h0.shape[0]
 
-    def batch(self, fields: np.ndarray):
-        hams = self.h0[None, :, :] + fields[:, None, None] * self.h_b[None, :, :]
-        return batched_eigh_project(hams, self.v0, self.d_pre, self.d_post)
+    def _stack(self, k: int, fields: np.ndarray) -> np.ndarray:
+        """Block k of H(B) at every field, shape (n, b, b)."""
+        hams = fields[:, None, None] * self.h_b[k]
+        hams += self.h0[k]
+        return hams
 
-    def eigvals(self, b: float) -> np.ndarray:
-        return np.linalg.eigvalsh(self.h0 + b * self.h_b)
+    def batch(self, fields: np.ndarray):
+        """Ascending eigenvalues (n, d) and their probe projections (n, d)."""
+        parts = [
+            batched_eigh_project(self._stack(k, fields), self.v0, self.d_pre, self.d_post, rows)
+            for k, rows in enumerate(self.rows)
+        ]
+        vals = np.concatenate([w for w, _ in parts], axis=1)
+        projs = np.concatenate([p for _, p in parts], axis=1)
+        order = np.argsort(vals, axis=1, kind="stable")
+        return np.take_along_axis(vals, order, axis=1), np.take_along_axis(projs, order, axis=1)
+
+    def eigvals(self, fields: np.ndarray) -> np.ndarray:
+        """Ascending eigenvalues at every field, shape (n, d)."""
+        vals = [np.linalg.eigvalsh(self._stack(k, fields)) for k in range(len(self.rows))]
+        return np.sort(np.concatenate(vals, axis=1), axis=1)
+
+    def gaps(self, fields: np.ndarray, pair: int) -> np.ndarray:
+        """Gap between levels pair and pair + 1 at every field."""
+        w = self.eigvals(fields)
+        return w[:, pair + 1] - w[:, pair]
 
     def gap(self, b: float, pair: int) -> float:
-        w = self.eigvals(b)
-        return float(w[pair + 1] - w[pair])
+        return float(self.gaps(np.array([b]), pair)[0])
 
 
 def sweep(
@@ -187,10 +215,11 @@ def sweep(
     grid = np.linspace(b_min, b_max, n_points)
     # Coarse pre-scan fixes the positivity shift for the whole sweep.
     pre = np.linspace(b_min, b_max, min(9, n_points))
-    low = min(solver.eigvals(b)[0] for b in pre)
+    low = float(solver.eigvals(pre)[:, 0].min())
     shift = abs(min(low, 0.0)) + 100.0
 
-    chunk = max(1, _CHUNK_BUDGET // (solver.dim * solver.dim))
+    block_dim = max(len(r) for r in solver.rows)
+    chunk = max(1, _CHUNK_BUDGET // (block_dim * block_dim))
     vals_out = np.empty((n_points, solver.dim))
     projs_out = np.empty((n_points, solver.dim))
     for start in range(0, n_points, chunk):
@@ -329,7 +358,7 @@ def refine_and_classify(
 def _refine_with_solver(solver: _Solver, event: CandidateEvent, config: SweepConfig) -> list[CrossingEvent]:
     b_lo, b_hi = event.b_lo, event.b_hi
     sample = np.linspace(b_lo, b_hi, 17)
-    g = np.array([solver.gap(b, event.pair) for b in sample])
+    g = solver.gaps(sample, event.pair)
     interior = np.where((g[1:-1] <= g[:-2]) & (g[1:-1] <= g[2:]))[0] + 1
     if len(interior) == 0:
         interior = [int(np.argmin(g))]
@@ -440,7 +469,7 @@ def _track_center(
 ) -> float | None:
     coarse = np.linspace(seed - window, seed + window, 21)
     coarse = coarse[coarse > 0]
-    g = np.array([solver.gap(b, pair) for b in coarse])
+    g = solver.gaps(coarse, pair)
     k = int(np.argmin(g))
     if k in (0, len(coarse) - 1):
         return None  # minimum ran off the search window: feature lost

@@ -7,7 +7,7 @@ This is the single temperature-dependent parameter of the whole model.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from . import constants as c
 
@@ -36,6 +36,12 @@ class ThermalZfsModel:
     delta1: float = c.ZFS_DELTA1    # meV
     delta2: float = c.ZFS_DELTA2    # meV
     boltzmann: float = c.K_B_MEV    # meV/K
+
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
 
     def zfs_at(self, temperature: float) -> float:
         """D(T) in MHz."""

@@ -238,6 +238,30 @@ def test_out_of_range_inputs_exit_1(argv, message, capsys):
     assert message in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "command, cfg, message",
+    [
+        ("sweep", {"bmin": "abc"}, "bmin"),
+        ("features", {"temp": None}, "temp"),
+        ("tshift", {"tstep": [1]}, "tstep"),
+        ("sweep", {"thermal_model": "abc"}, "thermal_model"),
+        ("features", {"thermal_model": {"d0": "abc"}}, "thermal_model"),
+        ("tshift", {"thermal_model": {"c1": [1]}}, "thermal_model"),
+        ("sweep", {"thermal_model": {"c2": "nan"}}, "c2 must be finite"),
+    ],
+)
+def test_malformed_config_values_exit_1(tmp_path, command, cfg, message, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    args = [command, "--system", "nv", "--points", "16", "--config", str(path)]
+    if command == "tshift":
+        args += ["--feature", "1024"]
+    code, out, err = run(args, capsys)
+    assert code == 1
+    assert out == ""
+    assert message in err and "Traceback" not in err
+
+
 def test_atomic_write_creates_file(tmp_path):
     out = tmp_path / "nested.json"
     code = main(["catalog", "--format", "json", "--out", str(out)])

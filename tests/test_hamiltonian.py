@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spin_atlas import constants as c
+from spin_atlas import hamiltonian
 from spin_atlas.hamiltonian import (
     build_hamiltonian,
     eigendecompose,
@@ -49,6 +50,17 @@ def test_terms_are_linear_in_b_and_d():
         assert np.allclose(
             build_hamiltonian(spec, b, d), h_const + d * h_d + b * h_b, atol=1e-12
         )
+
+
+def test_non_hermitian_terms_rejected(monkeypatch):
+    # A raise, not an assert, so the check survives ``python -O``.
+    spec = single_nv()
+    h_const, h_d, h_b = hamiltonian_terms(spec)
+    skewed = h_const.copy()
+    skewed[0, 1] += 1.0
+    monkeypatch.setattr(hamiltonian, "hamiltonian_terms", lambda _: (skewed, h_d, h_b))
+    with pytest.raises(ValueError, match="not Hermitian"):
+        build_hamiltonian(spec, 100.0, D300)
 
 
 def test_off_axis_nv_spectrum_matches_rotated_frame():
