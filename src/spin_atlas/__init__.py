@@ -10,8 +10,6 @@ from .sweep import (
     cluster_features,
     detect_events,
     find_features,
-    refine_and_classify,
-    sweep,
     temperature_shift,
 )
 from .catalog import get_system, list_systems

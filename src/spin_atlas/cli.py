@@ -66,7 +66,7 @@ def _load_config(path: str | None) -> dict:
             cfg = json.load(fh)
     except OSError as exc:
         raise DomainError(f"cannot read config file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise DomainError(f"malformed config file {path}: {exc}") from exc
     if not isinstance(cfg, dict):
         raise DomainError(f"config file {path} must contain a JSON object")
@@ -110,7 +110,7 @@ def _entry_and_system(args: argparse.Namespace):
                 system = SpinSystem.from_json(fh.read())
         except OSError as exc:
             raise DomainError(f"cannot read spec file {args.spec}: {exc}") from exc
-        except (SpecError, ValueError, KeyError) as exc:
+        except (SpecError, ValueError) as exc:
             raise DomainError(f"invalid spec file {args.spec}: {exc}") from exc
         return None, system
     try:

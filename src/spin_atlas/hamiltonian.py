@@ -55,6 +55,9 @@ def _bilinear(ops_a, tensor_lab: np.ndarray, ops_b) -> np.ndarray:
 class HamiltonianTerms(tuple):
     """The triple ``(H_const, H_d, H_b)`` plus its invariant ``blocks``.
 
+    All three terms are float64 when each has a negligible imaginary part,
+    else all complex, so every affine combination of them has one dtype.
+
     ``blocks`` holds the ascending basis indices of each connected component
     of the three terms' combined nonzero pattern. No term couples two blocks,
     so H(B, D) leaves every block invariant for all B and D. For spins all
@@ -65,7 +68,10 @@ class HamiltonianTerms(tuple):
     blocks: tuple[np.ndarray, ...]
 
     def __new__(cls, h_const: np.ndarray, h_d: np.ndarray, h_b: np.ndarray):
-        self = super().__new__(cls, (h_const, h_d, h_b))
+        terms = (h_const, h_d, h_b)
+        if all(np.abs(h.imag).max() < _REAL_TOL for h in terms):
+            terms = tuple(np.ascontiguousarray(h.real) for h in terms)
+        self = super().__new__(cls, terms)
         pattern = (h_const != 0) | (h_d != 0) | (h_b != 0)
         n_blocks, labels = connected_components(pattern, directed=False)
         self.blocks = tuple(np.flatnonzero(labels == k) for k in range(n_blocks))
@@ -129,13 +135,6 @@ def hamiltonian_terms(spec: SpinSystem) -> HamiltonianTerms:
     return HamiltonianTerms(h_const, h_d, h_b)
 
 
-def _realify(h: np.ndarray) -> np.ndarray:
-    """Drop a negligible imaginary part so the fast symmetric path applies."""
-    if np.abs(h.imag).max() < _REAL_TOL:
-        return np.ascontiguousarray(h.real)
-    return h
-
-
 def build_hamiltonian(spec: SpinSystem, b_field: float, d_zfs: float) -> np.ndarray:
     """Total Hamiltonian at field B (gauss, lab z) and NV splitting D (MHz)."""
     if b_field < 0:
@@ -146,7 +145,7 @@ def build_hamiltonian(spec: SpinSystem, b_field: float, d_zfs: float) -> np.ndar
     h = h_const + d_zfs * h_d + b_field * h_b
     if not np.abs(h - h.conj().T).max() < _HERMITICITY_TOL:
         raise ValueError("assembled Hamiltonian is not Hermitian")
-    return _realify(h)
+    return h
 
 
 def eigendecompose(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -4,8 +4,8 @@ The hot loop of a field sweep is "diagonalize H(B_k) and project every
 eigenvector onto the probe's m_S = 0 subspace" repeated over the grid. The
 matrices may be one invariant block of the full Hamiltonian; its eigenvectors
 are scattered into their rows of the full space before projecting, so any
-probe state works. Stacks of matrices go to LAPACK ``eigh`` a few at a time;
-the projection weight of eigenvector |psi> is
+probe state works. The caller sizes each stack; it goes to LAPACK ``eigh`` in
+one call. The projection weight of eigenvector |psi> is
 <psi| I_pre (x) |v0><v0| (x) I_post |psi>, contracted over the probe slot
 without forming the projector.
 """
@@ -15,10 +15,6 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = ["batched_eigh_project", "active_backend"]
-
-# Full-space eigenvector entries held at once (~4 MB complex); at d = 648 this
-# is one matrix per eigh call.
-_STACK_ENTRIES = 1 << 18
 
 
 def active_backend() -> str:
@@ -47,14 +43,7 @@ def batched_eigh_project(hams: np.ndarray, v0: np.ndarray, d_pre: int, d_post: i
     n, b, _ = hams.shape
     d = d_pre * 3 * d_post
     rows = np.arange(d) if rows is None else rows
-    step = max(1, _STACK_ENTRIES // (d * b))
-    vals = np.empty((n, b))
-    projs = np.empty((n, b))
-    for start in range(0, n, step):
-        sl = slice(start, min(start + step, n))
-        w, v = np.linalg.eigh(hams[sl])
-        full = np.zeros((len(w), d, b), dtype=v.dtype)
-        full[:, rows] = v
-        vals[sl] = w
-        projs[sl] = _project(full, v0, d_pre, d_post)
-    return vals, projs
+    vals, v = np.linalg.eigh(hams)
+    full = np.zeros((n, d, b), dtype=v.dtype)
+    full[:, rows] = v
+    return vals, _project(full, v0, d_pre, d_post)

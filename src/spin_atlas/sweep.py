@@ -30,16 +30,15 @@ __all__ = [
     "CrossingFeature",
     "sweep",
     "detect_events",
-    "refine_and_classify",
     "cluster_features",
     "temperature_shift",
     "find_features",
     "TemperatureShift",
 ]
 
-# Keep each block's chunked Hamiltonian batch around this many float64
-# entries (~256 MB).
-_CHUNK_BUDGET = 32_000_000
+# Full-space eigenvector entries per kernel call (~4 MB complex); at d = 648
+# this is one matrix per call.
+_STACK_ENTRIES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -156,8 +155,6 @@ class _Solver:
         terms = hamiltonian_terms(spec)
         h_const, h_d, h_b = terms
         h0 = h_const + d_zfs * h_d
-        if np.abs(h0.imag).max() < 1e-12 and np.abs(h_b.imag).max() < 1e-12:
-            h0, h_b = h0.real, h_b.real
         self.rows = terms.blocks
         self.h0 = [h0[np.ix_(r, r)] for r in self.rows]
         self.h_b = [h_b[np.ix_(r, r)] for r in self.rows]
@@ -171,13 +168,25 @@ class _Solver:
         return hams
 
     def batch(self, fields: np.ndarray):
-        """Ascending eigenvalues (n, d) and their probe projections (n, d)."""
-        parts = [
-            batched_eigh_project(self._stack(k, fields), self.v0, self.d_pre, self.d_post, rows)
-            for k, rows in enumerate(self.rows)
-        ]
-        vals = np.concatenate([w for w, _ in parts], axis=1)
-        projs = np.concatenate([p for _, p in parts], axis=1)
+        """Ascending eigenvalues (n, d) and their probe projections (n, d).
+
+        Each block's field stack goes to the kernel in steps of at most
+        ``_STACK_ENTRIES`` full-space eigenvector entries, or of one field.
+        """
+        n = len(fields)
+        vals = np.empty((n, self.dim))
+        projs = np.empty((n, self.dim))
+        col = 0
+        for k, rows in enumerate(self.rows):
+            b = len(rows)
+            step = max(1, _STACK_ENTRIES // (self.dim * b))
+            cols = slice(col, col + b)
+            for start in range(0, n, step):
+                sl = slice(start, start + step)
+                vals[sl, cols], projs[sl, cols] = batched_eigh_project(
+                    self._stack(k, fields[sl]), self.v0, self.d_pre, self.d_post, rows
+                )
+            col += b
         order = np.argsort(vals, axis=1, kind="stable")
         return np.take_along_axis(vals, order, axis=1), np.take_along_axis(projs, order, axis=1)
 
@@ -218,20 +227,11 @@ def sweep(
     low = float(solver.eigvals(pre)[:, 0].min())
     shift = abs(min(low, 0.0)) + 100.0
 
-    block_dim = max(len(r) for r in solver.rows)
-    chunk = max(1, _CHUNK_BUDGET // (block_dim * block_dim))
-    vals_out = np.empty((n_points, solver.dim))
-    projs_out = np.empty((n_points, solver.dim))
-    for start in range(0, n_points, chunk):
-        sl = slice(start, min(start + chunk, n_points))
-        vals, projs = solver.batch(grid[sl])
-        vals_out[sl] = vals + shift
-        projs_out[sl] = projs
-
+    vals, projs = solver.batch(grid)
     return SweepResult(
         field=grid,
-        eigenvalues=vals_out,
-        projections=projs_out,
+        eigenvalues=vals + shift,
+        projections=projs,
         shift_applied=shift,
         temperature=temperature,
         d_zfs=d_zfs,
@@ -337,25 +337,12 @@ def _minimize_gap(solver: _Solver, pair: int, b_lo: float, b_hi: float, xatol: f
     return float(res.x), float(res.fun)
 
 
-def refine_and_classify(
-    spec,
-    event: CandidateEvent,
-    temperature: float = 300.0,
-    model: ThermalZfsModel | None = None,
-    config: SweepConfig | None = None,
-) -> list[CrossingEvent]:
-    """Bracketed gap minimization to 0.01 G; classify true vs avoided.
+def _refine_with_solver(solver: _Solver, event: CandidateEvent, config: SweepConfig) -> list[CrossingEvent]:
+    """Bracketed gap minimization; classify true vs avoided.
 
     A non-unimodal bracket (several local minima of the same pair gap) is
     split and every minimum is reported.
     """
-    config = config or SweepConfig()
-    model = model or ThermalZfsModel()
-    solver = _Solver(spec, model.zfs_at(temperature))
-    return _refine_with_solver(solver, event, config)
-
-
-def _refine_with_solver(solver: _Solver, event: CandidateEvent, config: SweepConfig) -> list[CrossingEvent]:
     b_lo, b_hi = event.b_lo, event.b_hi
     sample = np.linspace(b_lo, b_hi, 17)
     g = solver.gaps(sample, event.pair)

@@ -9,6 +9,8 @@ projection diagnostic.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -65,10 +67,16 @@ _DEFAULT_GAMMA = {
 }
 
 
+def _finite(value, name: str) -> float:
+    if not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    return float(value)
+
+
 def _unit(axis) -> np.ndarray:
     v = np.asarray(axis, dtype=float)
-    if v.shape != (3,):
-        raise ValueError("axis must be a 3-vector")
+    if v.shape != (3,) or not np.all(np.isfinite(v)):
+        raise ValueError(f"axis must be a finite 3-vector, got {axis!r}")
     if abs(np.linalg.norm(v) - 1.0) > 1e-9:
         raise ValueError(f"axis must be normalized, got norm {np.linalg.norm(v)!r}")
     return v
@@ -84,13 +92,12 @@ class InteractionTensor:
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=float)
-        if m.shape != (3, 3):
-            raise ValueError("tensor matrix must be 3x3")
+        if m.shape != (3, 3) or not np.all(np.isfinite(m)):
+            raise ValueError("tensor matrix must be a finite 3x3 array")
         if np.abs(m - m.T).max() > 1e-12:
             raise ValueError("tensor matrix must be symmetric")
-        _unit(self.axis)
         object.__setattr__(self, "matrix", tuple(tuple(float(x) for x in row) for row in m))
-        object.__setattr__(self, "axis", tuple(float(x) for x in self.axis))
+        object.__setattr__(self, "axis", tuple(float(x) for x in _unit(self.axis)))
 
     @classmethod
     def axial(cls, perp: float, par: float, axis=(0.0, 0.0, 1.0)) -> "InteractionTensor":
@@ -105,7 +112,7 @@ class InteractionTensor:
 
     @classmethod
     def from_dict(cls, d: dict) -> "InteractionTensor":
-        return cls(tuple(tuple(r) for r in d["matrix"]), tuple(d.get("axis", (0.0, 0.0, 1.0))))
+        return cls(d["matrix"], d.get("axis", (0.0, 0.0, 1.0)))
 
 
 @dataclass(frozen=True)
@@ -119,12 +126,16 @@ class ZfsParams:
     d_x: float = 0.0
     d_y: float = 0.0
 
+    def __post_init__(self):
+        for name in ("d_parallel", "d_x", "d_y"):
+            object.__setattr__(self, name, _finite(getattr(self, name), f"zfs {name}"))
+
     def to_dict(self) -> dict:
         return {"d_parallel": self.d_parallel, "d_x": self.d_x, "d_y": self.d_y}
 
     @classmethod
     def from_dict(cls, d: dict) -> "ZfsParams":
-        return cls(float(d.get("d_parallel", 0.0)), float(d.get("d_x", 0.0)), float(d.get("d_y", 0.0)))
+        return cls(d.get("d_parallel", 0.0), d.get("d_x", 0.0), d.get("d_y", 0.0))
 
 
 @dataclass(frozen=True)
@@ -156,6 +167,8 @@ class Site:
     def __post_init__(self):
         object.__setattr__(self, "kind", SpeciesKind(self.kind))
         object.__setattr__(self, "axis", tuple(float(x) for x in _unit(self.axis)))
+        if self.gamma is not None:
+            object.__setattr__(self, "gamma", _finite(self.gamma, "gamma"))
         if self.kind is SpeciesKind.NV_ELECTRON and self.zfs is None:
             object.__setattr__(self, "zfs", ZfsParams())
 
@@ -183,7 +196,7 @@ class Site:
     def from_dict(cls, d: dict) -> "Site":
         return cls(
             kind=SpeciesKind(d["kind"]),
-            axis=tuple(d.get("axis", (0.0, 0.0, 1.0))),
+            axis=d.get("axis", (0.0, 0.0, 1.0)),
             gamma=d.get("gamma"),
             zfs=ZfsParams.from_dict(d["zfs"]) if "zfs" in d else None,
             quadrupole=InteractionTensor.from_dict(d["quadrupole"]) if "quadrupole" in d else None,
@@ -271,7 +284,7 @@ class SpinSystem:
 
     @property
     def dimension(self) -> int:
-        return int(np.prod(self.dims, dtype=int))
+        return math.prod(self.dims)
 
     def to_dict(self) -> dict:
         return {
@@ -282,11 +295,14 @@ class SpinSystem:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SpinSystem":
-        return cls(
-            sites=tuple(Site.from_dict(s) for s in d["sites"]),
-            couplings=tuple(Coupling.from_dict(cp) for cp in d.get("couplings", [])),
-            probe_site=int(d.get("probe_site", 0)),
-        )
+        """Inverse of ``to_dict``; malformed input raises SpecError or ValueError."""
+        try:
+            sites = tuple(Site.from_dict(s) for s in d["sites"])
+            couplings = tuple(Coupling.from_dict(cp) for cp in d.get("couplings", []))
+            probe_site = int(d.get("probe_site", 0))
+        except (KeyError, TypeError, AttributeError, OverflowError) as exc:
+            raise SpecError(f"malformed spec: {type(exc).__name__}: {exc}") from exc
+        return cls(sites=sites, couplings=couplings, probe_site=probe_site)
 
     def to_json(self, indent: int | None = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent)

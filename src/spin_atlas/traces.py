@@ -77,6 +77,8 @@ def load_trace(path) -> Trace:
             text = fh.read()
     except OSError as exc:
         raise TraceError(f"cannot read trace file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise TraceError(f"trace file {path} is not UTF-8 text: {exc}") from exc
 
     temperature: float | None = None
     data_lines: list[str] = []

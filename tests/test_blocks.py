@@ -1,17 +1,17 @@
 """Invariant blocks: the partition of H(B, D) and block-by-block solves
-against dense ``np.linalg.eigh`` of the full matrix."""
-
-import sys
+against dense ``np.linalg.eigh`` of the full matrix, the kernel-call budget
+of ``_Solver.batch`` and the dtype of the cached terms."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spin_atlas.catalog import get_system
+import spin_atlas.sweep as sweep_mod
+from spin_atlas.catalog import get_system, list_systems
 from spin_atlas.hamiltonian import HamiltonianTerms, hamiltonian_terms
 from spin_atlas.kernels import batched_eigh_project
-from spin_atlas.sweep import _Solver
+from spin_atlas.sweep import _Solver, sweep
 from spin_atlas.system import Coupling, Hyperfine, InteractionTensor, Site, SpinSystem
 
 from test_hamiltonian import D300
@@ -92,13 +92,18 @@ def field_lists():
 def test_blocked_solver_matches_dense(complex_probe, data):
     spec = data.draw(blocked_systems(complex_probe=complex_probe))
     fields = np.array(data.draw(field_lists()))
-    h_const, h_d, h_b = hamiltonian_terms(spec)
+    terms = hamiltonian_terms(spec)
+    h_const, h_d, h_b = terms
     hams = (h_const + D300 * h_d)[None] + fields[:, None, None] * h_b[None]
     solver = _Solver(spec, D300)
     assert len(solver.rows) >= 2
     if complex_probe:
         assert solver.d_pre > 1 and np.abs(solver.v0.imag).max() > 1e-6
         assert np.iscomplexobj(solver.h0[0]) and np.abs(hams.imag).max() > 1e-6
+        # H_b is real and diagonal here: realness is decided for the triple.
+        assert all(np.iscomplexobj(h) for h in terms)
+    else:
+        assert all(h.dtype == np.float64 for h in terms)
     assert_matches_dense(solver, hams, fields)
 
 
@@ -129,8 +134,7 @@ def test_blocked_solver_matches_dense_on_random_patterns(data):
     fields = np.array(data.draw(field_lists()))
     hams = (h_const + D300 * h_d)[None] + fields[:, None, None] * h_b[None]
     with pytest.MonkeyPatch.context() as mp:
-        # ``spin_atlas.sweep`` on the package is the function of that name.
-        mp.setattr(sys.modules["spin_atlas.sweep"], "hamiltonian_terms", lambda _: HamiltonianTerms(*terms))
+        mp.setattr(sweep_mod, "hamiltonian_terms", lambda _: HamiltonianTerms(*terms))
         solver = _Solver(spec, D300)
     assert_matches_dense(solver, hams, fields)
 
@@ -163,3 +167,46 @@ def test_single_block_is_the_full_kernel_call():
     vals, projs = solver.batch(fields)
     ref_vals, ref_projs = batched_eigh_project(hams, solver.v0, solver.d_pre, solver.d_post)
     assert np.array_equal(vals, ref_vals) and np.array_equal(projs, ref_projs)
+
+
+@pytest.mark.parametrize("sys_id", [entry_id for entry_id, _ in list_systems()])
+def test_catalog_terms_are_real(sys_id):
+    assert all(h.dtype == np.float64 for h in hamiltonian_terms(get_system(sys_id).system))
+
+
+@pytest.mark.parametrize("sys_id", ["nv-2p1", "onv-2p1"])
+def test_batch_steps_are_bit_identical(sys_id, monkeypatch):
+    """Splitting a block's field stack into kernel steps changes no bit.
+
+    nv-2p1 has 9 blocks, onv-2p1 one.  A budget of one entry forces one
+    field per step; three largest-block matrices per step leave a ragged
+    last step of one field out of ten.
+    """
+    spec = get_system(sys_id).system
+    solver = _Solver(spec, D300)
+    fields = np.linspace(0.5, 1100.0, 10)
+    monkeypatch.setattr(sweep_mod, "_STACK_ENTRIES", 1 << 40)
+    ref_vals, ref_projs = solver.batch(fields)
+    largest = max(len(r) for r in solver.rows)
+    for budget in (1, 3 * solver.dim * largest):
+        monkeypatch.setattr(sweep_mod, "_STACK_ENTRIES", budget)
+        vals, projs = solver.batch(fields)
+        assert np.array_equal(vals, ref_vals) and np.array_equal(projs, ref_projs)
+
+
+@pytest.mark.parametrize("sys_id, n_points", [("nv-2p1", 200), ("onv-2p1", 200), ("onv-3p1", 3)])
+def test_sweep_kernel_calls_stay_within_budget(sys_id, n_points, monkeypatch):
+    """Every kernel call holds at most one budget of full-space eigenvector
+    entries, or a single matrix where one alone exceeds it (d = 648)."""
+    calls = []
+
+    def recorder(hams, v0, d_pre, d_post, rows=None):
+        calls.append((hams.shape[0], d_pre * 3 * d_post, hams.shape[1]))
+        return batched_eigh_project(hams, v0, d_pre, d_post, rows)
+
+    monkeypatch.setattr(sweep_mod, "batched_eigh_project", recorder)
+    spec = get_system(sys_id).system
+    sweep(spec, 0.5, 1100.0, n_points)
+    assert len(calls) > len(hamiltonian_terms(spec).blocks)  # the grid was split
+    for n, d, b in calls:
+        assert n * d * b <= sweep_mod._STACK_ENTRIES or n == 1

@@ -1,11 +1,19 @@
 """Command-line interface: determinism, config precedence, exit codes."""
 
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from spin_atlas.catalog import get_system, list_systems
 from spin_atlas.cli import main
+from spin_atlas.system import SpinSystem
 from spin_atlas.traces import dip_model
 
 
@@ -143,6 +151,100 @@ def test_invalid_spec_file_exits_1(tmp_path, capsys):
     assert code == 1
 
 
+def _nv_p1_with(path, value):
+    payload = get_system("nv-p1").system.to_dict()
+    node = payload
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return payload
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"sites": 5},
+        {"sites": [5]},
+        [1],
+        _nv_p1_with(("sites", 0, "axis"), 1),
+        _nv_p1_with(("sites", 1, "gamma"), "fast"),
+        _nv_p1_with(("sites", 1, "gamma"), float("nan")),
+        _nv_p1_with(("sites", 2, "hyperfine", "matrix", 0, 0), float("nan")),
+        _nv_p1_with(("sites", 0, "zfs", "d_x"), float("inf")),
+    ],
+    ids=["sites-int", "sites-list-int", "top-list", "axis-int", "gamma-str",
+         "gamma-nan", "hyperfine-nan", "zfs-inf"],
+)
+def test_malformed_spec_payloads_exit_1(payload, tmp_path, capsys):
+    spec = tmp_path / "bad.json"
+    spec.write_text(json.dumps(payload))
+    code, out, err = run(["sweep", "--spec", str(spec), "--points", "4"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"spin-atlas: error: invalid spec file {spec}")
+
+
+# Catalog presets whose 2-point sweep takes milliseconds (d <= 108).
+_FUZZ_IDS = [i for i, _ in list_systems() if get_system(i).system.dimension <= 108]
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=12),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=12), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _paths(node, prefix=()):
+    """Every position in a JSON tree, as the key/index path leading to it."""
+    yield prefix
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield from _paths(child, prefix + (key,))
+
+
+@st.composite
+def mutated_payloads(draw):
+    """A catalog ``to_dict()`` payload with 1-3 values replaced or deleted."""
+    payload = get_system(draw(st.sampled_from(_FUZZ_IDS))).system.to_dict()
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        path = draw(st.sampled_from(list(_paths(payload))))
+        if not path:
+            payload = draw(_JSON_VALUES)
+            continue
+        node = payload
+        for key in path[:-1]:
+            node = node[key]
+        if draw(st.booleans()):
+            del node[path[-1]]
+        else:
+            node[path[-1]] = draw(_JSON_VALUES)
+    return payload
+
+
+@settings(max_examples=150, deadline=None)
+@given(payload=mutated_payloads())
+def test_mutated_spec_payloads_fail_cleanly(payload):
+    """A payload builds a system or raises ValueError (SpecError included);
+    the CLI exits 0 or 1 on it and never raises."""
+    try:
+        SpinSystem.from_dict(payload)
+        valid = True
+    except ValueError:
+        valid = False
+    with tempfile.TemporaryDirectory() as tmp:
+        spec = Path(tmp) / "spec.json"
+        spec.write_text(json.dumps(payload))
+        argv = ["sweep", "--spec", str(spec), "--points", "2", "--bmin", "0",
+                "--bmax", "1", "--out", str(Path(tmp) / "out.csv")]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(argv)
+    if valid:
+        assert code in (0, 1)
+    else:
+        assert code == 1
+        assert "spin-atlas: error: invalid spec file" in err.getvalue()
+
+
 def test_tshift_slope_and_format(capsys):
     code, out, _ = run(
         ["tshift", "--system", "nv", "--feature", "1024", "--tmin", "100",
@@ -190,6 +292,24 @@ def test_fit_trace_non_finite_exits_1(tmp_path, capsys):
     assert code == 1
     assert out == ""
     assert "finite" in err
+
+
+def test_fit_trace_non_utf8_exits_1(tmp_path, capsys):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes("B_gauss,pl\n# temperature_K = 300 \xb0\n".encode("latin-1"))
+    code, out, err = run(["fit-trace", str(path)], capsys)
+    assert code == 1
+    assert out == ""
+    assert "not UTF-8" in err
+
+
+def test_config_non_utf8_exits_1(tmp_path, capsys):
+    cfg = tmp_path / "latin1.json"
+    cfg.write_bytes('{"bmin": 1.0, "note": "\xb0"}'.encode("latin-1"))
+    code, out, err = run(["sweep", "--system", "nv", "--config", str(cfg)], capsys)
+    assert code == 1
+    assert out == ""
+    assert "malformed config file" in err
 
 
 def test_detection_settings_precedence(tmp_path, monkeypatch, capsys):

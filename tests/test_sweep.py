@@ -1,5 +1,6 @@
 """Field sweeps, crossing detection/classification, and temperature tracking."""
 
+import inspect
 import io
 
 import numpy as np
@@ -136,3 +137,11 @@ def test_cluster_features_single_linkage():
     assert [len(f.lines) for f in feats] == [3, 1]
     assert feats[0].center == 20.0  # median of member fields
     assert feats[0].span == (10.0, 31.0)
+
+
+def test_sweep_module_is_not_shadowed():
+    # The package exports no ``sweep`` function, so the name is the module.
+    import spin_atlas.sweep as m
+
+    assert inspect.ismodule(m) and callable(m.hamiltonian_terms)
+    assert m.sweep is sweep

@@ -10,6 +10,7 @@ from spin_atlas.system import (
     Site,
     SpecError,
     SpinSystem,
+    ZfsParams,
 )
 
 
@@ -56,6 +57,9 @@ def test_dimension_cap_enforced():
         )
     with pytest.raises(SpecError, match="cap"):
         SpinSystem(sites=sites)
+    # 2**64 states: a fixed-width product would wrap to 0 and pass the cap.
+    with pytest.raises(SpecError, match="cap"):
+        SpinSystem(sites=[Site(kind="nv_electron")] + [Site(kind="c13")] * 64)
 
 
 def test_hyperfine_target_must_be_electron():
@@ -79,8 +83,6 @@ def test_quadrupole_only_on_spin1_nuclei():
 
 
 def test_zfs_only_on_nv():
-    from spin_atlas.system import ZfsParams
-
     with pytest.raises(SpecError, match="zfs"):
         SpinSystem(
             sites=[
@@ -126,3 +128,26 @@ def test_gamma_override_round_trips():
 def test_lab_matrix_axial_identity_axis():
     t = InteractionTensor.axial(1.0, 3.0)
     assert np.allclose(t.lab_matrix(), np.diag([1.0, 1.0, 3.0]))
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Site(kind="c13", gamma=NAN), "gamma"),
+        (lambda: Site(kind="c13", gamma=INF), "gamma"),
+        (lambda: Site(kind="c13", gamma="fast"), "gamma"),
+        (lambda: InteractionTensor.axial(NAN, 1.0), "finite"),
+        (lambda: InteractionTensor.axial(1.0, 1.0, axis=(NAN, 0.0, 1.0)), "finite"),
+        (lambda: Site(kind="nv_electron", axis=(NAN, NAN, NAN)), "finite"),
+        (lambda: ZfsParams(d_x=INF), "d_x"),
+        (lambda: ZfsParams(d_parallel=NAN), "d_parallel"),
+    ],
+    ids=["gamma-nan", "gamma-inf", "gamma-str", "tensor-nan", "tensor-axis-nan",
+         "site-axis-nan", "zfs-inf", "zfs-nan"],
+)
+def test_non_finite_values_rejected(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
