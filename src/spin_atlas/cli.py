@@ -286,6 +286,8 @@ def _cmd_tshift(args: argparse.Namespace) -> int:
 
 
 def _cmd_fit_trace(args: argparse.Namespace) -> int:
+    if args.central is not None and not math.isfinite(args.central):
+        raise DomainError(f"--central must be finite, got {args.central}")
     seeds = None
     if args.seeds:
         try:
@@ -297,8 +299,7 @@ def _cmd_fit_trace(args: argparse.Namespace) -> int:
         fit = fit_dips(trace, seeds)
     except TraceError as exc:
         raise DomainError(str(exc)) from exc
-    central = float(args.central) if args.central is not None else None
-    _write_atomic(args.out, fit_report(fit, central) + "\n")
+    _write_atomic(args.out, fit_report(fit, args.central) + "\n")
     return EXIT_OK
 
 

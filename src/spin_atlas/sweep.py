@@ -529,12 +529,6 @@ def temperature_shift(
     )
 
 
-def features_to_json(features: list[CrossingFeature], slopes: dict | None = None) -> str:
-    """Structured feature report; slopes keyed by feature index (G/K)."""
-    payload = []
-    for i, f in enumerate(features):
-        d = f.to_dict()
-        if slopes and i in slopes:
-            d["slope_G_per_K"] = round(slopes[i], 4)
-        payload.append(d)
-    return json.dumps({"features": payload}, indent=2)
+def features_to_json(features: list[CrossingFeature]) -> str:
+    """Structured feature report."""
+    return json.dumps({"features": [f.to_dict() for f in features]}, indent=2)

@@ -73,6 +73,15 @@ def _finite(value, name: str) -> float:
     return float(value)
 
 
+def _index(value, name: str) -> int:
+    """A site index: an integer, or an integral float such as 1.0."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise SpecError(f"{name} must be an integer index, got {value!r}")
+
+
 def _unit(axis) -> np.ndarray:
     v = np.asarray(axis, dtype=float)
     if v.shape != (3,) or not np.all(np.isfinite(v)):
@@ -152,7 +161,7 @@ class Hyperfine:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Hyperfine":
-        return cls(InteractionTensor.from_dict(d), int(d["to"]))
+        return cls(InteractionTensor.from_dict(d), _index(d["to"], "hyperfine to"))
 
 
 @dataclass(frozen=True)
@@ -218,7 +227,8 @@ class Coupling:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Coupling":
-        return cls(int(d["site_a"]), int(d["site_b"]), InteractionTensor.from_dict(d))
+        return cls(_index(d["site_a"], "site_a"), _index(d["site_b"], "site_b"),
+                   InteractionTensor.from_dict(d))
 
 
 class SpecError(ValueError):
@@ -299,7 +309,7 @@ class SpinSystem:
         try:
             sites = tuple(Site.from_dict(s) for s in d["sites"])
             couplings = tuple(Coupling.from_dict(cp) for cp in d.get("couplings", []))
-            probe_site = int(d.get("probe_site", 0))
+            probe_site = _index(d.get("probe_site", 0), "probe_site")
         except (KeyError, TypeError, AttributeError, OverflowError) as exc:
             raise SpecError(f"malformed spec: {type(exc).__name__}: {exc}") from exc
         return cls(sites=sites, couplings=couplings, probe_site=probe_site)

@@ -4,9 +4,9 @@ A trace is modeled as Lorentzian dips on a linear baseline::
 
     pl(B) = (a + b*B) * (1 - sum_j d_j * w_j**2 / ((B - c_j)**2 + w_j**2))
 
-Fitting uses damped (Levenberg-Marquardt style) iterative least squares with
-a finite-difference Jacobian.  Contrast is defined as dip depth relative to
-the local baseline value at the dip center, in percent.
+Fitting is one ``scipy.optimize.least_squares`` call with MINPACK's
+Levenberg-Marquardt and a finite-difference Jacobian.  Contrast is defined as
+dip depth relative to the local baseline value at the dip center, in percent.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.optimize import least_squares
 
 __all__ = [
     "Trace",
@@ -164,19 +165,6 @@ def _residuals(params: np.ndarray, b: np.ndarray, pl: np.ndarray) -> np.ndarray:
     return dip_model(params, b) - pl
 
 
-def _jacobian(params: np.ndarray, b: np.ndarray, pl: np.ndarray) -> np.ndarray:
-    """Finite-difference Jacobian of the residual vector."""
-    n = len(params)
-    jac = np.empty((len(b), n))
-    r0 = _residuals(params, b, pl)
-    for k in range(n):
-        step = 1e-7 * max(1.0, abs(params[k]))
-        bumped = params.copy()
-        bumped[k] += step
-        jac[:, k] = (_residuals(bumped, b, pl) - r0) / step
-    return jac
-
-
 def auto_seeds(trace: Trace) -> list[float]:
     """Seed dip centers from local minima with robust prominence.
 
@@ -203,9 +191,13 @@ def auto_seeds(trace: Trace) -> list[float]:
 def fit_dips(trace: Trace, seeds: list[float] | None = None) -> DipFit:
     """Fit the multi-dip model; seeds default to automatic minima detection.
 
-    Raises :class:`TraceError` for out-of-range or duplicated seeds and for a
-    singular Jacobian (too many overlapping dips).  Non-convergence after 200
-    iterations returns the last iterate flagged ``converged=False``.
+    The fit is one ``scipy.optimize.least_squares(method="lm")`` call (MINPACK
+    Levenberg-Marquardt) at scipy's default tolerances.  Raises
+    :class:`TraceError` for non-finite, out-of-range or duplicated seeds, for
+    more parameters (2 + 3 per dip) than trace points, and for a model or fit
+    that is not finite.  A fit that exhausts MINPACK's evaluation budget is
+    returned flagged ``converged=False``; ``iterations`` reports scipy's
+    ``nfev``, the number of residual evaluations.
     """
     b = np.asarray(trace.field)
     pl = np.asarray(trace.pl)
@@ -214,6 +206,8 @@ def fit_dips(trace: Trace, seeds: list[float] | None = None) -> DipFit:
     if not seeds:
         raise TraceError("no dip seeds: none supplied and none auto-detected")
     seeds = sorted(float(s) for s in seeds)
+    if not all(math.isfinite(s) for s in seeds):
+        raise TraceError("seeds must be finite")
     if seeds[0] < b[0] or seeds[-1] > b[-1]:
         raise TraceError("seed outside the trace field range")
     min_sep = 2.0 * trace.grid_spacing
@@ -222,6 +216,11 @@ def fit_dips(trace: Trace, seeds: list[float] | None = None) -> DipFit:
             raise TraceError(
                 f"seeds {s0:.2f} and {s1:.2f} G closer than twice the grid spacing"
             )
+    if 2 + 3 * len(seeds) > len(b):
+        raise TraceError(
+            f"{len(seeds)} dips need {2 + 3 * len(seeds)} parameters but the "
+            f"trace has only {len(b)} points; try fewer dips"
+        )
 
     # Initial parameters: linear baseline from the trace ends, a 3-point-wide
     # dip of the locally observed depth at each seed.
@@ -237,49 +236,17 @@ def fit_dips(trace: Trace, seeds: list[float] | None = None) -> DipFit:
         params.extend([s, 3.0 * trace.grid_spacing, depth0])
     params = np.array(params)
 
-    lam = 1e-3
-    converged = False
-    iterations = 0
-    for iterations in range(1, 201):
-        r = _residuals(params, b, pl)
-        jac = _jacobian(params, b, pl)
-        jtj = jac.T @ jac
-        diag = np.diag(jtj).copy()
-        if float(diag.max()) < 1e-30:
-            raise TraceError(
-                "singular Jacobian: no dip parameter affects the model; "
-                "try fewer dips"
-            )
-        # A collapsed dip (depth ~ 0) zeroes its center/width rows; ridge
-        # those entries so the rest of the fit proceeds and the dip is
-        # flagged removable afterwards.
-        diag = np.maximum(diag, 1e-12 * float(diag.max()))
-        cost = float(r @ r)
-        # Damped Gauss-Newton step with adaptive damping.
-        for _ in range(25):
-            try:
-                step = np.linalg.solve(jtj + lam * np.diag(diag), -(jac.T @ r))
-            except np.linalg.LinAlgError as exc:
-                raise TraceError(
-                    "singular Jacobian: overlapping dips; try fewer dips"
-                ) from exc
-            candidate = params + step
-            r_new = _residuals(candidate, b, pl)
-            if float(r_new @ r_new) < cost:
-                lam = max(lam / 3.0, 1e-12)
-                break
-            lam *= 10.0
-            if lam > 1e12:
-                break
-        else:
-            break
-        rel_change = float(
-            np.max(np.abs(step) / np.maximum(1e-12, np.abs(params)))
-        )
-        params = candidate
-        if rel_change < 1e-8:
-            converged = True
-            break
+    # least_squares raises a bare ValueError on a non-finite starting point,
+    # which extreme trace values (a baseline overflowing, or zero at a dip)
+    # can give.
+    if not np.all(np.isfinite(_residuals(params, b, pl))):
+        raise TraceError("initial model is not finite; check the trace values")
+    res = least_squares(_residuals, params, method="lm", args=(b, pl))
+    params = res.x
+    rms = float(math.sqrt(np.mean(res.fun**2)))
+    if not (np.all(np.isfinite(params)) and math.isfinite(rms)):
+        raise TraceError("fit diverged: parameters or residual not finite; "
+                         "try fewer dips")
 
     dips = []
     span = float(b[-1] - b[0])
@@ -290,13 +257,12 @@ def fit_dips(trace: Trace, seeds: list[float] | None = None) -> DipFit:
         removable = abs(d) < 1e-3 or not b[0] <= c <= b[-1] or w > span
         dips.append(Dip(center=c, hwhm=w, depth=d, removable=removable))
     dips.sort(key=lambda d: d.center)
-    resid = _residuals(params, b, pl)
     return DipFit(
         dips=tuple(dips),
         baseline=(float(params[0]), float(params[1])),
-        residual_rms=float(math.sqrt(np.mean(resid**2))),
-        converged=converged,
-        iterations=iterations,
+        residual_rms=rms,
+        converged=res.status > 0,
+        iterations=res.nfev,
     )
 
 

@@ -171,9 +171,14 @@ def _nv_p1_with(path, value):
         _nv_p1_with(("sites", 1, "gamma"), float("nan")),
         _nv_p1_with(("sites", 2, "hyperfine", "matrix", 0, 0), float("nan")),
         _nv_p1_with(("sites", 0, "zfs", "d_x"), float("inf")),
+        _nv_p1_with(("probe_site",), 0.9),
+        _nv_p1_with(("probe_site",), False),
+        _nv_p1_with(("couplings", 0, "site_b"), 1.6),
+        _nv_p1_with(("sites", 2, "hyperfine", "to"), 1.4),
     ],
     ids=["sites-int", "sites-list-int", "top-list", "axis-int", "gamma-str",
-         "gamma-nan", "hyperfine-nan", "zfs-inf"],
+         "gamma-nan", "hyperfine-nan", "zfs-inf", "probe-0.9", "probe-bool",
+         "coupling-1.6", "hyperfine-to-1.4"],
 )
 def test_malformed_spec_payloads_exit_1(payload, tmp_path, capsys):
     spec = tmp_path / "bad.json"
@@ -260,19 +265,46 @@ def test_tshift_slope_and_format(capsys):
     assert ref.endswith(",0.00")
 
 
-def test_fit_trace_roundtrip(tmp_path, capsys):
-    grid = np.linspace(470.0, 550.0, 600)
+def _one_dip_trace(path, points):
+    """A noiseless 470-550 G trace with one 3 G wide dip at 512 G."""
+    grid = np.linspace(470.0, 550.0, points)
     pl = dip_model(np.array([1.0, 0.0, 512.0, 3.0, 0.02]), grid)
-    path = tmp_path / "trace.csv"
     path.write_text(
         "B_gauss,pl\n" + "\n".join(f"{b:.4f},{v:.8f}" for b, v in zip(grid, pl))
     )
+    return path
+
+
+def test_fit_trace_roundtrip(tmp_path, capsys):
+    path = _one_dip_trace(tmp_path / "trace.csv", 600)
     code, out, _ = run(
         ["fit-trace", str(path), "--seeds", "511", "--central", "512"], capsys)
     assert code == 0
     report = json.loads(out)
     assert abs(report["dips"][0]["center_G"] - 512.0) < 0.01
     assert report["separations_G"] == []
+
+
+@pytest.mark.parametrize(
+    "points, flags, message",
+    [
+        (600, ["--seeds", "nan"], "seeds must be finite"),
+        (600, ["--seeds", "511,inf"], "seeds must be finite"),
+        (600, ["--seeds=-inf"], "seeds must be finite"),
+        (600, ["--seeds", "511", "--central", "inf"], "--central must be finite"),
+        (600, ["--seeds", "511", "--central", "nan"], "--central must be finite"),
+        # 7 dips need 23 parameters; the trace has 20 points.
+        (20, ["--seeds", "475,485,495,505,515,525,535"], "only 20 points"),
+    ],
+    ids=["seed-nan", "seed-inf", "seed-minus-inf", "central-inf", "central-nan",
+         "more-dips-than-points"],
+)
+def test_fit_trace_bad_inputs_exit_1(points, flags, message, tmp_path, capsys):
+    path = _one_dip_trace(tmp_path / "trace.csv", points)
+    code, out, err = run(["fit-trace", str(path)] + flags, capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("spin-atlas: error:") and message in err
 
 
 def test_fit_trace_bad_file_exits_1(tmp_path, capsys):
@@ -301,6 +333,75 @@ def test_fit_trace_non_utf8_exits_1(tmp_path, capsys):
     assert code == 1
     assert out == ""
     assert "not UTF-8" in err
+
+
+_CSV_JUNK = st.text(alphabet="B_gauspl,#=.-+e0123456789 naif", max_size=10)
+_ANY_FLOAT = st.floats(width=64)
+
+
+@st.composite
+def fit_trace_inputs(draw):
+    """(CSV text, seeds, central) for ``fit-trace``: mostly a valid trace of
+    12-48 rows, with 0-2 of each kind of damage (bad header, ``#`` metadata
+    rows, junk or short rows, extreme or non-finite values), and 0-8 seeds
+    mostly inside the field range."""
+    def damage():
+        return range(max(0, draw(st.integers(-6, 2))))
+
+    header = "B_gauss,pl"
+    for _ in damage():
+        header = draw(st.sampled_from([" B_gauss , pl ", "pl,B_gauss",
+                                       "B_gauss,pl,extra", ""]) | _CSV_JUNK)
+    start = draw(st.floats(-1e3, 1e3))
+    step = draw(st.floats(1e-3, 10.0))
+    n = draw(st.integers(12, 48))
+    field = [start + k * step for k in range(n)]
+    pls = draw(st.lists(st.floats(0.5, 1.5), min_size=n, max_size=n))
+    for _ in damage():
+        pls[draw(st.integers(0, n - 1))] = draw(_ANY_FLOAT)
+    rows = [f"{b!r},{v!r}" for b, v in zip(field, pls)]
+    for _ in damage():
+        rows.insert(draw(st.integers(0, n)), draw(st.sampled_from(
+            ["# temperature_K = ", "# temperature_K", "#", "# note: "]
+        )) + draw(_ANY_FLOAT.map(repr) | _CSV_JUNK))
+    for _ in damage():
+        k = draw(st.integers(0, len(rows) - 1))
+        rows[k] = draw(st.sampled_from([rows[k].split(",")[0], rows[k] + ",",
+                                        rows[0], ""]) | _CSV_JUNK)
+    text = "\n".join([header] + rows) + draw(st.sampled_from(["", "\n"]))
+
+    in_range = st.floats(0.0, 1.0).map(lambda x: start + x * (n - 1) * step)
+    seeds = draw(st.none() | st.lists(in_range, min_size=1, max_size=8))
+    for _ in damage() if seeds else ():
+        seeds[draw(st.integers(0, len(seeds) - 1))] = draw(_ANY_FLOAT)
+    central = draw(st.none() | in_range | _ANY_FLOAT)
+    return text, seeds, central
+
+
+@settings(max_examples=150, deadline=None)
+@given(inputs=fit_trace_inputs())
+def test_malformed_trace_csv_fails_cleanly(inputs):
+    """fit-trace on malformed CSV exits 0 with a finite report or 1 with an
+    error message; it never raises."""
+    text, seeds, central = inputs
+    with tempfile.TemporaryDirectory() as tmp:
+        trace = Path(tmp) / "trace.csv"
+        trace.write_text(text, encoding="utf-8")
+        out = Path(tmp) / "fit.json"
+        argv = ["fit-trace", str(trace), "--out", str(out)]
+        if seeds:
+            argv.append("--seeds=" + ",".join(repr(s) for s in seeds))
+        if central is not None:
+            argv.append(f"--central={central!r}")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(argv)
+        report = out.read_text() if code == 0 else None
+    assert code in (0, 1)
+    if code == 1:
+        assert err.getvalue().startswith("spin-atlas: error:")
+    else:
+        json.loads(report, parse_constant=pytest.fail)
 
 
 def test_config_non_utf8_exits_1(tmp_path, capsys):

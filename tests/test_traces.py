@@ -127,6 +127,15 @@ def test_seed_validation():
         fit_dips(trace, seeds=[512.0, 512.01])
 
 
+def test_non_finite_initial_model_rejected():
+    # Baseline ends at +-1e308: the initial slope overflows.
+    trace = make_trace([512.0], [3.0], [0.02], b=(450.0, 570.0, 40))
+    pl = np.ones(len(trace.pl))
+    pl[:3], pl[-3:] = 1e308, -1e308
+    with np.errstate(invalid="ignore"), pytest.raises(TraceError, match="not finite"):
+        fit_dips(Trace(trace.field, tuple(pl)), seeds=[512.0])
+
+
 def test_side_peak_separations():
     trace = make_trace([500.0, 512.0, 524.0], [3.0, 2.5, 3.5],
                        [0.02, 0.03, 0.015])
