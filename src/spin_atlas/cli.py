@@ -23,7 +23,7 @@ from .sweep import (
 )
 from .system import SpecError, SpinSystem
 from .thermal import ThermalZfsModel
-from .traces import TraceError, fit_dips, fit_report, load_trace
+from .traces import fit_dips, fit_report, load_trace
 
 __all__ = ["main"]
 
@@ -36,7 +36,7 @@ MAX_TEMPERATURES = 10_000
 
 
 class DomainError(Exception):
-    """User-facing error in the requested computation (exit code 1)."""
+    """User-facing error (exit code 1); ``main`` reports a ValueError the same way."""
 
 
 # ---------------------------------------------------------------------------
@@ -176,11 +176,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     bmin = _resolve_float("bmin", args, cfg)
     bmax = _resolve_float("bmax", args, cfg)
     temp = _resolve_float("temp", args, cfg)
-    try:
-        result = sweep(system, bmin, bmax, points, temperature=temp,
-                       model=_thermal_model(cfg))
-    except (SpecError, ValueError) as exc:
-        raise DomainError(str(exc)) from exc
+    result = sweep(system, bmin, bmax, points, temperature=temp, model=_thermal_model(cfg))
     if args.format == "json":
         text = json.dumps(
             {
@@ -210,11 +206,8 @@ def _cmd_features(args: argparse.Namespace) -> int:
     bmin = _resolve_float("bmin", args, cfg)
     bmax = _resolve_float("bmax", args, cfg)
     temp = _resolve_float("temp", args, cfg)
-    try:
-        feats = find_features(system, bmin, bmax, points, temperature=temp,
-                              model=_thermal_model(cfg), config=sweep_cfg)
-    except (SpecError, ValueError) as exc:
-        raise DomainError(str(exc)) from exc
+    feats = find_features(system, bmin, bmax, points, temperature=temp,
+                          model=_thermal_model(cfg), config=sweep_cfg)
     if args.format == "csv":
         lines = ["center_G,span_lo_G,span_hi_G,kind,min_gap_MHz,n_lines"]
         for f in feats:
@@ -259,18 +252,15 @@ def _cmd_tshift(args: argparse.Namespace) -> int:
     window = 25.0
     bmin = max(0.0, target - window)
     bmax = min(1100.0, target + window)
-    try:
-        feats = find_features(system, bmin, bmax, max(points // 4, 512),
-                              temperature=300.0, model=model, config=sweep_cfg)
-    except (SpecError, ValueError) as exc:
-        raise DomainError(str(exc)) from exc
+    feats = find_features(system, bmin, bmax, max(points // 4, 512),
+                          temperature=300.0, model=model, config=sweep_cfg)
     if not feats:
         raise DomainError(f"no feature found within {window} G of {target} G")
     feature = min(feats, key=lambda f: abs(f.center - target))
     try:
         shift = temperature_shift(system, feature, temps, model=model,
                                   config=sweep_cfg)
-    except (SpecError, ValueError, RuntimeError) as exc:
+    except RuntimeError as exc:
         raise DomainError(str(exc)) from exc
     lines = ["T_K,center_G,delta_B_G"]
     for t, center, delta in zip(shift.temperatures, shift.centers, shift.delta_b):
@@ -294,11 +284,7 @@ def _cmd_fit_trace(args: argparse.Namespace) -> int:
             seeds = [float(s) for s in args.seeds.split(",") if s.strip()]
         except ValueError:
             raise DomainError(f"malformed --seeds value {args.seeds!r}")
-    try:
-        trace = load_trace(args.trace)
-        fit = fit_dips(trace, seeds)
-    except TraceError as exc:
-        raise DomainError(str(exc)) from exc
+    fit = fit_dips(load_trace(args.trace), seeds)
     _write_atomic(args.out, fit_report(fit, args.central) + "\n")
     return EXIT_OK
 
@@ -384,7 +370,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except DomainError as exc:
+    except (DomainError, ValueError) as exc:
         print(f"spin-atlas: error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
 

@@ -38,3 +38,6 @@ EE_COUPLING_TRANSVERSE = 5.0
 
 # Hard cap on the composite Hilbert-space dimension.
 DIMENSION_CAP = 1024
+
+# Cap on |gamma| (MHz/G), tensor entries and ZFS fields (MHz) in a spec.
+MAGNITUDE_CAP = 1e6

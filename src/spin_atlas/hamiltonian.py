@@ -18,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.sparse.csgraph import connected_components
 
-from .operators import embed, rotation_to_axis, spin_operators
+from .operators import embed, kron_sites, rotation_to_axis, spin_operators
 from .system import SpeciesKind, SpinSystem
 
 __all__ = [
@@ -41,14 +41,19 @@ def _site_frame_ops(axis: np.ndarray):
     return np.einsum("jk,jab->kab", r, ops)
 
 
-def _bilinear(ops_a, tensor_lab: np.ndarray, ops_b) -> np.ndarray:
-    """sum_ij T_ij A_i B_j for lab-frame component operators of two sites."""
-    out = np.zeros_like(ops_a[0] @ ops_b[0])
-    for i in range(3):
-        for j in range(3):
-            t = tensor_lab[i, j]
-            if t != 0.0:
-                out = out + t * (ops_a[i] @ ops_b[j])
+def _bilinear(tensor_lab: np.ndarray, slot_a: int, slot_b: int, dims: list[int]):
+    """sum_ij T_ij S^i_a S^j_b over the nonzero T_ij in row-major order, each
+    product placed by one Kronecker product (on one site, the 3x3 product).
+    An all-zero tensor gives the scalar 0.0."""
+    ops_a, ops_b = spin_operators(dims[slot_a]), spin_operators(dims[slot_b])
+    out = 0.0
+    for (i, j), t in np.ndenumerate(tensor_lab):
+        if t != 0.0:
+            if slot_a == slot_b:
+                factors = {slot_a: ops_a[i] @ ops_b[j]}
+            else:
+                factors = {slot_a: ops_a[i], slot_b: ops_b[j]}
+            out = out + t * kron_sites(factors, dims)
     return out
 
 
@@ -93,13 +98,8 @@ def hamiltonian_terms(spec: SpinSystem) -> HamiltonianTerms:
     h_d = np.zeros((dim, dim), dtype=complex)
     h_b = np.zeros((dim, dim), dtype=complex)
 
-    site_ops = []
-    for s in spec.sites:
-        sx, sy, sz = spin_operators(s.multiplicity)
-        site_ops.append((sx, sy, sz))
-
     for idx, s in enumerate(spec.sites):
-        sx, sy, sz = site_ops[idx]
+        _, _, sz = spin_operators(s.multiplicity)
         # Zeeman along lab z, +gamma B Sz for every site; nuclear species
         # carry their signed gyromagnetic ratio.
         h_b += embed(s.gamma_value * sz, idx, dims)
@@ -116,21 +116,14 @@ def hamiltonian_terms(spec: SpinSystem) -> HamiltonianTerms:
             h_const += embed(strain, idx, dims)
 
         if s.quadrupole is not None:
-            q = s.quadrupole.lab_matrix()
-            h_const += embed(_bilinear((sx, sy, sz), q, (sx, sy, sz)), idx, dims)
+            h_const += _bilinear(s.quadrupole.lab_matrix(), idx, idx, dims)
 
         if s.hyperfine is not None:
-            a = s.hyperfine.tensor.lab_matrix()
-            el = s.hyperfine.to_site
-            ea = [embed(op, el, dims) for op in site_ops[el]]
-            na = [embed(op, idx, dims) for op in (sx, sy, sz)]
-            h_const += _bilinear(ea, a, na)
+            hf = s.hyperfine
+            h_const += _bilinear(hf.tensor.lab_matrix(), hf.to_site, idx, dims)
 
     for cp in spec.couplings:
-        t = cp.tensor.lab_matrix()
-        oa = [embed(op, cp.site_a, dims) for op in site_ops[cp.site_a]]
-        ob = [embed(op, cp.site_b, dims) for op in site_ops[cp.site_b]]
-        h_const += _bilinear(oa, t, ob)
+        h_const += _bilinear(cp.tensor.lab_matrix(), cp.site_a, cp.site_b, dims)
 
     return HamiltonianTerms(h_const, h_d, h_b)
 
@@ -173,7 +166,7 @@ def probe_projector_vector(spec: SpinSystem) -> tuple[np.ndarray, int, int]:
     w, v = np.linalg.eigh(n_dot_s)
     v0 = v[:, int(np.argmin(np.abs(w)))]
     if np.abs(v0.imag).max() < _REAL_TOL:
-        v0 = v0.real.astype(complex)
+        v0 = np.ascontiguousarray(v0.real)
     dims = spec.dims
     d_pre = int(np.prod(dims[: spec.probe_site], dtype=int))
     d_post = int(np.prod(dims[spec.probe_site + 1 :], dtype=int))

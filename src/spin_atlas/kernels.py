@@ -35,11 +35,11 @@ def batched_eigh_project(hams: np.ndarray, v0: np.ndarray, d_pre: int, d_post: i
     hams: (n, b, b) real symmetric or complex Hermitian, the block of the
     full d-dimensional Hamiltonian on the basis states ``rows`` (default: all
     d of them, in order).
-    v0: probe m_S = 0 state (length 3); d = d_pre * 3 * d_post.
+    v0: probe m_S = 0 state (length 3), real or complex; d = d_pre * 3 * d_post.
 
     Returns (eigenvalues (n, b) ascending, projections (n, b)).
     """
-    v0 = np.asarray(v0, dtype=complex)
+    v0 = np.asarray(v0)
     n, b, _ = hams.shape
     d = d_pre * 3 * d_post
     rows = np.arange(d) if rows is None else rows

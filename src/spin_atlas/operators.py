@@ -9,6 +9,7 @@ __all__ = [
     "spin_operators",
     "rotation_to_axis",
     "rotate_tensor",
+    "kron_sites",
     "embed",
 ]
 
@@ -68,17 +69,28 @@ def rotate_tensor(matrix: np.ndarray, axis: np.ndarray) -> np.ndarray:
     return r @ m @ r.T
 
 
+def kron_sites(factors: dict[int, np.ndarray], dims: list[int]) -> np.ndarray:
+    """Kronecker product with ``factors[slot]`` at each listed slot and the
+    identity elsewhere; runs of identity sites merge into one factor."""
+    for slot, op in factors.items():
+        if not 0 <= slot < len(dims):
+            raise IndexError(f"slot {slot} out of range for {len(dims)} sites")
+        if op.shape != (dims[slot], dims[slot]):
+            raise ValueError(
+                f"operator dimension {op.shape} does not match dims[{slot}] = {dims[slot]}"
+            )
+    out, run = np.ones((1, 1)), 1
+    for slot, d in enumerate(dims):
+        if slot in factors:
+            out, run = np.kron(np.kron(out, np.eye(run)), factors[slot]), 1
+        else:
+            run *= d
+    return np.kron(out, np.eye(run))
+
+
 def embed(op: np.ndarray, slot: int, dims: list[int]) -> np.ndarray:
     """Kronecker-embed a single-site operator into the product space.
 
     I_(d0) x ... x op x ... x I_(dn) with op at position `slot`.
     """
-    if not 0 <= slot < len(dims):
-        raise IndexError(f"slot {slot} out of range for {len(dims)} sites")
-    if op.shape != (dims[slot], dims[slot]):
-        raise ValueError(
-            f"operator dimension {op.shape} does not match dims[{slot}] = {dims[slot]}"
-        )
-    d_pre = int(np.prod(dims[:slot], dtype=int))
-    d_post = int(np.prod(dims[slot + 1 :], dtype=int))
-    return np.kron(np.kron(np.eye(d_pre), op), np.eye(d_post))
+    return kron_sites({slot: op}, dims)

@@ -101,7 +101,6 @@ class CrossingEvent:
     min_gap: float            # MHz
     kind: str                 # "true" | "avoided"
     projection_jump: float    # p exchange across the event
-    bracket: tuple = (0.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -362,7 +361,6 @@ def _refine_with_solver(solver: _Solver, event: CandidateEvent, config: SweepCon
                 min_gap=gap,
                 kind=kind,
                 projection_jump=event.projection_jump,
-                bracket=(b_lo, b_hi),
             )
         )
     return events
@@ -429,7 +427,6 @@ def find_features(
                     min_gap=gap,
                     kind="true" if gap < config.gap_true else "avoided",
                     projection_jump=cand.projection_jump,
-                    bracket=(cand.b_lo, cand.b_hi),
                 )
             )
     # Candidates from different level pairs can refine to the same field.

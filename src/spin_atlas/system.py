@@ -68,8 +68,11 @@ _DEFAULT_GAMMA = {
 
 
 def _finite(value, name: str) -> float:
-    if not isinstance(value, numbers.Real) or not math.isfinite(value):
-        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    # ``not abs(value) <= cap`` also rejects NaN and infinities.
+    if not isinstance(value, numbers.Real) or not abs(value) <= c.MAGNITUDE_CAP:
+        raise ValueError(
+            f"{name} must be a finite number within +-{c.MAGNITUDE_CAP:g}, got {value!r}"
+        )
     return float(value)
 
 
@@ -101,8 +104,9 @@ class InteractionTensor:
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=float)
-        if m.shape != (3, 3) or not np.all(np.isfinite(m)):
-            raise ValueError("tensor matrix must be a finite 3x3 array")
+        if m.shape != (3, 3) or not np.all(np.abs(m) <= c.MAGNITUDE_CAP):
+            raise ValueError(f"tensor matrix must be a 3x3 array of finite entries within "
+                             f"+-{c.MAGNITUDE_CAP:g} MHz")
         if np.abs(m - m.T).max() > 1e-12:
             raise ValueError("tensor matrix must be symmetric")
         object.__setattr__(self, "matrix", tuple(tuple(float(x) for x in row) for row in m))

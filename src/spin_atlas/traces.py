@@ -48,6 +48,7 @@ class Trace:
     pl: tuple[float, ...]
     temperature: float | None = None
 
+    @np.errstate(all="ignore")
     def __post_init__(self) -> None:
         if len(self.field) != len(self.pl):
             raise TraceError(
@@ -188,6 +189,7 @@ def auto_seeds(trace: Trace) -> list[float]:
     return seeds
 
 
+@np.errstate(all="ignore")
 def fit_dips(trace: Trace, seeds: list[float] | None = None) -> DipFit:
     """Fit the multi-dip model; seeds default to automatic minima detection.
 
@@ -197,7 +199,8 @@ def fit_dips(trace: Trace, seeds: list[float] | None = None) -> DipFit:
     more parameters (2 + 3 per dip) than trace points, and for a model or fit
     that is not finite.  A fit that exhausts MINPACK's evaluation budget is
     returned flagged ``converged=False``; ``iterations`` reports scipy's
-    ``nfev``, the number of residual evaluations.
+    ``nfev``, the number of residual evaluations.  NumPy floating-point
+    warnings are off: an overflow surfaces only through those checks.
     """
     b = np.asarray(trace.field)
     pl = np.asarray(trace.pl)

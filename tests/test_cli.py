@@ -175,10 +175,14 @@ def _nv_p1_with(path, value):
         _nv_p1_with(("probe_site",), False),
         _nv_p1_with(("couplings", 0, "site_b"), 1.6),
         _nv_p1_with(("sites", 2, "hyperfine", "to"), 1.4),
+        # Finite but far above the magnitude cap: eigenvalues near 1e302, or
+        # an eigensolve that does not converge.
+        _nv_p1_with(("sites", 1, "gamma"), 1e300),
+        _nv_p1_with(("sites", 1, "gamma"), 1e306),
     ],
     ids=["sites-int", "sites-list-int", "top-list", "axis-int", "gamma-str",
          "gamma-nan", "hyperfine-nan", "zfs-inf", "probe-0.9", "probe-bool",
-         "coupling-1.6", "hyperfine-to-1.4"],
+         "coupling-1.6", "hyperfine-to-1.4", "gamma-1e300", "gamma-1e306"],
 )
 def test_malformed_spec_payloads_exit_1(payload, tmp_path, capsys):
     spec = tmp_path / "bad.json"
@@ -187,6 +191,23 @@ def test_malformed_spec_payloads_exit_1(payload, tmp_path, capsys):
     assert code == 1
     assert out == ""
     assert err.startswith(f"spin-atlas: error: invalid spec file {spec}")
+
+
+_ZERO = [[0.0] * 3] * 3
+
+
+@pytest.mark.parametrize(
+    "path",
+    [("sites", 2, "quadrupole", "matrix"), ("sites", 2, "hyperfine", "matrix"),
+     ("couplings", 0, "matrix")],
+    ids=["quadrupole", "hyperfine", "coupling"],
+)
+def test_all_zero_tensor_spec_sweeps(path, tmp_path, capsys):
+    spec = tmp_path / "zero.json"
+    spec.write_text(json.dumps(_nv_p1_with(path, _ZERO)))
+    code, out, err = run(["sweep", "--spec", str(spec), "--points", "4"], capsys)
+    assert code == 0 and err == ""
+    assert len(out.splitlines()) == 5
 
 
 # Catalog presets whose 2-point sweep takes milliseconds (d <= 108).
@@ -326,6 +347,28 @@ def test_fit_trace_non_finite_exits_1(tmp_path, capsys):
     assert "finite" in err
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "flags, message",
+    [([], "no dip seeds"), (["--seeds", "510"], "initial model is not finite")],
+    ids=["auto-seeds", "seeded"],
+)
+def test_fit_trace_overflowing_baseline_exits_1(flags, message, tmp_path, capsys):
+    # Baseline ends at +-1e308: the end-to-end slope and the initial model
+    # overflow, which must give one error line and no NumPy warning.
+    grid = np.linspace(470.0, 550.0, 40)
+    pl = np.ones(40)
+    pl[:5], pl[-5:] = 1e308, -1e308
+    path = tmp_path / "huge.csv"
+    rows = [f"{b!r},{v!r}" for b, v in zip(grid.tolist(), pl.tolist())]
+    path.write_text("B_gauss,pl\n" + "\n".join(rows) + "\n")
+    code, out, err = run(["fit-trace", str(path)] + flags, capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"spin-atlas: error: {message}")
+    assert len(err.splitlines()) == 1
+
+
 def test_fit_trace_non_utf8_exits_1(tmp_path, capsys):
     path = tmp_path / "latin1.csv"
     path.write_bytes("B_gauss,pl\n# temperature_K = 300 \xb0\n".encode("latin-1"))
@@ -378,6 +421,7 @@ def fit_trace_inputs(draw):
     return text, seeds, central
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=150, deadline=None)
 @given(inputs=fit_trace_inputs())
 def test_malformed_trace_csv_fails_cleanly(inputs):

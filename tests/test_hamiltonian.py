@@ -1,5 +1,7 @@
 """Hamiltonian assembly: closed forms, hermiticity, and probe projections."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,12 +9,14 @@ from hypothesis import strategies as st
 
 from spin_atlas import constants as c
 from spin_atlas import hamiltonian
+from spin_atlas.catalog import get_system, system_ids
 from spin_atlas.hamiltonian import (
     build_hamiltonian,
     eigendecompose,
     hamiltonian_terms,
     probe_projector_vector,
 )
+from spin_atlas.operators import spin_operators
 from spin_atlas.system import (
     Coupling,
     Hyperfine,
@@ -181,8 +185,10 @@ def test_probe_projector_shapes():
     )
     v0, d_pre, d_post = probe_projector_vector(spec)
     assert d_pre == 2 and d_post == 2
-    # v0 selects the probe m_S = 0 row of the NV triplet.
-    assert np.allclose(v0, [0.0, 1.0, 0.0])
+    # v0 selects the probe m_S = 0 row of the NV triplet; it is real, so a
+    # real system projects in real arithmetic.
+    assert v0.dtype == np.float64
+    assert np.array_equal(v0, [0.0, 1.0, 0.0])
 
 
 def test_projection_sum_rule_small():
@@ -194,3 +200,96 @@ def test_projection_sum_rule_small():
     vals, projs = batched_eigh_project(h[None, :, :], v0, d_pre, d_post)
     assert np.isclose(projs.sum(), spec.dimension / 3.0, atol=1e-9)
     assert np.all(projs >= -1e-12) and np.all(projs <= 1.0 + 1e-12)
+
+
+def _full_space_terms(spec):
+    """Reference assembly in the full space: every bilinear term is a sum of
+    products ``embed(A, a) @ embed(B, b)`` of embedded site operators, with a
+    quadrupole summed as a 3x3 operator and embedded once."""
+    dims = spec.dims
+
+    def place(op, slot):
+        d_pre = int(np.prod(dims[:slot], dtype=int))
+        d_post = int(np.prod(dims[slot + 1 :], dtype=int))
+        return np.kron(np.kron(np.eye(d_pre), op), np.eye(d_post))
+
+    def bilinear(ops_a, t, ops_b):
+        out = np.zeros_like(ops_a[0] @ ops_b[0])
+        for i in range(3):
+            for j in range(3):
+                if t[i, j] != 0.0:
+                    out = out + t[i, j] * (ops_a[i] @ ops_b[j])
+        return out
+
+    ops = [spin_operators(m) for m in dims]
+    h_const, h_d, h_b = (np.zeros((spec.dimension,) * 2, dtype=complex) for _ in range(3))
+    for idx, s in enumerate(spec.sites):
+        h_b += place(s.gamma_value * ops[idx][2], idx)
+        if s.zfs is not None:
+            spx, spy, spz = hamiltonian._site_frame_ops(np.asarray(s.axis))
+            h_d += place(spz @ spz, idx)
+            z = s.zfs
+            h_const += place(
+                z.d_parallel * (spz @ spz)
+                + z.d_x * (spx @ spx - spy @ spy)
+                + z.d_y * (spx @ spy + spy @ spx),
+                idx,
+            )
+        if s.quadrupole is not None:
+            h_const += place(bilinear(ops[idx], s.quadrupole.lab_matrix(), ops[idx]), idx)
+        if s.hyperfine is not None:
+            el = s.hyperfine.to_site
+            h_const += bilinear([place(op, el) for op in ops[el]],
+                                s.hyperfine.tensor.lab_matrix(),
+                                [place(op, idx) for op in ops[idx]])
+    for cp in spec.couplings:
+        h_const += bilinear([place(op, cp.site_a) for op in ops[cp.site_a]],
+                            cp.tensor.lab_matrix(),
+                            [place(op, cp.site_b) for op in ops[cp.site_b]])
+    return hamiltonian.HamiltonianTerms(h_const, h_d, h_b)
+
+
+def assert_terms_identical(terms, ref):
+    for h, h_ref in zip(terms, ref):
+        assert h.dtype == h_ref.dtype
+        assert np.array_equal(h, h_ref)
+    assert len(terms.blocks) == len(ref.blocks)
+    assert all(np.array_equal(b, b_ref) for b, b_ref in zip(terms.blocks, ref.blocks))
+
+
+@pytest.mark.parametrize("complex_probe", [False, True])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_terms_match_full_space_products(complex_probe, data):
+    spec = data.draw(random_systems(complex_probe=complex_probe))
+    assert_terms_identical(hamiltonian_terms(spec), _full_space_terms(spec))
+
+
+@pytest.mark.parametrize(
+    "sys_id", [i for i in system_ids() if get_system(i).system.dimension <= 108]
+)
+def test_catalog_terms_match_full_space_products(sys_id):
+    spec = get_system(sys_id).system
+    assert_terms_identical(hamiltonian_terms(spec), _full_space_terms(spec))
+
+
+def _nv_p1_zeroed(part):
+    """nv-p1 with its N14 quadrupole, N14 hyperfine or NV-P1 coupling tensor
+    set to all zeros, and the same system with that term left out."""
+    spec = get_system("nv-p1").system
+    zero = InteractionTensor(((0.0,) * 3,) * 3)
+    if part == "coupling":
+        cp = dataclasses.replace(spec.couplings[0], tensor=zero)
+        return (dataclasses.replace(spec, couplings=(cp,)),
+                dataclasses.replace(spec, couplings=()))
+    nv, p1, n14 = spec.sites
+    value = zero if part == "quadrupole" else Hyperfine(zero, 1)
+    return (dataclasses.replace(spec, sites=(nv, p1, dataclasses.replace(n14, **{part: value}))),
+            dataclasses.replace(spec, sites=(nv, p1, dataclasses.replace(n14, **{part: None}))))
+
+
+@pytest.mark.parametrize("part", ["quadrupole", "hyperfine", "coupling"])
+def test_all_zero_tensor_adds_nothing(part):
+    spec, without = _nv_p1_zeroed(part)
+    assert_terms_identical(hamiltonian_terms(spec), hamiltonian_terms(without))
+    assert_terms_identical(hamiltonian_terms(spec), _full_space_terms(spec))

@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from spin_atlas.operators import embed, rotate_tensor, rotation_to_axis, spin_operators
+from spin_atlas.operators import (
+    embed,
+    kron_sites,
+    rotate_tensor,
+    rotation_to_axis,
+    spin_operators,
+)
 
 
 @pytest.mark.parametrize("mult", [2, 3])
@@ -82,6 +88,22 @@ def test_embed_slots_commute():
     a = embed(sx3, 0, dims)
     b = embed(sx2, 1, dims)
     assert np.allclose(a @ b, b @ a)
+
+
+@pytest.mark.parametrize("slots", [(0, 2), (2, 0), (1, 3), (3, 4)])
+def test_kron_sites_places_a_product_of_embedded_operators(slots):
+    dims = [3, 2, 3, 2, 2]
+    a, b = spin_operators(dims[slots[0]])[0], spin_operators(dims[slots[1]])[1]
+    placed = kron_sites({slots[0]: a, slots[1]: b}, dims)
+    assert np.array_equal(placed, embed(a, slots[0], dims) @ embed(b, slots[1], dims))
+
+
+def test_kron_sites_checks_slots_and_shapes():
+    sx3, _, _ = spin_operators(3)
+    with pytest.raises(IndexError, match="out of range"):
+        embed(sx3, 2, [3, 2])
+    with pytest.raises(ValueError, match="does not match"):
+        kron_sites({0: sx3, 1: sx3}, [3, 2])
 
 
 @given(st.integers(min_value=2, max_value=3))

@@ -151,3 +151,24 @@ NAN, INF = float("nan"), float("inf")
 def test_non_finite_values_rejected(build, message):
     with pytest.raises(ValueError, match=message):
         build()
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Site(kind="c13", gamma=1e300), "gamma must be a finite number within"),
+        (lambda: Site(kind="c13", gamma=-2e6), "gamma must be a finite number within"),
+        (lambda: InteractionTensor.axial(0.0, -1.5e6), "within"),
+        (lambda: ZfsParams(d_y=1e306), "d_y must be a finite number within"),
+    ],
+    ids=["gamma-1e300", "gamma-minus-2e6", "tensor-1.5e6", "zfs-1e306"],
+)
+def test_magnitudes_above_cap_rejected(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
+def test_magnitudes_at_cap_accepted():
+    site = Site(kind="c13", gamma=-1e6, hyperfine=Hyperfine(InteractionTensor.axial(1e6, -1e6), 0))
+    spec = SpinSystem(sites=[Site(kind="nv_electron", zfs=ZfsParams(d_x=1e6)), site])
+    assert SpinSystem.from_dict(spec.to_dict()) == spec
