@@ -15,6 +15,7 @@ import tempfile
 from . import __version__
 from .catalog import get_system, list_systems
 from .sweep import (
+    T_REF,
     SweepConfig,
     features_to_json,
     find_features,
@@ -244,8 +245,8 @@ def _cmd_tshift(args: argparse.Namespace) -> int:
     while t <= tmax + 1e-9:
         temps.append(round(t, 6))
         t += tstep
-    if 300.0 not in temps:
-        temps.append(300.0)
+    if T_REF not in temps:
+        temps.append(T_REF)
         temps.sort()
     model = _thermal_model(cfg)
     target = float(args.feature)
@@ -258,8 +259,7 @@ def _cmd_tshift(args: argparse.Namespace) -> int:
         raise DomainError(f"no feature found within {window} G of {target} G")
     feature = min(feats, key=lambda f: abs(f.center - target))
     try:
-        shift = temperature_shift(system, feature, temps, model=model,
-                                  config=sweep_cfg)
+        shift = temperature_shift(system, feature, temps, model=model)
     except RuntimeError as exc:
         raise DomainError(str(exc)) from exc
     lines = ["T_K,center_G,delta_B_G"]

@@ -83,7 +83,9 @@ class HamiltonianTerms(tuple):
         return self
 
 
-@lru_cache(maxsize=64)
+# Repeat lookups come only from within one find_features or temperature_shift
+# call, on one system, so one entry serves them all (24 MB at the 1024 cap).
+@lru_cache(maxsize=1)
 def hamiltonian_terms(spec: SpinSystem) -> HamiltonianTerms:
     """Precompute (H_const, H_d, H_b) and their invariant blocks for a system.
 

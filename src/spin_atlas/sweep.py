@@ -11,6 +11,7 @@ true crossing (gap below threshold at 0.01 G resolution) or an avoided one.
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import json
 import math
@@ -34,26 +35,29 @@ __all__ = [
     "temperature_shift",
     "find_features",
     "TemperatureShift",
+    "T_REF",
 ]
 
 # Full-space eigenvector entries per kernel call (~4 MB complex); at d = 648
 # this is one matrix per call.
 _STACK_ENTRIES = 1 << 18
 
+_EXCHANGE_THRESHOLD = 0.25  # windowed p exchange for gap-minimum relevance
+_FIELD_RESOLUTION = 0.01    # G, refinement resolution of every gap minimum
+T_REF = 300.0               # K, reference temperature of continuation and slope
+_TRACK_WINDOW = 5.0         # G, half-width of the search around a seed center
+
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Detection and refinement thresholds (all configurable).
+    """Detection settings a caller may tune, each finite and non-negative.
 
-    Every field must be finite and non-negative; ``field_resolution`` must be
-    positive.
+    The p-exchange threshold and the 0.01 G refinement resolution are fixed.
     """
 
     jump_threshold: float = 0.4     # adjacent-point p jump marking an event
-    exchange_threshold: float = 0.25  # windowed p exchange for gap-minimum relevance
     gap_ceiling: float = 30.0       # MHz, ignore gap minima above this
     gap_true: float = 0.05          # MHz, true-vs-avoided threshold
-    field_resolution: float = 0.01  # G, refinement resolution
     cluster_radius: float = 15.0    # G, single-linkage clustering radius
 
     def __post_init__(self) -> None:
@@ -61,8 +65,6 @@ class SweepConfig:
             value = getattr(self, f.name)
             if not math.isfinite(value) or value < 0:
                 raise ValueError(f"{f.name} must be finite and non-negative, got {value}")
-        if self.field_resolution == 0:
-            raise ValueError("field_resolution must be positive")
 
 
 @dataclass
@@ -115,7 +117,7 @@ class CrossingFeature:
 
     @property
     def kind(self) -> str:
-        return _central_line(self).kind
+        return _line_nearest(self, self.center).kind
 
     def to_dict(self) -> dict:
         return {
@@ -136,9 +138,9 @@ class CrossingFeature:
         }
 
 
-def _central_line(feature: CrossingFeature) -> CrossingEvent:
+def _line_nearest(feature: CrossingFeature, b: float) -> CrossingEvent:
     fields = np.array([ln.field for ln in feature.lines])
-    return feature.lines[int(np.argmin(np.abs(fields - feature.center)))]
+    return feature.lines[int(np.argmin(np.abs(fields - b)))]
 
 
 class _Solver:
@@ -285,7 +287,7 @@ def detect_events(sr: SweepResult, config: SweepConfig | None = None) -> list[Ca
             minima.append(n - 1)
         for k in minima:
             ex = _exchange(projs, gaps, pair, int(k))
-            if ex < config.exchange_threshold:
+            if ex < _EXCHANGE_THRESHOLD:
                 continue
             key = (pair, int(k) // 3)
             cand = CandidateEvent(
@@ -312,7 +314,7 @@ def detect_events(sr: SweepResult, config: SweepConfig | None = None) -> list[Ca
             if key in candidates:
                 continue
             ex = _exchange(projs, gaps, int(pair), km)
-            if ex < config.exchange_threshold:
+            if ex < _EXCHANGE_THRESHOLD:
                 continue
             candidates[key] = CandidateEvent(
                 pair=int(pair),
@@ -326,12 +328,14 @@ def detect_events(sr: SweepResult, config: SweepConfig | None = None) -> list[Ca
     return out
 
 
-def _minimize_gap(solver: _Solver, pair: int, b_lo: float, b_hi: float, xatol: float) -> tuple[float, float]:
+def _polish(solver: _Solver, pair: int, sample: np.ndarray, k: int) -> tuple[float, float]:
+    """Field and gap of the pair's gap minimum between the neighbours of
+    sample[k], by bounded Brent to the refinement resolution."""
     res = minimize_scalar(
         lambda b: solver.gap(b, pair),
-        bounds=(b_lo, b_hi),
+        bounds=(sample[max(k - 1, 0)], sample[min(k + 1, len(sample) - 1)]),
         method="bounded",
-        options={"xatol": xatol},
+        options={"xatol": _FIELD_RESOLUTION},
     )
     return float(res.x), float(res.fun)
 
@@ -350,9 +354,7 @@ def _refine_with_solver(solver: _Solver, event: CandidateEvent, config: SweepCon
         interior = [int(np.argmin(g))]
     events = []
     for k in interior:
-        lo = sample[max(k - 1, 0)]
-        hi = sample[min(k + 1, len(sample) - 1)]
-        center, gap = _minimize_gap(solver, event.pair, lo, hi, config.field_resolution)
+        center, gap = _polish(solver, event.pair, sample, k)
         kind = "true" if gap < config.gap_true else "avoided"
         events.append(
             CrossingEvent(
@@ -429,10 +431,11 @@ def find_features(
                     projection_jump=cand.projection_jump,
                 )
             )
-    # Candidates from different level pairs can refine to the same field.
+    # Candidates of one level pair can refine to the same field (a gap minimum
+    # and a p jump at one crossing); keep the smallest gap per 0.05 G bin.
     unique: dict[tuple, CrossingEvent] = {}
     for ev in refined:
-        key = (ev.levels, round(ev.field / max(config.field_resolution * 5, 0.05)))
+        key = (ev.levels, round(ev.field / 0.05))
         if key not in unique or ev.min_gap < unique[key].min_gap:
             unique[key] = ev
     return cluster_features(list(unique.values()), config.cluster_radius)
@@ -442,23 +445,22 @@ def find_features(
 class TemperatureShift:
     temperatures: list
     centers: list             # refined feature-line center at each T, gauss
-    delta_b: list             # center(T) - center(T_ref), gauss
-    slope_at_ref: float       # G/K, central difference at T_ref
-    t_ref: float
+    delta_b: list             # center(T) - center(T_REF), gauss
+    slope_at_ref: float       # G/K, central difference at T_REF
     lost: list = field(default_factory=list)  # temperatures where tracking failed
 
 
-def _track_center(
-    solver: _Solver, pair: int, seed: float, window: float, resolution: float
-) -> float | None:
-    coarse = np.linspace(seed - window, seed + window, 21)
+def _track_center(spec, d_zfs: float, pair: int, seed: float) -> float | None:
+    """The pair's gap minimum within _TRACK_WINDOW of seed at ZFS d_zfs, or
+    None when it ran off the window (feature lost)."""
+    solver = _Solver(spec, d_zfs)
+    coarse = np.linspace(seed - _TRACK_WINDOW, seed + _TRACK_WINDOW, 21)
     coarse = coarse[coarse > 0]
     g = solver.gaps(coarse, pair)
     k = int(np.argmin(g))
     if k in (0, len(coarse) - 1):
-        return None  # minimum ran off the search window: feature lost
-    center, _ = _minimize_gap(solver, pair, coarse[k - 1], coarse[k + 1], resolution)
-    return center
+        return None
+    return _polish(solver, pair, coarse, k)[0]
 
 
 def temperature_shift(
@@ -466,63 +468,53 @@ def temperature_shift(
     feature: CrossingFeature,
     t_grid,
     model: ThermalZfsModel | None = None,
-    config: SweepConfig | None = None,
-    t_ref: float = 300.0,
-    window: float = 5.0,
     track_field: float | None = None,
 ) -> TemperatureShift:
-    """Continue a feature center in temperature and report shifts.
+    """Continue a feature center in temperature and report shifts from T_REF.
 
     The tracked line defaults to the feature's central line; `track_field`
-    picks the member line nearest a physically motivated field instead.
+    picks the member line nearest a physically motivated field instead. Its
+    center is tracked at T_REF from the line's field, at T_REF again if the
+    grid holds it, then in two walks outward: the grid temperatures above
+    T_REF upward, those below downward, each seeded from the last center its
+    walk tracked. Failed temperatures go to `lost`; repeats are kept.
     """
-    config = config or SweepConfig()
     model = model or ThermalZfsModel()
-    target = track_field if track_field is not None else feature.center
-    fields = np.array([ln.field for ln in feature.lines])
-    line = feature.lines[int(np.argmin(np.abs(fields - target)))]
+    line = _line_nearest(feature, feature.center if track_field is None else track_field)
     pair = line.levels[0]
 
     def center_at(t: float, seed: float) -> float | None:
-        solver = _Solver(spec, model.zfs_at(t))
-        return _track_center(solver, pair, seed, window, config.field_resolution)
+        return _track_center(spec, model.zfs_at(t), pair, seed)
 
-    ref_center = center_at(t_ref, line.field)
+    ref_center = center_at(T_REF, line.field)
     if ref_center is None:
         raise RuntimeError(f"feature near {line.field:.2f} G lost at reference temperature")
 
     temps = sorted(float(t) for t in t_grid)
-    order = sorted(range(len(temps)), key=lambda i: abs(temps[i] - t_ref))
-    centers: dict[int, float | None] = {}
-    for rank, i in enumerate(order):
-        # Seed from the nearest already-tracked temperature (continuation).
-        done = [j for j in order[:rank] if centers.get(j) is not None]
-        seed = centers[min(done, key=lambda j: abs(temps[j] - temps[i]))] if done else ref_center
-        centers[i] = center_at(temps[i], seed)
+    centers: list[float | None] = [None] * len(temps)
 
-    slope_lo = center_at(t_ref - 5.0, ref_center)
-    slope_hi = center_at(t_ref + 5.0, ref_center)
-    if slope_lo is None or slope_hi is None:
-        slope = float("nan")
-    else:
-        slope = (slope_hi - slope_lo) / 10.0
+    def walk(indices, seed: float) -> float:
+        for i in indices:
+            centers[i] = center_at(temps[i], seed)
+            if centers[i] is not None:
+                seed = centers[i]
+        return seed
 
-    kept_t, kept_c, kept_d, lost = [], [], [], []
-    for i, t in enumerate(temps):
-        c = centers[i]
-        if c is None:
-            lost.append(t)
-            continue
-        kept_t.append(t)
-        kept_c.append(c)
-        kept_d.append(c - ref_center)
+    lo, hi = bisect.bisect_left(temps, T_REF), bisect.bisect_right(temps, T_REF)
+    seed = walk(range(lo, hi), ref_center)
+    walk(range(hi, len(temps)), seed)
+    walk(range(lo - 1, -1, -1), seed)
+
+    slope_lo, slope_hi = (center_at(T_REF + dt, ref_center) for dt in (-5.0, 5.0))
+    slope = float("nan") if slope_lo is None or slope_hi is None else (slope_hi - slope_lo) / 10.0
+
+    kept = [(t, c) for t, c in zip(temps, centers) if c is not None]
     return TemperatureShift(
-        temperatures=kept_t,
-        centers=kept_c,
-        delta_b=kept_d,
+        temperatures=[t for t, _ in kept],
+        centers=[c for _, c in kept],
+        delta_b=[c - ref_center for _, c in kept],
         slope_at_ref=slope,
-        t_ref=t_ref,
-        lost=lost,
+        lost=[t for t, c in zip(temps, centers) if c is None],
     )
 
 

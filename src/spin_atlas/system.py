@@ -89,8 +89,10 @@ def _unit(axis) -> np.ndarray:
     v = np.asarray(axis, dtype=float)
     if v.shape != (3,) or not np.all(np.isfinite(v)):
         raise ValueError(f"axis must be a finite 3-vector, got {axis!r}")
-    if abs(np.linalg.norm(v) - 1.0) > 1e-9:
-        raise ValueError(f"axis must be normalized, got norm {np.linalg.norm(v)!r}")
+    with np.errstate(all="ignore"):  # components near 1e200 overflow to inf
+        norm = float(np.linalg.norm(v))
+    if abs(norm - 1.0) > 1e-9:
+        raise ValueError(f"axis must be normalized, got norm {norm!r}")
     return v
 
 

@@ -134,8 +134,7 @@ def test_criterion_3_temperature_slopes():
         entry = get_system(sys_id)
         feature = _tracked_feature(entry, around)
         shift = temperature_shift(
-            entry.system, feature, [300.0], config=entry.sweep_config(),
-            track_field=entry.track_center,
+            entry.system, feature, [300.0], track_field=entry.track_center,
         )
         details.append(f"{around:.0f}G {shift.slope_at_ref:+.4f}")
         if abs(shift.slope_at_ref - expected) > 0.004:
@@ -151,8 +150,7 @@ def test_criterion_4_total_732_shift():
     entry = get_system("2onv-p1")
     feature = _tracked_feature(entry, 732.0)
     shift = temperature_shift(
-        entry.system, feature, [0.0, 300.0], config=entry.sweep_config(),
-        track_field=entry.track_center,
+        entry.system, feature, [0.0, 300.0], track_field=entry.track_center,
     )
     total = shift.centers[0] - shift.centers[-1]
     failures = []

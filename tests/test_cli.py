@@ -179,11 +179,15 @@ def _nv_p1_with(path, value):
         # an eigensolve that does not converge.
         _nv_p1_with(("sites", 1, "gamma"), 1e300),
         _nv_p1_with(("sites", 1, "gamma"), 1e306),
+        # Finite components whose norm overflows.
+        _nv_p1_with(("sites", 1, "axis"), [1e200, 0.0, 1e200]),
     ],
     ids=["sites-int", "sites-list-int", "top-list", "axis-int", "gamma-str",
          "gamma-nan", "hyperfine-nan", "zfs-inf", "probe-0.9", "probe-bool",
-         "coupling-1.6", "hyperfine-to-1.4", "gamma-1e300", "gamma-1e306"],
+         "coupling-1.6", "hyperfine-to-1.4", "gamma-1e300", "gamma-1e306",
+         "axis-1e200"],
 )
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_malformed_spec_payloads_exit_1(payload, tmp_path, capsys):
     spec = tmp_path / "bad.json"
     spec.write_text(json.dumps(payload))
@@ -191,6 +195,7 @@ def test_malformed_spec_payloads_exit_1(payload, tmp_path, capsys):
     assert code == 1
     assert out == ""
     assert err.startswith(f"spin-atlas: error: invalid spec file {spec}")
+    assert len(err.splitlines()) == 1
 
 
 _ZERO = [[0.0] * 3] * 3

@@ -2,13 +2,18 @@
 
 import inspect
 import io
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import spin_atlas.sweep as sweep_mod
 from spin_atlas import constants as c
 from spin_atlas.catalog import get_system
 from spin_atlas.sweep import (
+    T_REF,
+    CrossingEvent,
+    CrossingFeature,
     SweepConfig,
     cluster_features,
     detect_events,
@@ -120,6 +125,54 @@ def test_isolated_nv_shift_matches_zfs_closed_form(nv):
     assert abs(shift.slope_at_ref - model.zfs_slope(300.0) / c.GAMMA_E) < 5e-4
 
 
+def _stub_tracking(monkeypatch, lost_at=None):
+    """Replace the gap tracker by one that records (T, seed) and returns the
+    center 1000 + T, or None at ``lost_at``. The model's D is T itself."""
+    calls = []
+
+    def track(spec, d_zfs, pair, seed):
+        calls.append((d_zfs, seed))
+        return None if d_zfs == lost_at else 1000.0 + d_zfs
+
+    monkeypatch.setattr(sweep_mod, "_track_center", track)
+    line = CrossingEvent(field=500.0, levels=(0, 1), min_gap=0.0, kind="true", projection_jump=1.0)
+    feature = CrossingFeature(center=500.0, lines=(line,), span=(500.0, 500.0))
+    return calls, feature, SimpleNamespace(zfs_at=lambda t: t)
+
+
+def test_continuation_walks_outward_from_reference(monkeypatch):
+    calls, feature, model = _stub_tracking(monkeypatch, lost_at=180.0)
+    grid = [340.0, 60.0, 300.0, 240.0, 120.0, 320.0, 180.0]
+    shift = temperature_shift(None, feature, grid, model=model)
+    ref = 1000.0 + T_REF
+    assert calls[0] == (T_REF, 500.0)  # T_ref from the line's own field
+    # Every grid temperature once, plus T_ref and T_ref +/- 5 K; each seeded
+    # from the last center tracked on its side of T_ref (180 K is lost).
+    assert sorted(calls[1:]) == sorted([
+        (300.0, ref), (320.0, ref), (340.0, 1320.0),
+        (240.0, ref), (180.0, 1240.0), (120.0, 1240.0), (60.0, 1120.0),
+        (T_REF - 5.0, ref), (T_REF + 5.0, ref),
+    ])
+    assert shift.lost == [180.0]
+    assert shift.temperatures == [60.0, 120.0, 240.0, 300.0, 320.0, 340.0]
+    assert shift.delta_b == [t - T_REF for t in shift.temperatures]
+    assert shift.slope_at_ref == 1.0
+
+
+def test_continuation_without_reference_in_grid(monkeypatch):
+    calls, feature, model = _stub_tracking(monkeypatch)
+    shift = temperature_shift(None, feature, [400.0, 250.0, 200.0, 350.0, 250.0], model=model)
+    ref = 1000.0 + T_REF
+    # Both walks start from T_ref's center; a repeated temperature is
+    # tracked, and reported, once per grid entry.
+    assert sorted(calls[1:]) == sorted([
+        (250.0, ref), (250.0, 1250.0), (200.0, 1250.0), (350.0, ref), (400.0, 1350.0),
+        (T_REF - 5.0, ref), (T_REF + 5.0, ref),
+    ])
+    assert shift.temperatures == [200.0, 250.0, 250.0, 350.0, 400.0]
+    assert not shift.lost
+
+
 def test_sweep_rejects_bad_grid(nv):
     with pytest.raises(ValueError):
         sweep(nv, 100.0, 100.0, 64)
@@ -128,8 +181,6 @@ def test_sweep_rejects_bad_grid(nv):
 
 
 def test_cluster_features_single_linkage():
-    from spin_atlas.sweep import CrossingEvent
-
     def ev(b):
         return CrossingEvent(field=b, levels=(0, 1), min_gap=0.0, kind="true", projection_jump=1.0)
 
