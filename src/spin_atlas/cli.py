@@ -224,6 +224,9 @@ def _cmd_features(args: argparse.Namespace) -> int:
 
 
 def _cmd_tshift(args: argparse.Namespace) -> int:
+    target = args.feature
+    if not 0.0 <= target <= 1100.0:
+        raise DomainError(f"--feature must be a field within 0-1100 G, got {target}")
     cfg = _load_config(args.config)
     entry, system = _entry_and_system(args)
     points, sweep_cfg = _sweep_settings(entry, args, cfg)
@@ -249,7 +252,6 @@ def _cmd_tshift(args: argparse.Namespace) -> int:
         temps.append(T_REF)
         temps.sort()
     model = _thermal_model(cfg)
-    target = float(args.feature)
     window = 25.0
     bmin = max(0.0, target - window)
     bmax = min(1100.0, target + window)
@@ -302,8 +304,12 @@ def _add_system_args(p: argparse.ArgumentParser) -> None:
 def _add_sweep_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--bmin", type=float, help="scan start, gauss")
     p.add_argument("--bmax", type=float, help="scan end, gauss")
-    p.add_argument("--points", type=int, help="grid points")
     p.add_argument("--temp", type=float, help="temperature, kelvin")
+    _add_detection_args(p)
+
+
+def _add_detection_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--points", type=int, help="grid points")
     p.add_argument("--jump-threshold", dest="jump_threshold", type=float)
     p.add_argument("--gap-ceiling", dest="gap_ceiling", type=float)
     p.add_argument("--gap-true", dest="gap_true", type=float)
@@ -345,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tshift", help="temperature shift of one feature")
     _add_system_args(p)
-    _add_sweep_args(p)
+    _add_detection_args(p)
     p.add_argument("--feature", type=float, required=True,
                    help="approximate feature center at 300 K, gauss")
     p.add_argument("--tmin", type=float)

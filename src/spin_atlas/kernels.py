@@ -29,13 +29,16 @@ def _project(v: np.ndarray, v0: np.ndarray, d_pre: int, d_post: int) -> np.ndarr
     return (np.abs(amp).reshape(m, -1, b) ** 2).sum(axis=1)
 
 
-def batched_eigh_project(hams: np.ndarray, v0: np.ndarray, d_pre: int, d_post: int, rows=None):
+def batched_eigh_project(hams: np.ndarray, v0: np.ndarray, d_pre: int, d_post: int, rows=None, scatter=None):
     """Diagonalize a batch of Hermitian matrices and project eigenvectors.
 
     hams: (n, b, b) real symmetric or complex Hermitian, the block of the
     full d-dimensional Hamiltonian on the basis states ``rows`` (default: all
     d of them, in order).
     v0: probe m_S = 0 state (length 3), real or complex; d = d_pre * 3 * d_post.
+    scatter: optional (n, d, b) buffer of the eigenvectors' dtype, zero
+    outside ``rows``, that they are scattered into; a caller solving many
+    stacks of one block passes the same buffer each time.
 
     Returns (eigenvalues (n, b) ascending, projections (n, b)).
     """
@@ -44,6 +47,7 @@ def batched_eigh_project(hams: np.ndarray, v0: np.ndarray, d_pre: int, d_post: i
     d = d_pre * 3 * d_post
     rows = np.arange(d) if rows is None else rows
     vals, v = np.linalg.eigh(hams)
-    full = np.zeros((n, d, b), dtype=v.dtype)
-    full[:, rows] = v
-    return vals, _project(full, v0, d_pre, d_post)
+    if scatter is None:
+        scatter = np.zeros((n, d, b), dtype=v.dtype)
+    scatter[:, rows] = v
+    return vals, _project(scatter, v0, d_pre, d_post)

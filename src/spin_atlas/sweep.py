@@ -12,7 +12,9 @@ true crossing (gap below threshold at 0.01 G resolution) or an avoided one.
 from __future__ import annotations
 
 import bisect
+import contextlib
 import dataclasses
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -150,6 +152,10 @@ class _Solver:
     ``hamiltonian_terms(spec).blocks``. Each block is diagonalized on its
     own and the levels of all blocks are merged into one ascending order; a
     stable sort keeps exactly degenerate levels in block order.
+
+    Blocks of one size are held as one (g, b, b) stack per term, so an
+    eigenvalue-only solve takes one ``eigvalsh`` call per block size;
+    ``h0[k]`` and ``h_b[k]`` are views of block k in its stack.
     """
 
     def __init__(self, spec, d_zfs: float):
@@ -157,22 +163,27 @@ class _Solver:
         h_const, h_d, h_b = terms
         h0 = h_const + d_zfs * h_d
         self.rows = terms.blocks
-        self.h0 = [h0[np.ix_(r, r)] for r in self.rows]
-        self.h_b = [h_b[np.ix_(r, r)] for r in self.rows]
+        self.h0 = [None] * len(self.rows)
+        self.h_b = [None] * len(self.rows)
+        self.groups = []  # (H0 stack, H_b stack) of each block size
+        for size in dict.fromkeys(len(r) for r in self.rows):
+            members = [k for k, r in enumerate(self.rows) if len(r) == size]
+            idx = np.array([self.rows[k] for k in members])
+            ix = (idx[:, :, None], idx[:, None, :])
+            group = (h0[ix], h_b[ix])
+            self.groups.append(group)
+            for j, k in enumerate(members):
+                self.h0[k], self.h_b[k] = group[0][j], group[1][j]
         self.v0, self.d_pre, self.d_post = probe_projector_vector(spec)
         self.dim = h0.shape[0]
-
-    def _stack(self, k: int, fields: np.ndarray) -> np.ndarray:
-        """Block k of H(B) at every field, shape (n, b, b)."""
-        hams = fields[:, None, None] * self.h_b[k]
-        hams += self.h0[k]
-        return hams
+        self._memo = None
 
     def batch(self, fields: np.ndarray):
         """Ascending eigenvalues (n, d) and their probe projections (n, d).
 
         Each block's field stack goes to the kernel in steps of at most
         ``_STACK_ENTRIES`` full-space eigenvector entries, or of one field.
+        Every step of a block reuses one stack and one scatter buffer.
         """
         n = len(fields)
         vals = np.empty((n, self.dim))
@@ -180,21 +191,58 @@ class _Solver:
         col = 0
         for k, rows in enumerate(self.rows):
             b = len(rows)
-            step = max(1, _STACK_ENTRIES // (self.dim * b))
+            step = max(1, min(n, _STACK_ENTRIES // (self.dim * b)))
+            hams = np.empty((step, b, b), np.result_type(self.h0[k], self.h_b[k]))
+            scatter = np.zeros((step, self.dim, b), hams.dtype)
             cols = slice(col, col + b)
             for start in range(0, n, step):
                 sl = slice(start, start + step)
+                m = min(step, n - start)
+                np.multiply(fields[sl, None, None], self.h_b[k], out=hams[:m])
+                hams[:m] += self.h0[k]
                 vals[sl, cols], projs[sl, cols] = batched_eigh_project(
-                    self._stack(k, fields[sl]), self.v0, self.d_pre, self.d_post, rows
+                    hams[:m], self.v0, self.d_pre, self.d_post, rows, scatter[:m]
                 )
+            del hams, scatter  # before the next block allocates its own
             col += b
         order = np.argsort(vals, axis=1, kind="stable")
         return np.take_along_axis(vals, order, axis=1), np.take_along_axis(projs, order, axis=1)
 
-    def eigvals(self, fields: np.ndarray) -> np.ndarray:
-        """Ascending eigenvalues at every field, shape (n, d)."""
-        vals = [np.linalg.eigvalsh(self._stack(k, fields)) for k in range(len(self.rows))]
+    @contextlib.contextmanager
+    def bracket(self):
+        """Keep every spectrum ``eigvals`` solves until the block exits.
+
+        The fields of one refinement bracket recur across its level pairs.
+        The memo lives for one bracket only, so it never grows with the
+        number of candidates.
+        """
+        self._memo = {}
+        try:
+            yield
+        finally:
+            self._memo = None
+
+    def _solve(self, fields: np.ndarray) -> np.ndarray:
+        """Ascending eigenvalues at every field, one ``eigvalsh`` call per block size."""
+        vals = []
+        for h0, hb in self.groups:
+            hams = fields[:, None, None, None] * hb
+            hams += h0  # in place: at d = 648 a stack of 9 fields is 30 MB
+            vals.append(np.linalg.eigvalsh(hams).reshape(len(fields), -1))
         return np.sort(np.concatenate(vals, axis=1), axis=1)
+
+    def eigvals(self, fields: np.ndarray) -> np.ndarray:
+        """Ascending eigenvalues at every field, shape (n, d).
+
+        A field is solved once per call, and once per ``bracket()``; fields
+        are told apart by their exact bit pattern.
+        """
+        memo = {} if self._memo is None else self._memo
+        keys = np.asarray(fields, dtype=np.float64).view(np.int64).tolist()
+        new = [key for key in dict.fromkeys(keys) if key not in memo]
+        if new:
+            memo.update(zip(new, self._solve(np.array(new, dtype=np.int64).view(np.float64))))
+        return np.array([memo[key] for key in keys]).reshape(len(keys), self.dim)
 
     def gaps(self, fields: np.ndarray, pair: int) -> np.ndarray:
         """Gap between levels pair and pair + 1 at every field."""
@@ -415,13 +463,20 @@ def find_features(
     config = config or SweepConfig()
     model = model or ThermalZfsModel()
     sr = sweep(spec, b_min, b_max, n_points, temperature, model)
-    solver = _Solver(spec, sr.d_zfs)
+    candidates = detect_events(sr, config)
     refined = []
-    for cand in detect_events(sr, config):
-        if refine:
-            refined.extend(_refine_with_solver(solver, cand, config))
-        else:
-            gap = float(sr.gaps()[cand.grid_index, cand.pair])
+    if refine:
+        solver = _Solver(spec, sr.d_zfs)
+        # Candidates come sorted by (b_lo, pair), so those sharing a bracket
+        # are adjacent; each bracket solves a field once for all its pairs.
+        for _, group in itertools.groupby(candidates, key=lambda c: (c.b_lo, c.b_hi)):
+            with solver.bracket():
+                for cand in group:
+                    refined.extend(_refine_with_solver(solver, cand, config))
+    else:
+        gaps = sr.gaps()
+        for cand in candidates:
+            gap = float(gaps[cand.grid_index, cand.pair])
             refined.append(
                 CrossingEvent(
                     field=float(sr.field[cand.grid_index]),
@@ -456,11 +511,12 @@ def _track_center(spec, d_zfs: float, pair: int, seed: float) -> float | None:
     solver = _Solver(spec, d_zfs)
     coarse = np.linspace(seed - _TRACK_WINDOW, seed + _TRACK_WINDOW, 21)
     coarse = coarse[coarse > 0]
-    g = solver.gaps(coarse, pair)
-    k = int(np.argmin(g))
-    if k in (0, len(coarse) - 1):
-        return None
-    return _polish(solver, pair, coarse, k)[0]
+    with solver.bracket():
+        g = solver.gaps(coarse, pair)
+        k = int(np.argmin(g))
+        if k in (0, len(coarse) - 1):
+            return None
+        return _polish(solver, pair, coarse, k)[0]
 
 
 def temperature_shift(

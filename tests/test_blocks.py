@@ -1,6 +1,7 @@
 """Invariant blocks: the partition of H(B, D) and block-by-block solves
 against dense ``np.linalg.eigh`` of the full matrix, the kernel-call budget
-of ``_Solver.batch`` and the dtype of the cached terms."""
+of ``_Solver.batch``, the dtype of the cached terms, and the grouped,
+memoized eigenvalue solves of refinement."""
 
 import numpy as np
 import pytest
@@ -11,10 +12,10 @@ import spin_atlas.sweep as sweep_mod
 from spin_atlas.catalog import get_system, list_systems
 from spin_atlas.hamiltonian import HamiltonianTerms, hamiltonian_terms
 from spin_atlas.kernels import batched_eigh_project
-from spin_atlas.sweep import _Solver, sweep
+from spin_atlas.sweep import _Solver, detect_events, find_features, sweep
 from spin_atlas.system import Coupling, Hyperfine, InteractionTensor, Site, SpinSystem
 
-from test_hamiltonian import D300
+from test_hamiltonian import D300, random_systems
 from test_kernels import degenerate_clusters, dense_reference
 
 AXIAL = st.floats(min_value=-100.0, max_value=100.0)
@@ -200,9 +201,9 @@ def test_sweep_kernel_calls_stay_within_budget(sys_id, n_points, monkeypatch):
     entries, or a single matrix where one alone exceeds it (d = 648)."""
     calls = []
 
-    def recorder(hams, v0, d_pre, d_post, rows=None):
+    def recorder(hams, v0, d_pre, d_post, rows=None, scatter=None):
         calls.append((hams.shape[0], d_pre * 3 * d_post, hams.shape[1]))
-        return batched_eigh_project(hams, v0, d_pre, d_post, rows)
+        return batched_eigh_project(hams, v0, d_pre, d_post, rows, scatter)
 
     monkeypatch.setattr(sweep_mod, "batched_eigh_project", recorder)
     spec = get_system(sys_id).system
@@ -210,3 +211,80 @@ def test_sweep_kernel_calls_stay_within_budget(sys_id, n_points, monkeypatch):
     assert len(calls) > len(hamiltonian_terms(spec).blocks)  # the grid was split
     for n, d, b in calls:
         assert n * d * b <= sweep_mod._STACK_ENTRIES or n == 1
+
+
+SMALL_PRESETS = [i for i, _ in list_systems() if get_system(i).system.dimension <= 108]
+
+
+def per_block_eigvals(spec, d_zfs, fields):
+    """Sorted eigenvalues from one ``eigvalsh`` call per field and block."""
+    terms = hamiltonian_terms(spec)
+    h_const, h_d, h_b = terms
+    h0 = h_const + d_zfs * h_d
+    out = []
+    for b in fields:
+        vals = [np.linalg.eigvalsh(b * h_b[np.ix_(r, r)] + h0[np.ix_(r, r)]) for r in terms.blocks]
+        out.append(np.sort(np.concatenate(vals)))
+    return np.array(out)
+
+
+@st.composite
+def solver_specs(draw):
+    choice = draw(st.sampled_from(["random", "complex", "preset"]))
+    if choice == "preset":
+        return get_system(draw(st.sampled_from(SMALL_PRESETS))).system
+    return draw(random_systems(complex_probe=choice == "complex"))
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_memoized_grouped_eigvals_are_bit_identical(data):
+    """Each call, inside or outside a bracket, equals per-block solves.
+
+    The fields repeat within and across calls, and come in pairs 1e-3 G
+    apart, closer than the refinement resolution.
+    """
+    spec = data.draw(solver_specs())
+    base = data.draw(st.lists(st.floats(min_value=0.0, max_value=1100.0), min_size=1, max_size=3))
+    pool = base + [b + 1e-3 for b in base]
+    calls = data.draw(st.lists(st.lists(st.sampled_from(pool), min_size=1, max_size=6), min_size=1, max_size=4))
+    solver = _Solver(spec, D300)
+    with solver.bracket():
+        for fields in calls:
+            assert np.array_equal(solver.eigvals(np.array(fields)), per_block_eigvals(spec, D300, fields))
+    assert np.array_equal(solver.eigvals(np.array(calls[0])), per_block_eigvals(spec, D300, calls[0]))
+
+
+def test_refinement_solves_each_field_once_per_bracket(monkeypatch):
+    """Candidates sharing a bracket share its solves, and no bracket's memo
+    holds a field solved for another."""
+    spec = get_system("nv-2p1").system
+    runs = []  # consecutive candidates of one bracket: [bracket, solved keys]
+    solves = 0
+    refine, solve = sweep_mod._refine_with_solver, _Solver._solve
+
+    def refine_recorder(solver, event, config):
+        bracket = (event.b_lo, event.b_hi)
+        if not runs or runs[-1][0] != bracket:
+            runs.append([bracket, []])
+        return refine(solver, event, config)
+
+    def solve_recorder(self, fields):
+        nonlocal solves
+        if self._memo is not None and runs:
+            solved = runs[-1][1]
+            assert set(self._memo) <= set(solved)
+            solved.extend(fields.view(np.int64).tolist())
+            lo, hi = runs[-1][0]
+            assert lo <= fields.min() and fields.max() <= hi
+            solves += 1
+        return solve(self, fields)
+
+    monkeypatch.setattr(sweep_mod, "_refine_with_solver", refine_recorder)
+    monkeypatch.setattr(_Solver, "_solve", solve_recorder)
+    find_features(spec, 300.0, 400.0, 256)
+    candidates = detect_events(sweep(spec, 300.0, 400.0, 256))
+    assert len(runs) < len(candidates)  # some brackets hold several pairs
+    assert solves > len(runs)
+    for _, solved in runs:
+        assert len(solved) == len(set(solved))

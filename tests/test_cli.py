@@ -102,6 +102,15 @@ def test_malformed_flags_exit_2(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("flag", ["--bmin", "--bmax", "--temp"])
+def test_tshift_rejects_sweep_range_flags(flag, capsys):
+    # tshift always locates at 300 K within 25 G of --feature.
+    with pytest.raises(SystemExit) as exc:
+        main(["tshift", "--system", "nv", "--feature", "1024", flag, "500"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
 def test_invalid_range_exits_1(capsys):
     code, _, err = run(
         ["sweep", "--system", "nv", "--bmin", "500", "--bmax", "100"], capsys)
@@ -497,11 +506,23 @@ def test_detection_settings_precedence(tmp_path, monkeypatch, capsys):
         (["features", "--bmax", "inf"], "b_max"),
         (["tshift", "--feature", "1024", "--tstep", "1e-9"], "cap"),
         (["tshift", "--feature", "1024", "--tmax", "inf"], "temperature grid"),
+        (["tshift", "--feature", "nan"], "--feature"),
+        (["tshift", "--feature", "inf"], "--feature"),
+        (["tshift", "--feature", "-50"], "--feature"),
+        (["tshift", "--feature", "2000"], "--feature"),
     ],
 )
-def test_out_of_range_inputs_exit_1(argv, message, capsys):
-    args = argv[:1] + ["--system", "nv", "--bmin", "1000", "--bmax", "1050",
-                       "--points", "16"] + argv[1:]
+def test_out_of_range_inputs_exit_1(argv, message, capsys, monkeypatch):
+    if argv[0] == "tshift":
+        # tshift checks its inputs before it locates the feature.
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before the inputs were checked")
+
+        monkeypatch.setattr("spin_atlas.cli.find_features", no_solve)
+        field_range = []
+    else:
+        field_range = ["--bmin", "1000", "--bmax", "1050"]
+    args = argv[:1] + ["--system", "nv", "--points", "16"] + field_range + argv[1:]
     code, out, err = run(args, capsys)
     assert code == 1
     assert out == ""
