@@ -252,6 +252,8 @@ def _cmd_tshift(args: argparse.Namespace) -> int:
         temps.append(T_REF)
         temps.sort()
     model = _thermal_model(cfg)
+    for t in temps:  # every D(T) must be valid before anything is solved
+        model.zfs_at(t)
     window = 25.0
     bmin = max(0.0, target - window)
     bmax = min(1100.0, target + window)

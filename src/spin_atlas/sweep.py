@@ -12,7 +12,6 @@ true crossing (gap below threshold at 0.01 G resolution) or an avoided one.
 from __future__ import annotations
 
 import bisect
-import contextlib
 import dataclasses
 import itertools
 import json
@@ -155,7 +154,8 @@ class _Solver:
 
     Blocks of one size are held as one (g, b, b) stack per term, so an
     eigenvalue-only solve takes one ``eigvalsh`` call per block size;
-    ``h0[k]`` and ``h_b[k]`` are views of block k in its stack.
+    ``h0[k]`` and ``h_b[k]`` are views of block k in its stack. The solver
+    keeps no state between calls: every call solves every field it is given.
     """
 
     def __init__(self, spec, d_zfs: float):
@@ -176,7 +176,6 @@ class _Solver:
                 self.h0[k], self.h_b[k] = group[0][j], group[1][j]
         self.v0, self.d_pre, self.d_post = probe_projector_vector(spec)
         self.dim = h0.shape[0]
-        self._memo = None
 
     def batch(self, fields: np.ndarray):
         """Ascending eigenvalues (n, d) and their probe projections (n, d).
@@ -208,41 +207,15 @@ class _Solver:
         order = np.argsort(vals, axis=1, kind="stable")
         return np.take_along_axis(vals, order, axis=1), np.take_along_axis(projs, order, axis=1)
 
-    @contextlib.contextmanager
-    def bracket(self):
-        """Keep every spectrum ``eigvals`` solves until the block exits.
-
-        The fields of one refinement bracket recur across its level pairs.
-        The memo lives for one bracket only, so it never grows with the
-        number of candidates.
-        """
-        self._memo = {}
-        try:
-            yield
-        finally:
-            self._memo = None
-
-    def _solve(self, fields: np.ndarray) -> np.ndarray:
-        """Ascending eigenvalues at every field, one ``eigvalsh`` call per block size."""
+    def eigvals(self, fields: np.ndarray) -> np.ndarray:
+        """Ascending eigenvalues at every field, shape (n, d), from one
+        ``eigvalsh`` call per block size."""
         vals = []
         for h0, hb in self.groups:
             hams = fields[:, None, None, None] * hb
-            hams += h0  # in place: at d = 648 a stack of 9 fields is 30 MB
+            hams += h0  # in place: no second (n, g, b, b) temporary
             vals.append(np.linalg.eigvalsh(hams).reshape(len(fields), -1))
         return np.sort(np.concatenate(vals, axis=1), axis=1)
-
-    def eigvals(self, fields: np.ndarray) -> np.ndarray:
-        """Ascending eigenvalues at every field, shape (n, d).
-
-        A field is solved once per call, and once per ``bracket()``; fields
-        are told apart by their exact bit pattern.
-        """
-        memo = {} if self._memo is None else self._memo
-        keys = np.asarray(fields, dtype=np.float64).view(np.int64).tolist()
-        new = [key for key in dict.fromkeys(keys) if key not in memo]
-        if new:
-            memo.update(zip(new, self._solve(np.array(new, dtype=np.int64).view(np.float64))))
-        return np.array([memo[key] for key in keys]).reshape(len(keys), self.dim)
 
     def gaps(self, fields: np.ndarray, pair: int) -> np.ndarray:
         """Gap between levels pair and pair + 1 at every field."""
@@ -262,8 +235,8 @@ def sweep(
     model: ThermalZfsModel | None = None,
 ) -> SweepResult:
     """Diagonalize over an ascending field grid and track projections."""
-    if not (math.isfinite(b_min) and math.isfinite(b_max) and b_min < b_max):
-        raise ValueError(f"require finite b_min < b_max, got {b_min}, {b_max}")
+    if not (math.isfinite(b_min) and math.isfinite(b_max) and 0.0 <= b_min < b_max):
+        raise ValueError(f"require finite 0 <= b_min < b_max, got {b_min}, {b_max}")
     if n_points < 2:
         raise ValueError("need at least 2 grid points")
     model = model or ThermalZfsModel()
@@ -271,9 +244,10 @@ def sweep(
     solver = _Solver(spec, d_zfs)
 
     grid = np.linspace(b_min, b_max, n_points)
-    # Coarse pre-scan fixes the positivity shift for the whole sweep.
-    pre = np.linspace(b_min, b_max, min(9, n_points))
-    low = float(solver.eigvals(pre)[:, 0].min())
+    # The positivity shift is fixed for the whole sweep by the lowest level.
+    # That level is a minimum of functions affine in B, so it is concave and
+    # its minimum over the range lies at one end.
+    low = float(solver.eigvals(np.array([b_min, b_max]))[:, 0].min())
     shift = abs(min(low, 0.0)) + 100.0
 
     vals, projs = solver.batch(grid)
@@ -376,11 +350,11 @@ def detect_events(sr: SweepResult, config: SweepConfig | None = None) -> list[Ca
     return out
 
 
-def _polish(solver: _Solver, pair: int, sample: np.ndarray, k: int) -> tuple[float, float]:
-    """Field and gap of the pair's gap minimum between the neighbours of
+def _polish(gap, sample: np.ndarray, k: int) -> tuple[float, float]:
+    """Field and value of the minimum of ``gap(b)`` between the neighbours of
     sample[k], by bounded Brent to the refinement resolution."""
     res = minimize_scalar(
-        lambda b: solver.gap(b, pair),
+        gap,
         bounds=(sample[max(k - 1, 0)], sample[min(k + 1, len(sample) - 1)]),
         method="bounded",
         options={"xatol": _FIELD_RESOLUTION},
@@ -388,31 +362,42 @@ def _polish(solver: _Solver, pair: int, sample: np.ndarray, k: int) -> tuple[flo
     return float(res.x), float(res.fun)
 
 
-def _refine_with_solver(solver: _Solver, event: CandidateEvent, config: SweepConfig) -> list[CrossingEvent]:
-    """Bracketed gap minimization; classify true vs avoided.
+def _refine_bracket(solver: _Solver, cands: list[CandidateEvent], config: SweepConfig) -> list[CrossingEvent]:
+    """Bracketed gap minimization of the candidates of one (b_lo, b_hi), in
+    order; classify true vs avoided.
 
-    A non-unimodal bracket (several local minima of the same pair gap) is
-    split and every minimum is reported.
+    The spectrum at a field does not depend on the level pair, so each field
+    is solved once for all the bracket's pairs: the 17-point sample in one
+    call, Brent's fields into a table that lives as long as this call. A
+    non-unimodal bracket (several local minima of one pair's gap) is split
+    and every minimum is reported.
     """
-    b_lo, b_hi = event.b_lo, event.b_hi
-    sample = np.linspace(b_lo, b_hi, 17)
-    g = solver.gaps(sample, event.pair)
-    interior = np.where((g[1:-1] <= g[:-2]) & (g[1:-1] <= g[2:]))[0] + 1
-    if len(interior) == 0:
-        interior = [int(np.argmin(g))]
+    sample = np.linspace(cands[0].b_lo, cands[0].b_hi, 17)
+    levels = solver.eigvals(sample)
+    spectra = dict(zip(sample.tolist(), levels))
+
+    def gap(b: float, pair: int) -> float:
+        if b not in spectra:
+            spectra[b] = solver.eigvals(np.array([b]))[0]
+        return float(spectra[b][pair + 1] - spectra[b][pair])
+
     events = []
-    for k in interior:
-        center, gap = _polish(solver, event.pair, sample, k)
-        kind = "true" if gap < config.gap_true else "avoided"
-        events.append(
-            CrossingEvent(
-                field=center,
-                levels=(event.pair, event.pair + 1),
-                min_gap=gap,
-                kind=kind,
-                projection_jump=event.projection_jump,
+    for cand in cands:
+        g = levels[:, cand.pair + 1] - levels[:, cand.pair]
+        interior = np.where((g[1:-1] <= g[:-2]) & (g[1:-1] <= g[2:]))[0] + 1
+        if len(interior) == 0:
+            interior = [int(np.argmin(g))]
+        for k in interior:
+            center, min_gap = _polish(lambda b: gap(b, cand.pair), sample, k)
+            events.append(
+                CrossingEvent(
+                    field=center,
+                    levels=(cand.pair, cand.pair + 1),
+                    min_gap=min_gap,
+                    kind="true" if min_gap < config.gap_true else "avoided",
+                    projection_jump=cand.projection_jump,
+                )
             )
-        )
     return events
 
 
@@ -468,11 +453,9 @@ def find_features(
     if refine:
         solver = _Solver(spec, sr.d_zfs)
         # Candidates come sorted by (b_lo, pair), so those sharing a bracket
-        # are adjacent; each bracket solves a field once for all its pairs.
+        # are adjacent and refine together.
         for _, group in itertools.groupby(candidates, key=lambda c: (c.b_lo, c.b_hi)):
-            with solver.bracket():
-                for cand in group:
-                    refined.extend(_refine_with_solver(solver, cand, config))
+            refined.extend(_refine_bracket(solver, list(group), config))
     else:
         gaps = sr.gaps()
         for cand in candidates:
@@ -511,12 +494,10 @@ def _track_center(spec, d_zfs: float, pair: int, seed: float) -> float | None:
     solver = _Solver(spec, d_zfs)
     coarse = np.linspace(seed - _TRACK_WINDOW, seed + _TRACK_WINDOW, 21)
     coarse = coarse[coarse > 0]
-    with solver.bracket():
-        g = solver.gaps(coarse, pair)
-        k = int(np.argmin(g))
-        if k in (0, len(coarse) - 1):
-            return None
-        return _polish(solver, pair, coarse, k)[0]
+    k = int(np.argmin(solver.gaps(coarse, pair)))
+    if k in (0, len(coarse) - 1):
+        return None
+    return _polish(lambda b: solver.gap(b, pair), coarse, k)[0]
 
 
 def temperature_shift(

@@ -44,12 +44,15 @@ class ThermalZfsModel:
                 raise ValueError(f"{f.name} must be finite, got {value}")
 
     def zfs_at(self, temperature: float) -> float:
-        """D(T) in MHz."""
-        return (
+        """D(T) in MHz; a D(T) that is not finite and positive is an error."""
+        d = (
             self.d0
             + self.c1 * occupation(self.delta1, temperature, self.boltzmann)
             + self.c2 * occupation(self.delta2, temperature, self.boltzmann)
         )
+        if not (math.isfinite(d) and d > 0):
+            raise ValueError(f"zero-field splitting D({temperature:g} K) = {d:g} MHz is not finite and positive")
+        return d
 
     def zfs_slope(self, temperature: float) -> float:
         """dD/dT in MHz/K (analytic)."""

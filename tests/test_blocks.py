@@ -1,7 +1,7 @@
 """Invariant blocks: the partition of H(B, D) and block-by-block solves
 against dense ``np.linalg.eigh`` of the full matrix, the kernel-call budget
-of ``_Solver.batch``, the dtype of the cached terms, and the grouped,
-memoized eigenvalue solves of refinement."""
+of ``_Solver.batch``, the dtype of the cached terms, the grouped eigenvalue
+solves, and the per-bracket spectra of refinement."""
 
 import numpy as np
 import pytest
@@ -238,8 +238,8 @@ def solver_specs(draw):
 
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
-def test_memoized_grouped_eigvals_are_bit_identical(data):
-    """Each call, inside or outside a bracket, equals per-block solves.
+def test_grouped_eigvals_are_bit_identical(data):
+    """Each call equals per-block solves, field by field.
 
     The fields repeat within and across calls, and come in pairs 1e-3 G
     apart, closer than the refinement resolution.
@@ -249,42 +249,42 @@ def test_memoized_grouped_eigvals_are_bit_identical(data):
     pool = base + [b + 1e-3 for b in base]
     calls = data.draw(st.lists(st.lists(st.sampled_from(pool), min_size=1, max_size=6), min_size=1, max_size=4))
     solver = _Solver(spec, D300)
-    with solver.bracket():
-        for fields in calls:
-            assert np.array_equal(solver.eigvals(np.array(fields)), per_block_eigvals(spec, D300, fields))
-    assert np.array_equal(solver.eigvals(np.array(calls[0])), per_block_eigvals(spec, D300, calls[0]))
+    for fields in calls + calls[:1]:
+        assert np.array_equal(solver.eigvals(np.array(fields)), per_block_eigvals(spec, D300, fields))
 
 
 def test_refinement_solves_each_field_once_per_bracket(monkeypatch):
-    """Candidates sharing a bracket share its solves, and no bracket's memo
-    holds a field solved for another."""
+    """Candidates sharing a bracket share its solves, every field solved lies
+    inside the bracket, and no bracket reuses spectra solved for another."""
     spec = get_system("nv-2p1").system
-    runs = []  # consecutive candidates of one bracket: [bracket, solved keys]
-    solves = 0
-    refine, solve = sweep_mod._refine_with_solver, _Solver._solve
+    runs = []  # one per bracket: {"args", "events", "solved", "open"}
+    refine_bracket, eigvals = sweep_mod._refine_bracket, _Solver.eigvals
 
-    def refine_recorder(solver, event, config):
-        bracket = (event.b_lo, event.b_hi)
-        if not runs or runs[-1][0] != bracket:
-            runs.append([bracket, []])
-        return refine(solver, event, config)
+    def bracket_recorder(solver, cands, config):
+        assert len({(c.b_lo, c.b_hi) for c in cands}) == 1
+        run = {"args": (solver, cands, config), "solved": [], "open": True}
+        runs.append(run)
+        run["events"] = refine_bracket(solver, cands, config)
+        run["open"] = False
+        return run["events"]
 
-    def solve_recorder(self, fields):
-        nonlocal solves
-        if self._memo is not None and runs:
-            solved = runs[-1][1]
-            assert set(self._memo) <= set(solved)
-            solved.extend(fields.view(np.int64).tolist())
-            lo, hi = runs[-1][0]
-            assert lo <= fields.min() and fields.max() <= hi
-            solves += 1
-        return solve(self, fields)
+    def eigvals_recorder(self, fields):
+        if runs and runs[-1]["open"]:
+            cands = runs[-1]["args"][1]
+            assert cands[0].b_lo <= fields.min() and fields.max() <= cands[0].b_hi
+            runs[-1]["solved"].extend(fields.tolist())
+        return eigvals(self, fields)
 
-    monkeypatch.setattr(sweep_mod, "_refine_with_solver", refine_recorder)
-    monkeypatch.setattr(_Solver, "_solve", solve_recorder)
+    monkeypatch.setattr(sweep_mod, "_refine_bracket", bracket_recorder)
+    monkeypatch.setattr(_Solver, "eigvals", eigvals_recorder)
     find_features(spec, 300.0, 400.0, 256)
     candidates = detect_events(sweep(spec, 300.0, 400.0, 256))
     assert len(runs) < len(candidates)  # some brackets hold several pairs
-    assert solves > len(runs)
-    for _, solved in runs:
-        assert len(solved) == len(set(solved))
+    assert sum(len(run["solved"]) for run in runs) > 17 * len(runs)  # Brent solved too
+    for run in runs:
+        assert len(run["solved"]) == len(set(run["solved"]))
+    # Refined again, the bracket with the most pairs solves every field again.
+    first = max(runs, key=lambda run: len(run["args"][1]))
+    assert len(first["args"][1]) > 1
+    assert bracket_recorder(*first["args"]) == first["events"]
+    assert runs[-1]["solved"] == first["solved"]

@@ -510,6 +510,11 @@ def test_detection_settings_precedence(tmp_path, monkeypatch, capsys):
         (["tshift", "--feature", "inf"], "--feature"),
         (["tshift", "--feature", "-50"], "--feature"),
         (["tshift", "--feature", "2000"], "--feature"),
+        (["sweep", "--temp", "20000", "--bmin", "0.5", "--bmax", "10", "--points", "2"], "D(20000 K)"),
+        (["features", "--temp", "1e308"], "D(1e+308 K)"),
+        (["tshift", "--feature", "1024", "--tmin", "4", "--tmax", "40000", "--tstep", "5000"], "D(15004 K)"),
+        (["sweep", "--bmin", "-100", "--bmax", "-50", "--points", "4"], "b_min"),
+        (["features", "--bmin", "-1100", "--bmax", "-900", "--points", "256"], "b_min"),
     ],
 )
 def test_out_of_range_inputs_exit_1(argv, message, capsys, monkeypatch):
@@ -539,6 +544,8 @@ def test_out_of_range_inputs_exit_1(argv, message, capsys, monkeypatch):
         ("features", {"thermal_model": {"d0": "abc"}}, "thermal_model"),
         ("tshift", {"thermal_model": {"c1": [1]}}, "thermal_model"),
         ("sweep", {"thermal_model": {"c2": "nan"}}, "c2 must be finite"),
+        ("sweep", {"thermal_model": {"d0": -5}}, "D(300 K)"),
+        ("tshift", {"thermal_model": {"d0": -5}}, "D(4 K)"),
     ],
 )
 def test_malformed_config_values_exit_1(tmp_path, command, cfg, message, capsys):

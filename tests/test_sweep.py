@@ -6,12 +6,16 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import spin_atlas.sweep as sweep_mod
 from spin_atlas import constants as c
-from spin_atlas.catalog import get_system
+from spin_atlas.catalog import get_system, list_systems
+from spin_atlas.hamiltonian import hamiltonian_terms
 from spin_atlas.sweep import (
     T_REF,
+    _Solver,
     CrossingEvent,
     CrossingFeature,
     SweepConfig,
@@ -23,6 +27,8 @@ from spin_atlas.sweep import (
 )
 from spin_atlas.system import Site, SpinSystem
 from spin_atlas.thermal import ThermalZfsModel
+
+from test_hamiltonian import random_systems
 
 D300 = ThermalZfsModel().zfs_at(300.0)
 
@@ -178,6 +184,37 @@ def test_sweep_rejects_bad_grid(nv):
         sweep(nv, 100.0, 100.0, 64)
     with pytest.raises(ValueError):
         sweep(nv, 0.5, 1100.0, 1)
+    for b_min, b_max in ((-100.0, -50.0), (-1.0, 50.0)):
+        with pytest.raises(ValueError, match="b_min"):
+            sweep(nv, b_min, b_max, 4)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_lowest_level_is_lowest_at_a_range_end(data):
+    """The lowest level of H0 + B H_b is a minimum of functions affine in B,
+    so it is concave: on a dense 9-point grid over any range it lies below
+    the solver's lower end of the range by no more than roundoff, and a
+    sweep's shift lifts every level of its grid to 100 MHz or above."""
+    spec = data.draw(random_systems(complex_probe=data.draw(st.booleans())))
+    ends = np.sort(data.draw(st.lists(st.floats(0.0, 1100.0), min_size=2, max_size=2, unique=True)))
+    low = _Solver(spec, D300).eigvals(ends)[:, 0].min()
+    h_const, h_d, h_b = hamiltonian_terms(spec)
+    fields = np.linspace(ends[0], ends[1], 9)
+    levels = np.linalg.eigvalsh((h_const + D300 * h_d)[None] + fields[:, None, None] * h_b[None])
+    tol = 1e-9 * max(np.abs(levels).max(), 1.0)
+    assert levels[:, 0].min() >= low - tol
+    assert sweep(spec, ends[0], ends[1], 9).eigenvalues.min() >= 100.0 - tol
+
+
+@pytest.mark.parametrize("sys_id", [i for i, _ in list_systems()])
+def test_shift_matches_nine_point_prescan(sys_id):
+    """The shift taken from the range's two ends equals, bit for bit, the
+    one a 9-point pre-scan of the catalog range gives."""
+    spec = get_system(sys_id).system
+    low = float(_Solver(spec, D300).eigvals(np.linspace(0.5, 1100.0, 9))[:, 0].min())
+    assert low < 0.0  # so the shift depends on it
+    assert sweep(spec, 0.5, 1100.0, 2).shift_applied == abs(low) + 100.0
 
 
 def test_cluster_features_single_linkage():
