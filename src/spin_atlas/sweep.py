@@ -12,17 +12,22 @@ true crossing (gap below threshold at 0.01 G resolution) or an avoided one.
 from __future__ import annotations
 
 import bisect
+import ctypes
 import dataclasses
+import functools
 import itertools
 import json
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 from scipy.optimize import minimize_scalar
 
 from .hamiltonian import hamiltonian_terms, probe_projector_vector
-from .kernels import batched_eigh_project
+from .kernels import batched_eigh_project, spans_whole_space
 from .thermal import ThermalZfsModel
 
 __all__ = [
@@ -47,6 +52,42 @@ _EXCHANGE_THRESHOLD = 0.25  # windowed p exchange for gap-minimum relevance
 _FIELD_RESOLUTION = 0.01    # G, refinement resolution of every gap minimum
 T_REF = 300.0               # K, reference temperature of continuation and slope
 _TRACK_WINDOW = 5.0         # G, half-width of the search around a seed center
+
+
+@functools.cache
+def _openblas_thread_count():
+    """numpy's bundled OpenBLAS ``get_num_threads`` as a ctypes function, or
+    None where that library or its symbol is missing (another BLAS)."""
+    for lib in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas*")):
+        try:
+            fn = ctypes.CDLL(str(lib)).scipy_openblas_get_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        fn.restype, fn.argtypes = ctypes.c_int, []
+        return fn
+    return None
+
+
+def _usable_cores() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _split_count(n: int, dim: int, largest: int) -> int:
+    """Slices of an n-field grid that ``_Solver.batch`` solves concurrently.
+
+    More than one only when BLAS runs one thread, as it reports now: threads
+    of our own on top of a threaded BLAS are slower. Each slice's kernel steps
+    take an equal share of ``_STACK_ENTRIES``, so a slice must fit at least
+    matrix of the largest block in its share, and d = 648 (where one matrix
+    is already over the budget) stays serial.
+    """
+    count = _openblas_thread_count()
+    if count is None or count() != 1:
+        return 1
+    return max(1, min(_usable_cores(), n, _STACK_ENTRIES // (dim * largest)))
 
 
 @dataclass(frozen=True)
@@ -90,11 +131,10 @@ class SweepResult:
         d = self.dimension
         cols = [f"eps_{i}" for i in range(d)] + [f"p_{i}" for i in range(d)]
         fh.write("B_gauss," + ",".join(cols) + "\n")
-        for k in range(len(self.field)):
-            row = [f"{self.field[k]:.2f}"]
-            row += [f"{x:.4f}" for x in self.eigenvalues[k]]
-            row += [f"{x:.6f}" for x in self.projections[k]]
-            fh.write(",".join(row) + "\n")
+        row = "%.2f" + ",%.4f" * d + ",%.6f" * d + "\n"
+        # One row at a time: a whole-array tolist() holds n * 2d Python floats.
+        for b, eps, p in zip(self.field.tolist(), self.eigenvalues, self.projections):
+            fh.write(row % (b, *eps.tolist(), *p.tolist()))
 
 
 @dataclass(frozen=True)
@@ -180,19 +220,45 @@ class _Solver:
     def batch(self, fields: np.ndarray):
         """Ascending eigenvalues (n, d) and their probe projections (n, d).
 
-        Each block's field stack goes to the kernel in steps of at most
-        ``_STACK_ENTRIES`` full-space eigenvector entries, or of one field.
-        Every step of a block reuses one stack and one scatter buffer.
+        The grid is cut into ``_split_count`` contiguous slices: the calling
+        thread solves the first and one short-lived helper thread each of the
+        others, every slice writing straight into its own rows of the result.
+        LAPACK releases the GIL, and every field is solved alone, so the
+        result does not depend on the split.
         """
         n = len(fields)
         vals = np.empty((n, self.dim))
         projs = np.empty((n, self.dim))
+        workers = _split_count(n, self.dim, max(len(r) for r in self.rows))
+        if workers == 1:
+            self._fill(fields, vals, projs, _STACK_ENTRIES)
+        else:
+            budget = _STACK_ENTRIES // workers
+            first, *rest = (slice(n * w // workers, n * (w + 1) // workers) for w in range(workers))
+            with ThreadPoolExecutor(workers - 1) as pool:
+                helpers = [pool.submit(self._fill, fields[sl], vals[sl], projs[sl], budget) for sl in rest]
+                self._fill(fields[first], vals[first], projs[first], budget)
+                for helper in helpers:
+                    helper.result()
+        order = np.argsort(vals, axis=1, kind="stable")
+        return np.take_along_axis(vals, order, axis=1), np.take_along_axis(projs, order, axis=1)
+
+    def _fill(self, fields: np.ndarray, vals: np.ndarray, projs: np.ndarray, budget: int) -> None:
+        """Block-ordered eigenvalues and projections of ``fields`` into the
+        (n, d) views ``vals`` and ``projs``.
+
+        Each block's field stack goes to the kernel in steps of at most
+        ``budget`` full-space eigenvector entries, or of one field. Every step
+        of a block reuses one stack and, unless the block is the whole space
+        in order, one scatter buffer.
+        """
+        n = len(fields)
         col = 0
         for k, rows in enumerate(self.rows):
             b = len(rows)
-            step = max(1, min(n, _STACK_ENTRIES // (self.dim * b)))
+            step = max(1, min(n, budget // (self.dim * b)))
             hams = np.empty((step, b, b), np.result_type(self.h0[k], self.h_b[k]))
-            scatter = np.zeros((step, self.dim, b), hams.dtype)
+            scatter = None if spans_whole_space(rows, self.dim) else np.zeros((step, self.dim, b), hams.dtype)
             cols = slice(col, col + b)
             for start in range(0, n, step):
                 sl = slice(start, start + step)
@@ -200,12 +266,10 @@ class _Solver:
                 np.multiply(fields[sl, None, None], self.h_b[k], out=hams[:m])
                 hams[:m] += self.h0[k]
                 vals[sl, cols], projs[sl, cols] = batched_eigh_project(
-                    hams[:m], self.v0, self.d_pre, self.d_post, rows, scatter[:m]
+                    hams[:m], self.v0, self.d_pre, self.d_post, rows, None if scatter is None else scatter[:m]
                 )
             del hams, scatter  # before the next block allocates its own
             col += b
-        order = np.argsort(vals, axis=1, kind="stable")
-        return np.take_along_axis(vals, order, axis=1), np.take_along_axis(projs, order, axis=1)
 
     def eigvals(self, fields: np.ndarray) -> np.ndarray:
         """Ascending eigenvalues at every field, shape (n, d), from one

@@ -1,7 +1,12 @@
 """Invariant blocks: the partition of H(B, D) and block-by-block solves
 against dense ``np.linalg.eigh`` of the full matrix, the kernel-call budget
-of ``_Solver.batch``, the dtype of the cached terms, the grouped eigenvalue
-solves, and the per-bracket spectra of refinement."""
+of ``_Solver.batch`` and its split of the field grid across threads, the
+dtype of the cached terms, the grouped eigenvalue solves, and the per-bracket
+spectra of refinement."""
+
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -19,6 +24,26 @@ from test_hamiltonian import D300, random_systems
 from test_kernels import degenerate_clusters, dense_reference
 
 AXIAL = st.floats(min_value=-100.0, max_value=100.0)
+
+
+def set_blas(mp, threads, cores=4):
+    """Make the BLAS probe report ``threads`` (None: no symbol) and the
+    process see ``cores`` usable cores."""
+    mp.setattr(sweep_mod, "_openblas_thread_count", lambda: None if threads is None else (lambda: threads))
+    mp.setattr(sweep_mod, "_usable_cores", lambda: cores)
+
+
+def record_kernel_calls(mp):
+    """Wrap the kernel where ``_Solver.batch`` looks it up; each call
+    appends (thread id, n, d, b) to the returned list."""
+    calls = []
+
+    def recorder(hams, v0, d_pre, d_post, rows=None, scatter=None):
+        calls.append((threading.get_ident(), hams.shape[0], d_pre * 3 * d_post, hams.shape[1]))
+        return batched_eigh_project(hams, v0, d_pre, d_post, rows, scatter)
+
+    mp.setattr(sweep_mod, "batched_eigh_project", recorder)
+    return calls
 
 
 @st.composite
@@ -197,20 +222,105 @@ def test_batch_steps_are_bit_identical(sys_id, monkeypatch):
 
 @pytest.mark.parametrize("sys_id, n_points", [("nv-2p1", 200), ("onv-2p1", 200), ("onv-3p1", 3)])
 def test_sweep_kernel_calls_stay_within_budget(sys_id, n_points, monkeypatch):
-    """Every kernel call holds at most one budget of full-space eigenvector
-    entries, or a single matrix where one alone exceeds it (d = 648)."""
-    calls = []
-
-    def recorder(hams, v0, d_pre, d_post, rows=None, scatter=None):
-        calls.append((hams.shape[0], d_pre * 3 * d_post, hams.shape[1]))
-        return batched_eigh_project(hams, v0, d_pre, d_post, rows, scatter)
-
-    monkeypatch.setattr(sweep_mod, "batched_eigh_project", recorder)
+    """The kernel calls in flight together hold at most one budget of
+    full-space eigenvector entries, or each a single matrix where one alone
+    exceeds it (d = 648, which therefore stays serial)."""
+    set_blas(monkeypatch, threads=1, cores=4)
+    calls = record_kernel_calls(monkeypatch)
     spec = get_system(sys_id).system
+    largest = max(len(r) for r in hamiltonian_terms(spec).blocks)
+    workers = sweep_mod._split_count(n_points, spec.dimension, largest)
+    assert workers == (1 if spec.dimension == 648 else 4)
     sweep(spec, 0.5, 1100.0, n_points)
     assert len(calls) > len(hamiltonian_terms(spec).blocks)  # the grid was split
-    for n, d, b in calls:
-        assert n * d * b <= sweep_mod._STACK_ENTRIES or n == 1
+    threads = {ident for ident, *_ in calls}
+    assert (len(threads) > 1) == (workers > 1) and len(threads) <= workers
+    for _, n, d, b in calls:
+        assert n * d * b * workers <= sweep_mod._STACK_ENTRIES or n == 1
+
+
+@st.composite
+def split_specs(draw):
+    choice = draw(st.sampled_from(["nv-2p1", "nv-onv-p1", "complex"]))
+    if choice == "complex":
+        return draw(random_systems(complex_probe=True))
+    return get_system(choice).system
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_split_batch_is_bit_identical(data):
+    """Split across 2-5 threads, ``batch`` equals the serial path bit for bit.
+
+    The grids are ragged (any length against any worker count) and may hold
+    fewer fields than there are cores; a small budget also makes each
+    slice's kernel steps ragged.
+    """
+    spec = data.draw(split_specs())
+    fields = np.array(data.draw(st.lists(st.floats(min_value=0.0, max_value=1100.0), min_size=1, max_size=13)))
+    cores = data.draw(st.integers(min_value=2, max_value=5))
+    solver = _Solver(spec, D300)
+    largest = max(len(r) for r in solver.rows)
+    budget = data.draw(st.sampled_from([sweep_mod._STACK_ENTRIES, cores * 2 * solver.dim * largest]))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sweep_mod, "_STACK_ENTRIES", budget)
+        set_blas(mp, threads=2)
+        ref_vals, ref_projs = solver.batch(fields)
+        set_blas(mp, threads=1, cores=cores)
+        calls = record_kernel_calls(mp)
+        vals, projs = solver.batch(fields)
+    workers = min(cores, len(fields))  # every budget drawn fits a matrix per core
+    threads = {ident for ident, *_ in calls}
+    assert threading.get_ident() in threads
+    assert (len(threads) > 1) == (workers > 1) and len(threads) <= workers
+    assert sum(n for _, n, *_ in calls) == len(fields) * len(solver.rows)
+    assert np.array_equal(vals, ref_vals) and np.array_equal(projs, ref_projs)
+
+
+def test_split_survives_frequent_thread_switches(monkeypatch):
+    """Eight slices on however many cores there are, with the interpreter
+    switching threads every microsecond, still fill every row exactly as the
+    serial path does."""
+    solver = _Solver(get_system("nv-2p1").system, D300)
+    fields = np.linspace(0.5, 1100.0, 64)
+    set_blas(monkeypatch, threads=2)
+    ref_vals, ref_projs = solver.batch(fields)
+    set_blas(monkeypatch, threads=1, cores=8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        vals, projs = solver.batch(fields)
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(vals, ref_vals) and np.array_equal(projs, ref_projs)
+
+
+@pytest.mark.parametrize("threads", [2, 8, None])
+def test_split_stays_off_unless_blas_runs_one_thread(threads, monkeypatch):
+    """With a threaded BLAS, or none whose thread count can be read, every
+    kernel step runs on the calling thread within the whole budget."""
+    set_blas(monkeypatch, threads=threads, cores=4)
+    calls = record_kernel_calls(monkeypatch)
+    spec = get_system("onv-2p1").system
+    solver = _Solver(spec, D300)
+    assert sweep_mod._split_count(200, solver.dim, solver.dim) == 1
+    solver.batch(np.linspace(0.5, 1100.0, 200))
+    assert {ident for ident, *_ in calls} == {threading.get_ident()}
+    sizes = [n for _, n, *_ in calls]
+    step = sweep_mod._STACK_ENTRIES // (solver.dim * solver.dim)
+    assert sizes[:-1] == [step] * (len(sizes) - 1) and sum(sizes) == 200
+
+
+def test_blas_probe_finds_numpy_openblas_or_nothing(monkeypatch):
+    """The probe reads the thread count of numpy's bundled OpenBLAS, the
+    setting in OPENBLAS_NUM_THREADS where one is set, and gives None when the
+    library lacks the symbol."""
+    count = sweep_mod._openblas_thread_count()
+    assert count is None or count() >= 1
+    if count is not None and os.environ.get("OPENBLAS_NUM_THREADS") == "1":
+        assert count() == 1
+    monkeypatch.setattr(sweep_mod.ctypes, "CDLL", lambda path: object())
+    assert sweep_mod._openblas_thread_count.__wrapped__() is None
 
 
 SMALL_PRESETS = [i for i, _ in list_systems() if get_system(i).system.dimension <= 108]

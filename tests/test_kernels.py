@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spin_atlas.catalog import get_system
 from spin_atlas.hamiltonian import hamiltonian_terms, probe_projector_vector
 from spin_atlas.kernels import batched_eigh_project
+from spin_atlas.system import Coupling, InteractionTensor, Site, SpinSystem
 
 from test_hamiltonian import D300, random_systems
 
@@ -53,3 +55,35 @@ def test_projections_match_dense_projector(complex_probe, data):
             assert np.isclose(projs[k, cluster].sum(), ref_projs[k, cluster].sum(), atol=1e-9)
             if len(cluster) == 1:
                 assert np.isclose(projs[k, cluster[0]], ref_projs[k, cluster[0]], atol=1e-9)
+
+
+@pytest.mark.parametrize("complex_probe", [False, True])
+def test_whole_space_rows_skip_the_scatter(complex_probe):
+    """Rows that are every index in order project the eigenvectors as eigh
+    returns them: the scatter buffer stays untouched and nothing changes a
+    bit. All indices out of order still scatter."""
+    if complex_probe:  # a P1 before a probe NV tilted out of the xz plane
+        sites = [Site(kind="p1_electron"), Site(kind="nv_electron", axis=(0.48, 0.6, 0.64))]
+        spec = SpinSystem(sites=sites, couplings=[Coupling(0, 1, InteractionTensor.axial(10.0, 1.0))], probe_site=1)
+    else:
+        spec = get_system("onv-2p1").system
+    h_const, h_d, h_b = hamiltonian_terms(spec)
+    fields = np.array([0.5, 340.0, 1024.0])
+    hams = (h_const + D300 * h_d)[None] + fields[:, None, None] * h_b[None]
+    v0, d_pre, d_post = probe_projector_vector(spec)
+    assert np.iscomplexobj(v0) == complex_probe
+    d = hams.shape[1]
+    scatter = np.full((len(fields), d, d), np.nan, hams.dtype)
+    vals, projs = batched_eigh_project(hams, v0, d_pre, d_post, np.arange(d), scatter)
+    ref_vals, ref_projs = batched_eigh_project(hams, v0, d_pre, d_post)
+    assert np.isnan(scatter).all()
+    assert np.array_equal(vals, ref_vals) and np.array_equal(projs, ref_projs)
+
+    rows = np.arange(d)[::-1]
+    flipped = hams[:, rows][:, :, rows]
+    vals, projs = batched_eigh_project(flipped, v0, d_pre, d_post, rows)
+    scale = np.abs(ref_vals).max()
+    np.testing.assert_allclose(vals, ref_vals, rtol=0.0, atol=1e-9 * scale)
+    for k in range(len(fields)):
+        for cluster in degenerate_clusters(ref_vals[k], 1e-9 * scale):
+            assert np.isclose(projs[k, cluster].sum(), ref_projs[k, cluster].sum(), atol=1e-9)

@@ -19,13 +19,14 @@ from spin_atlas.sweep import (
     CrossingEvent,
     CrossingFeature,
     SweepConfig,
+    SweepResult,
     cluster_features,
     detect_events,
     find_features,
     sweep,
     temperature_shift,
 )
-from spin_atlas.system import Site, SpinSystem
+from spin_atlas.system import Coupling, InteractionTensor, Site, SpinSystem
 from spin_atlas.thermal import ThermalZfsModel
 
 from test_hamiltonian import random_systems
@@ -79,6 +80,45 @@ def test_csv_header_and_shape(nv):
     assert lines[0] == "B_gauss,eps_0,eps_1,eps_2,p_0,p_1,p_2"
     assert len(lines) == 5
     assert len(lines[1].split(",")) == 7
+
+
+def reference_csv(sr) -> str:
+    """CSV text of ``sr`` formatted one f-string per value."""
+    d = sr.dimension
+    lines = ["B_gauss," + ",".join([f"eps_{i}" for i in range(d)] + [f"p_{i}" for i in range(d)])]
+    for k in range(len(sr.field)):
+        row = [f"{sr.field[k]:.2f}"]
+        row += [f"{x:.4f}" for x in sr.eigenvalues[k]]
+        row += [f"{x:.6f}" for x in sr.projections[k]]
+        lines.append(",".join(row))
+    return "\n".join(lines) + "\n"
+
+
+def test_csv_matches_per_value_formatting():
+    """Signed zeros, values that round at an exact half, and negative values
+    that round to zero print as a per-value f-string prints them, as does a
+    complex-probe sweep."""
+    ties = SweepResult(
+        field=np.array([0.125, 0.375, 2.5, -0.0, 1099.995]),
+        eigenvalues=np.array([[1.03125, -0.0], [-1.03125, 12345.67895], [-1e-5, 0.00005],
+                              [2.0 ** -14, -2.0 ** -14], [1e6, -0.0]]),
+        projections=np.array([[0.0078125, -0.0], [0.0234375, 1.0], [2.5e-7, -2.5e-7],
+                              [0.9999995, 0.5], [-0.0, 0.0]]),
+        shift_applied=100.0,
+        temperature=300.0,
+        d_zfs=D300,
+    )
+    tilted = SpinSystem(
+        sites=[Site(kind="p1_electron"), Site(kind="nv_electron", axis=(0.48, 0.6, 0.64))],
+        couplings=[Coupling(0, 1, InteractionTensor.axial(10.0, 1.0))],
+        probe_site=1,
+    )
+    complex_sweep = sweep(tilted, 0.5, 1100.0, 64)
+    assert np.iscomplexobj(_Solver(tilted, D300).v0)
+    for sr in (ties, complex_sweep):
+        buf = io.StringIO()
+        sr.to_csv(buf)
+        assert buf.getvalue() == reference_csv(sr)
 
 
 def test_detect_events_brackets_contain_crossing(nv):
