@@ -81,7 +81,7 @@ def _split_count(n: int, dim: int, largest: int) -> int:
     More than one only when BLAS runs one thread, as it reports now: threads
     of our own on top of a threaded BLAS are slower. Each slice's kernel steps
     take an equal share of ``_STACK_ENTRIES``, so a slice must fit at least
-    matrix of the largest block in its share, and d = 648 (where one matrix
+    one matrix of the largest block in its share, and d = 648 (where one matrix
     is already over the budget) stays serial.
     """
     count = _openblas_thread_count()
@@ -230,16 +230,14 @@ class _Solver:
         vals = np.empty((n, self.dim))
         projs = np.empty((n, self.dim))
         workers = _split_count(n, self.dim, max(len(r) for r in self.rows))
-        if workers == 1:
-            self._fill(fields, vals, projs, _STACK_ENTRIES)
-        else:
-            budget = _STACK_ENTRIES // workers
-            first, *rest = (slice(n * w // workers, n * (w + 1) // workers) for w in range(workers))
-            with ThreadPoolExecutor(workers - 1) as pool:
-                helpers = [pool.submit(self._fill, fields[sl], vals[sl], projs[sl], budget) for sl in rest]
-                self._fill(fields[first], vals[first], projs[first], budget)
-                for helper in helpers:
-                    helper.result()
+        budget = _STACK_ENTRIES // workers
+        first, *rest = (slice(n * w // workers, n * (w + 1) // workers) for w in range(workers))
+        # The pool starts a thread only per submitted slice: none when serial.
+        with ThreadPoolExecutor(workers) as pool:
+            helpers = [pool.submit(self._fill, fields[sl], vals[sl], projs[sl], budget) for sl in rest]
+            self._fill(fields[first], vals[first], projs[first], budget)
+            for helper in helpers:
+                helper.result()
         order = np.argsort(vals, axis=1, kind="stable")
         return np.take_along_axis(vals, order, axis=1), np.take_along_axis(projs, order, axis=1)
 

@@ -7,6 +7,7 @@ spectra of refinement."""
 import os
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -311,11 +312,13 @@ def test_split_stays_off_unless_blas_runs_one_thread(threads, monkeypatch):
     assert sizes[:-1] == [step] * (len(sizes) - 1) and sum(sizes) == 200
 
 
-def test_blas_probe_finds_numpy_openblas_or_nothing(monkeypatch):
-    """The probe reads the thread count of numpy's bundled OpenBLAS, the
-    setting in OPENBLAS_NUM_THREADS where one is set, and gives None when the
-    library lacks the symbol."""
+def test_blas_probe_finds_numpy_openblas(monkeypatch):
+    """Wherever numpy bundles its OpenBLAS the probe reads that library's
+    thread count, the setting in OPENBLAS_NUM_THREADS where one is set; it
+    gives None only for another BLAS or a library that lacks the symbol."""
+    bundled = list((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas*"))
     count = sweep_mod._openblas_thread_count()
+    assert (count is not None) == bool(bundled)
     assert count is None or count() >= 1
     if count is not None and os.environ.get("OPENBLAS_NUM_THREADS") == "1":
         assert count() == 1

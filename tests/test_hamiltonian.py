@@ -166,6 +166,15 @@ def random_systems(draw, complex_probe=False):
     return SpinSystem(sites=sites, couplings=couplings, probe_site=probe)
 
 
+# A fixed complex-probe system: a coupled P1 before a probe NV tilted out of
+# the xz plane, so v0 and H are complex.
+TILTED_PROBE = SpinSystem(
+    sites=[Site(kind="p1_electron"), Site(kind="nv_electron", axis=(0.48, 0.6, 0.64))],
+    couplings=[Coupling(0, 1, InteractionTensor.axial(10.0, 1.0))],
+    probe_site=1,
+)
+
+
 @settings(max_examples=50, deadline=None)
 @given(random_systems(), st.floats(min_value=0.0, max_value=1100.0))
 def test_hamiltonian_hermitian_and_reconstructs(spec, b):

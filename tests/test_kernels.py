@@ -8,9 +8,8 @@ from hypothesis import strategies as st
 from spin_atlas.catalog import get_system
 from spin_atlas.hamiltonian import hamiltonian_terms, probe_projector_vector
 from spin_atlas.kernels import batched_eigh_project
-from spin_atlas.system import Coupling, InteractionTensor, Site, SpinSystem
 
-from test_hamiltonian import D300, random_systems
+from test_hamiltonian import D300, TILTED_PROBE, random_systems
 
 
 def dense_reference(hams, v0, d_pre, d_post):
@@ -62,11 +61,7 @@ def test_whole_space_rows_skip_the_scatter(complex_probe):
     """Rows that are every index in order project the eigenvectors as eigh
     returns them: the scatter buffer stays untouched and nothing changes a
     bit. All indices out of order still scatter."""
-    if complex_probe:  # a P1 before a probe NV tilted out of the xz plane
-        sites = [Site(kind="p1_electron"), Site(kind="nv_electron", axis=(0.48, 0.6, 0.64))]
-        spec = SpinSystem(sites=sites, couplings=[Coupling(0, 1, InteractionTensor.axial(10.0, 1.0))], probe_site=1)
-    else:
-        spec = get_system("onv-2p1").system
+    spec = TILTED_PROBE if complex_probe else get_system("onv-2p1").system
     h_const, h_d, h_b = hamiltonian_terms(spec)
     fields = np.array([0.5, 340.0, 1024.0])
     hams = (h_const + D300 * h_d)[None] + fields[:, None, None] * h_b[None]

@@ -26,10 +26,10 @@ from spin_atlas.sweep import (
     sweep,
     temperature_shift,
 )
-from spin_atlas.system import Coupling, InteractionTensor, Site, SpinSystem
+from spin_atlas.system import Site, SpinSystem
 from spin_atlas.thermal import ThermalZfsModel
 
-from test_hamiltonian import random_systems
+from test_hamiltonian import TILTED_PROBE, random_systems
 
 D300 = ThermalZfsModel().zfs_at(300.0)
 
@@ -108,13 +108,8 @@ def test_csv_matches_per_value_formatting():
         temperature=300.0,
         d_zfs=D300,
     )
-    tilted = SpinSystem(
-        sites=[Site(kind="p1_electron"), Site(kind="nv_electron", axis=(0.48, 0.6, 0.64))],
-        couplings=[Coupling(0, 1, InteractionTensor.axial(10.0, 1.0))],
-        probe_site=1,
-    )
-    complex_sweep = sweep(tilted, 0.5, 1100.0, 64)
-    assert np.iscomplexobj(_Solver(tilted, D300).v0)
+    complex_sweep = sweep(TILTED_PROBE, 0.5, 1100.0, 64)
+    assert np.iscomplexobj(_Solver(TILTED_PROBE, D300).v0)
     for sr in (ties, complex_sweep):
         buf = io.StringIO()
         sr.to_csv(buf)
