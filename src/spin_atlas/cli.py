@@ -4,6 +4,7 @@ temperature-shift curves, and trace fitting with reproducible outputs."""
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import io
 import json
@@ -34,6 +35,9 @@ EXIT_USAGE = 2
 
 # Largest temperature grid `tshift` accepts; each point costs a gap search.
 MAX_TEMPERATURES = 10_000
+# Largest field grid accepted, 4x the largest catalog default; each point
+# costs an eigensolve and, at d = 648, 10 kB of results.
+MAX_POINTS = 16_384
 
 
 class DomainError(Exception):
@@ -128,13 +132,16 @@ def _sweep_settings(entry, args, cfg):
         points = entry.sweep_points if entry is not None else 2048
     base = entry.sweep_config() if entry is not None else SweepConfig()
     try:
+        points = int(points)
+        if points > MAX_POINTS:
+            raise DomainError(f"grid of {points} points exceeds the cap of {MAX_POINTS}; use fewer points")
         overrides = {}
         for key in ("jump_threshold", "gap_ceiling", "gap_true", "cluster_radius"):
             value = _resolve(key, args, cfg)
             if value is not None:
                 overrides[key] = float(value)
-        return int(points), dataclasses.replace(base, **overrides)
-    except (TypeError, ValueError) as exc:
+        return points, dataclasses.replace(base, **overrides)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise DomainError(f"invalid detection settings: {exc}") from exc
 
 
@@ -144,12 +151,16 @@ def _write_atomic(path: str | None, text: str) -> None:
         sys.stdout.write(text)
         return
     directory = os.path.dirname(os.path.abspath(path))
+    tmp = None
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".spin-atlas-")
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
         os.replace(tmp, path)
     except OSError as exc:
+        if tmp is not None:
+            with contextlib.suppress(OSError):
+                os.remove(tmp)
         raise DomainError(f"cannot write output file {path}: {exc}") from exc
 
 

@@ -27,7 +27,7 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from .hamiltonian import hamiltonian_terms, probe_projector_vector
-from .kernels import batched_eigh_project, spans_whole_space
+from .kernels import batched_eigh_project
 from .thermal import ThermalZfsModel
 
 __all__ = [
@@ -44,8 +44,9 @@ __all__ = [
     "T_REF",
 ]
 
-# Full-space eigenvector entries per kernel call (~4 MB complex); at d = 648
-# this is one matrix per call.
+# Bound on fields x d x block size per kernel step (~4 MB complex): a step's
+# eigenvectors and the probe rows gathered from them each hold at most that
+# many entries. At d = 648 this is one matrix per call.
 _STACK_ENTRIES = 1 << 18
 
 _EXCHANGE_THRESHOLD = 0.25  # windowed p exchange for gap-minimum relevance
@@ -81,8 +82,9 @@ def _split_count(n: int, dim: int, largest: int) -> int:
     More than one only when BLAS runs one thread, as it reports now: threads
     of our own on top of a threaded BLAS are slower. Each slice's kernel steps
     take an equal share of ``_STACK_ENTRIES``, so a slice must fit at least
-    one matrix of the largest block in its share, and d = 648 (where one matrix
-    is already over the budget) stays serial.
+    one matrix of the largest block in its share. Only a 648-state block
+    (onv-3p1), where one matrix is already over the budget, stays serial;
+    nv-3p1 (d = 648, largest block 131) splits up to three ways.
     """
     count = _openblas_thread_count()
     if count is None or count() != 1:
@@ -246,9 +248,8 @@ class _Solver:
         (n, d) views ``vals`` and ``projs``.
 
         Each block's field stack goes to the kernel in steps of at most
-        ``budget`` full-space eigenvector entries, or of one field. Every step
-        of a block reuses one stack and, unless the block is the whole space
-        in order, one scatter buffer.
+        ``budget`` fields x d x block size, or of one field. Every step of a
+        block reuses one stack.
         """
         n = len(fields)
         col = 0
@@ -256,7 +257,6 @@ class _Solver:
             b = len(rows)
             step = max(1, min(n, budget // (self.dim * b)))
             hams = np.empty((step, b, b), np.result_type(self.h0[k], self.h_b[k]))
-            scatter = None if spans_whole_space(rows, self.dim) else np.zeros((step, self.dim, b), hams.dtype)
             cols = slice(col, col + b)
             for start in range(0, n, step):
                 sl = slice(start, start + step)
@@ -264,9 +264,9 @@ class _Solver:
                 np.multiply(fields[sl, None, None], self.h_b[k], out=hams[:m])
                 hams[:m] += self.h0[k]
                 vals[sl, cols], projs[sl, cols] = batched_eigh_project(
-                    hams[:m], self.v0, self.d_pre, self.d_post, rows, None if scatter is None else scatter[:m]
+                    hams[:m], self.v0, self.d_pre, self.d_post, rows
                 )
-            del hams, scatter  # before the next block allocates its own
+            del hams  # before the next block allocates its own
             col += b
 
     def eigvals(self, fields: np.ndarray) -> np.ndarray:
@@ -278,14 +278,6 @@ class _Solver:
             hams += h0  # in place: no second (n, g, b, b) temporary
             vals.append(np.linalg.eigvalsh(hams).reshape(len(fields), -1))
         return np.sort(np.concatenate(vals, axis=1), axis=1)
-
-    def gaps(self, fields: np.ndarray, pair: int) -> np.ndarray:
-        """Gap between levels pair and pair + 1 at every field."""
-        w = self.eigvals(fields)
-        return w[:, pair + 1] - w[:, pair]
-
-    def gap(self, b: float, pair: int) -> float:
-        return float(self.gaps(np.array([b]), pair)[0])
 
 
 def sweep(
@@ -424,25 +416,31 @@ def _polish(gap, sample: np.ndarray, k: int) -> tuple[float, float]:
     return float(res.x), float(res.fun)
 
 
+def _spectra(solver: _Solver, sample: np.ndarray):
+    """Levels (n, d) at ``sample`` from one call, and ``gap(b, pair)``, which
+    solves any other field once and keeps its spectrum while ``gap`` lives."""
+    levels = solver.eigvals(sample)
+    table = dict(zip(sample.tolist(), levels))
+
+    def gap(b: float, pair: int) -> float:
+        if b not in table:
+            table[b] = solver.eigvals(np.array([b]))[0]
+        return float(table[b][pair + 1] - table[b][pair])
+
+    return levels, gap
+
+
 def _refine_bracket(solver: _Solver, cands: list[CandidateEvent], config: SweepConfig) -> list[CrossingEvent]:
     """Bracketed gap minimization of the candidates of one (b_lo, b_hi), in
     order; classify true vs avoided.
 
     The spectrum at a field does not depend on the level pair, so each field
-    is solved once for all the bracket's pairs: the 17-point sample in one
-    call, Brent's fields into a table that lives as long as this call. A
-    non-unimodal bracket (several local minima of one pair's gap) is split
-    and every minimum is reported.
+    is solved once for all the bracket's pairs, through one ``_spectra``
+    table that lives as long as this call. A non-unimodal bracket (several
+    local minima of one pair's gap) is split and every minimum is reported.
     """
     sample = np.linspace(cands[0].b_lo, cands[0].b_hi, 17)
-    levels = solver.eigvals(sample)
-    spectra = dict(zip(sample.tolist(), levels))
-
-    def gap(b: float, pair: int) -> float:
-        if b not in spectra:
-            spectra[b] = solver.eigvals(np.array([b]))[0]
-        return float(spectra[b][pair + 1] - spectra[b][pair])
-
+    levels, gap = _spectra(solver, sample)
     events = []
     for cand in cands:
         g = levels[:, cand.pair + 1] - levels[:, cand.pair]
@@ -556,10 +554,11 @@ def _track_center(spec, d_zfs: float, pair: int, seed: float) -> float | None:
     solver = _Solver(spec, d_zfs)
     coarse = np.linspace(seed - _TRACK_WINDOW, seed + _TRACK_WINDOW, 21)
     coarse = coarse[coarse > 0]
-    k = int(np.argmin(solver.gaps(coarse, pair)))
+    levels, gap = _spectra(solver, coarse)
+    k = int(np.argmin(levels[:, pair + 1] - levels[:, pair]))
     if k in (0, len(coarse) - 1):
         return None
-    return _polish(lambda b: solver.gap(b, pair), coarse, k)[0]
+    return _polish(lambda b: gap(b, pair), coarse, k)[0]
 
 
 def temperature_shift(

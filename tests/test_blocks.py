@@ -21,8 +21,8 @@ from spin_atlas.kernels import batched_eigh_project
 from spin_atlas.sweep import _Solver, detect_events, find_features, sweep
 from spin_atlas.system import Coupling, Hyperfine, InteractionTensor, Site, SpinSystem
 
-from test_hamiltonian import D300, random_systems
-from test_kernels import degenerate_clusters, dense_reference
+from test_hamiltonian import D300, X_PROBE, random_systems
+from test_kernels import assert_matches_reference, dense_reference
 
 AXIAL = st.floats(min_value=-100.0, max_value=100.0)
 
@@ -39,9 +39,9 @@ def record_kernel_calls(mp):
     appends (thread id, n, d, b) to the returned list."""
     calls = []
 
-    def recorder(hams, v0, d_pre, d_post, rows=None, scatter=None):
+    def recorder(hams, v0, d_pre, d_post, rows=None):
         calls.append((threading.get_ident(), hams.shape[0], d_pre * 3 * d_post, hams.shape[1]))
-        return batched_eigh_project(hams, v0, d_pre, d_post, rows, scatter)
+        return batched_eigh_project(hams, v0, d_pre, d_post, rows)
 
     mp.setattr(sweep_mod, "batched_eigh_project", recorder)
     return calls
@@ -88,25 +88,19 @@ def blocked_systems(draw, complex_probe=False):
 def assert_matches_dense(solver, hams, fields):
     """Blocked eigenvalues, projections and gaps against dense eigh of ``hams``.
 
-    Levels closer than 1e-6 of the spectral scale count as degenerate: the
-    eigenbasis inside such a cluster is arbitrary (and roundoff-sensitive),
-    so only the summed probe weight is compared there.
+    Levels closer than 1e-6 of the spectral scale count as degenerate, and
+    only their summed probe weight is compared. The eigenvalue-only solve of
+    all fields at once matches solves of one field each, and its gaps match
+    the dense ones.
     """
     vals, projs = solver.batch(fields)
     ref_vals, ref_projs = dense_reference(hams, solver.v0, solver.d_pre, solver.d_post)
+    assert_matches_reference(vals, projs, ref_vals, ref_projs, cluster_tol=1e-6, atol=1e-8)
     scale = max(np.abs(ref_vals).max(), 1.0)
-    np.testing.assert_allclose(vals, ref_vals, rtol=0.0, atol=1e-9 * scale)
-    for k in range(len(fields)):
-        for cluster in degenerate_clusters(ref_vals[k], 1e-6 * scale):
-            assert np.isclose(projs[k, cluster].sum(), ref_projs[k, cluster].sum(), atol=1e-8)
-            if len(cluster) == 1:
-                assert np.isclose(projs[k, cluster[0]], ref_projs[k, cluster[0]], atol=1e-8)
-    for pair in range(solver.dim - 1):
-        stacked = solver.gaps(fields, pair)
-        scalar = [solver.gap(b, pair) for b in fields]
-        np.testing.assert_allclose(stacked, scalar, rtol=0.0, atol=1e-12 * scale)
-        ref_gap = ref_vals[:, pair + 1] - ref_vals[:, pair]
-        np.testing.assert_allclose(stacked, ref_gap, rtol=0.0, atol=2e-9 * scale)
+    stacked = solver.eigvals(fields)
+    per_field = np.concatenate([solver.eigvals(np.array([b])) for b in fields])
+    np.testing.assert_allclose(stacked, per_field, rtol=0.0, atol=1e-12 * scale)
+    np.testing.assert_allclose(np.diff(stacked, axis=1), np.diff(ref_vals, axis=1), rtol=0.0, atol=2e-9 * scale)
 
 
 def field_lists():
@@ -131,6 +125,18 @@ def test_blocked_solver_matches_dense(complex_probe, data):
         assert all(np.iscomplexobj(h) for h in terms)
     else:
         assert all(h.dtype == np.float64 for h in terms)
+    assert_matches_dense(solver, hams, fields)
+
+
+def test_x_axis_probe_matches_dense():
+    """Blocks that lack some of the probe's rows where v0 is only roundoff:
+    ``X_PROBE`` has four, {+1, -1} and {0} at the probe slot per 13C state."""
+    solver = _Solver(X_PROBE, D300)
+    assert sorted(len(r) for r in solver.rows) == [1, 1, 2, 2]
+    assert abs(solver.v0[1]) < 1e-12
+    fields = np.array([0.0, 0.5, 340.0, 1024.0])
+    h_const, h_d, h_b = hamiltonian_terms(X_PROBE)
+    hams = (h_const + D300 * h_d)[None] + fields[:, None, None] * h_b[None]
     assert_matches_dense(solver, hams, fields)
 
 
@@ -221,17 +227,23 @@ def test_batch_steps_are_bit_identical(sys_id, monkeypatch):
         assert np.array_equal(vals, ref_vals) and np.array_equal(projs, ref_projs)
 
 
-@pytest.mark.parametrize("sys_id, n_points", [("nv-2p1", 200), ("onv-2p1", 200), ("onv-3p1", 3)])
+@pytest.mark.parametrize(
+    "sys_id, n_points", [("nv-2p1", 200), ("onv-2p1", 200), ("nv-3p1", 6), ("onv-3p1", 3)]
+)
 def test_sweep_kernel_calls_stay_within_budget(sys_id, n_points, monkeypatch):
     """The kernel calls in flight together hold at most one budget of
-    full-space eigenvector entries, or each a single matrix where one alone
-    exceeds it (d = 648, which therefore stays serial)."""
+    fields x d x block size, or each a single matrix where one alone exceeds
+    a worker's share. Each worker's share must fit one matrix of the largest
+    block: nv-3p1 (d = 648, largest block 131) splits three ways, and only
+    onv-3p1 (one 648-state block) stays serial."""
     set_blas(monkeypatch, threads=1, cores=4)
     calls = record_kernel_calls(monkeypatch)
     spec = get_system(sys_id).system
     largest = max(len(r) for r in hamiltonian_terms(spec).blocks)
     workers = sweep_mod._split_count(n_points, spec.dimension, largest)
-    assert workers == (1 if spec.dimension == 648 else 4)
+    fits = sweep_mod._STACK_ENTRIES // (spec.dimension * largest)
+    assert workers == max(1, min(4, fits))
+    assert (workers == 1) == (sys_id == "onv-3p1")
     sweep(spec, 0.5, 1100.0, n_points)
     assert len(calls) > len(hamiltonian_terms(spec).blocks)  # the grid was split
     threads = {ident for ident, *_ in calls}

@@ -515,6 +515,7 @@ def test_detection_settings_precedence(tmp_path, monkeypatch, capsys):
         (["tshift", "--feature", "1024", "--tmin", "4", "--tmax", "40000", "--tstep", "5000"], "D(15004 K)"),
         (["sweep", "--bmin", "-100", "--bmax", "-50", "--points", "4"], "b_min"),
         (["features", "--bmin", "-1100", "--bmax", "-900", "--points", "256"], "b_min"),
+        (["sweep", "--points", "1000000000000"], "cap of 16384"),
     ],
 )
 def test_out_of_range_inputs_exit_1(argv, message, capsys, monkeypatch):
@@ -546,12 +547,17 @@ def test_out_of_range_inputs_exit_1(argv, message, capsys, monkeypatch):
         ("sweep", {"thermal_model": {"c2": "nan"}}, "c2 must be finite"),
         ("sweep", {"thermal_model": {"d0": -5}}, "D(300 K)"),
         ("tshift", {"thermal_model": {"d0": -5}}, "D(4 K)"),
+        ("sweep", {"points": float("inf")}, "infinity"),
+        ("sweep", {"points": 1e12}, "cap of 16384"),
+        ("tshift", {"points": 1e12}, "cap of 16384"),
     ],
 )
 def test_malformed_config_values_exit_1(tmp_path, command, cfg, message, capsys):
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(cfg))
-    args = [command, "--system", "nv", "--points", "16", "--config", str(path)]
+    path.write_text(json.dumps(cfg))  # inf is written as Infinity, which json reads
+    args = [command, "--system", "nv", "--config", str(path)]
+    if "points" not in cfg:
+        args += ["--points", "16"]
     if command == "tshift":
         args += ["--feature", "1024"]
     code, out, err = run(args, capsys)
@@ -567,3 +573,12 @@ def test_atomic_write_creates_file(tmp_path):
     assert json.loads(out.read_text())
     leftovers = [p for p in tmp_path.iterdir() if p.name.startswith(".spin-atlas")]
     assert not leftovers
+
+
+def test_failed_write_leaves_no_temp_file(tmp_path, capsys):
+    out = tmp_path / "existing-directory"
+    out.mkdir()
+    code, _, err = run(["catalog", "--out", str(out)], capsys)
+    assert code == 1
+    assert "cannot write output file" in err
+    assert [p.name for p in tmp_path.iterdir()] == [out.name]

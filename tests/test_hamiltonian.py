@@ -174,6 +174,11 @@ TILTED_PROBE = SpinSystem(
     probe_site=1,
 )
 
+# A probe NV along x beside an uncoupled 13C: the blocks split the probe's
+# {+1, -1} from its {0}, while eigh leaves v0's m = 0 entry at roundoff
+# (~1e-16), not zero.
+X_PROBE = SpinSystem(sites=[Site(kind="nv_electron", axis=(1.0, 0.0, 0.0)), Site(kind="c13")])
+
 
 @settings(max_examples=50, deadline=None)
 @given(random_systems(), st.floats(min_value=0.0, max_value=1100.0))

@@ -9,12 +9,16 @@ from spin_atlas.catalog import get_system
 from spin_atlas.hamiltonian import hamiltonian_terms, probe_projector_vector
 from spin_atlas.kernels import batched_eigh_project
 
-from test_hamiltonian import D300, TILTED_PROBE, random_systems
+from test_hamiltonian import D300, TILTED_PROBE, X_PROBE, random_systems
 
 
-def dense_reference(hams, v0, d_pre, d_post):
-    """Eigenpairs by batched eigh; weights <psi| I (x) |v0><v0| (x) I |psi>."""
+def dense_reference(hams, v0, d_pre, d_post, rows=None):
+    """Eigenpairs by batched eigh; weights <psi| I (x) |v0><v0| (x) I |psi>
+    of the eigenvectors placed in their ``rows`` of the full space (default:
+    all of them, in order)."""
     proj = np.kron(np.eye(d_pre), np.kron(np.outer(v0, v0.conj()), np.eye(d_post)))
+    if rows is not None:
+        proj = proj[np.ix_(rows, rows)]
     vals, vecs = np.linalg.eigh(hams)
     weights = np.einsum("nai,ab,nbi->ni", vecs.conj(), proj, vecs).real
     return vals, weights
@@ -24,6 +28,21 @@ def degenerate_clusters(vals, tol):
     """Index runs of ascending eigenvalues closer than ``tol`` to a neighbour."""
     breaks = np.where(np.diff(vals) > tol)[0] + 1
     return np.split(np.arange(len(vals)), breaks)
+
+
+def assert_matches_reference(vals, projs, ref_vals, ref_projs, cluster_tol=1e-9, atol=1e-9):
+    """Eigenvalues within 1e-9 of the spectral scale. Probe weights within
+    ``atol`` for each lone level, and summed over each run of levels closer
+    than ``cluster_tol`` of the scale: eigh's basis inside such a run is
+    arbitrary (and roundoff-sensitive), so only the summed weight is basis
+    independent."""
+    scale = max(np.abs(ref_vals).max(), 1.0)
+    np.testing.assert_allclose(vals, ref_vals, rtol=0.0, atol=1e-9 * scale)
+    for k in range(len(ref_vals)):
+        for cluster in degenerate_clusters(ref_vals[k], cluster_tol * scale):
+            assert np.isclose(projs[k, cluster].sum(), ref_projs[k, cluster].sum(), atol=atol)
+            if len(cluster) == 1:
+                assert np.isclose(projs[k, cluster[0]], ref_projs[k, cluster[0]], atol=atol)
 
 
 @pytest.mark.parametrize("complex_probe", [False, True])
@@ -43,42 +62,33 @@ def test_projections_match_dense_projector(complex_probe, data):
         assert d_pre > 1 and np.abs(v0.imag).max() > 1e-6 and np.iscomplexobj(hams)
 
     vals, projs = batched_eigh_project(hams, v0, d_pre, d_post)
-    ref_vals, ref_projs = dense_reference(hams, v0, d_pre, d_post)
-
-    scale = max(np.abs(ref_vals).max(), 1.0)
-    assert np.allclose(vals, ref_vals, rtol=0.0, atol=1e-9 * scale)
-    for k in range(len(fields)):
-        for cluster in degenerate_clusters(ref_vals[k], 1e-9 * scale):
-            # eigh's basis inside an exactly degenerate cluster is arbitrary;
-            # only the summed weight is basis independent.
-            assert np.isclose(projs[k, cluster].sum(), ref_projs[k, cluster].sum(), atol=1e-9)
-            if len(cluster) == 1:
-                assert np.isclose(projs[k, cluster[0]], ref_projs[k, cluster[0]], atol=1e-9)
+    assert_matches_reference(vals, projs, *dense_reference(hams, v0, d_pre, d_post))
 
 
-@pytest.mark.parametrize("complex_probe", [False, True])
-def test_whole_space_rows_skip_the_scatter(complex_probe):
-    """Rows that are every index in order project the eigenvectors as eigh
-    returns them: the scatter buffer stays untouched and nothing changes a
-    bit. All indices out of order still scatter."""
-    spec = TILTED_PROBE if complex_probe else get_system("onv-2p1").system
-    h_const, h_d, h_b = hamiltonian_terms(spec)
+FIXED_SYSTEMS = {"tilted": TILTED_PROBE, "x-probe": X_PROBE}
+
+
+@pytest.mark.parametrize("name", ["nv-2p1", "onv-2p1", "tilted", "x-probe"])
+def test_block_rows_match_dense_projector(name):
+    """Weights from a block's own rows equal the dense projector's on the
+    eigenvectors placed in those rows: for every row in order (the default,
+    bit for bit), every row reversed, and each invariant block.
+
+    nv-2p1 has a z-axis probe and nine blocks, onv-2p1 a real probe state
+    with three nonzero entries and one block, ``TILTED_PROBE`` a complex one;
+    ``X_PROBE`` has blocks that lack rows where v0 is only roundoff.
+    """
+    spec = FIXED_SYSTEMS[name] if name in FIXED_SYSTEMS else get_system(name).system
+    terms = hamiltonian_terms(spec)
+    h_const, h_d, h_b = terms
     fields = np.array([0.5, 340.0, 1024.0])
     hams = (h_const + D300 * h_d)[None] + fields[:, None, None] * h_b[None]
     v0, d_pre, d_post = probe_projector_vector(spec)
-    assert np.iscomplexobj(v0) == complex_probe
     d = hams.shape[1]
-    scatter = np.full((len(fields), d, d), np.nan, hams.dtype)
-    vals, projs = batched_eigh_project(hams, v0, d_pre, d_post, np.arange(d), scatter)
-    ref_vals, ref_projs = batched_eigh_project(hams, v0, d_pre, d_post)
-    assert np.isnan(scatter).all()
-    assert np.array_equal(vals, ref_vals) and np.array_equal(projs, ref_projs)
-
-    rows = np.arange(d)[::-1]
-    flipped = hams[:, rows][:, :, rows]
-    vals, projs = batched_eigh_project(flipped, v0, d_pre, d_post, rows)
-    scale = np.abs(ref_vals).max()
-    np.testing.assert_allclose(vals, ref_vals, rtol=0.0, atol=1e-9 * scale)
-    for k in range(len(fields)):
-        for cluster in degenerate_clusters(ref_vals[k], 1e-9 * scale):
-            assert np.isclose(projs[k, cluster].sum(), ref_projs[k, cluster].sum(), atol=1e-9)
+    in_order = batched_eigh_project(hams, v0, d_pre, d_post, np.arange(d))
+    default = batched_eigh_project(hams, v0, d_pre, d_post)
+    assert all(np.array_equal(a, b) for a, b in zip(in_order, default))
+    for rows in [np.arange(d), np.arange(d)[::-1], *terms.blocks]:
+        block = hams[:, rows][:, :, rows]
+        vals, projs = batched_eigh_project(block, v0, d_pre, d_post, rows)
+        assert_matches_reference(vals, projs, *dense_reference(block, v0, d_pre, d_post, rows))
