@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 
 from . import constants
+from .sweep import SweepConfig
 from .system import Coupling, Hyperfine, InteractionTensor, Site, SpinSystem
 
 __all__ = [
@@ -95,8 +96,7 @@ class CatalogEntry:
     system: SpinSystem
     expected_features: tuple[ExpectedFeature, ...]
     sweep_points: int = 2048
-    cluster_radius: float = 15.0
-    gap_ceiling: float | None = None
+    config: SweepConfig = SweepConfig()  # detection settings tuned for this entry
     span_within: tuple[float, float] | None = None
     expected_feature_count: tuple[float, float, int] | None = None
     track_center: float | None = None
@@ -109,15 +109,6 @@ class CatalogEntry:
                 raise ValueError(
                     f"expected feature at {f.center} G outside [0, 1100] G"
                 )
-
-    def sweep_config(self):
-        """Detection settings tuned for this entry."""
-        from .sweep import SweepConfig
-
-        kwargs = {"cluster_radius": self.cluster_radius}
-        if self.gap_ceiling is not None:
-            kwargs["gap_ceiling"] = self.gap_ceiling
-        return SweepConfig(**kwargs)
 
 
 def _build_entries() -> dict[str, CatalogEntry]:
@@ -240,7 +231,7 @@ def _build_entries() -> dict[str, CatalogEntry]:
             system=onv_2p1,
             expected_features=(ExpectedFeature(591.0, 2.0),),
             sweep_points=3000,
-            cluster_radius=5.0,
+            config=SweepConfig(cluster_radius=5.0),
             expected_feature_count=(520.0, 660.0, 9),
             track_center=590.2,
             notes="Nine line groups with the central group at 591 G.",
@@ -294,7 +285,7 @@ def _build_entries() -> dict[str, CatalogEntry]:
                 ExpectedFeature(954.0, 4.0, "avoided"),
             ),
             sweep_points=4096,
-            cluster_radius=10.0,
+            config=SweepConfig(cluster_radius=10.0),
             track_center=955.19,
             expected_slope=-0.025,
             notes=(
@@ -332,8 +323,7 @@ def _build_entries() -> dict[str, CatalogEntry]:
                 ExpectedFeature(1048.0, 5.0),
             ),
             sweep_points=4096,
-            cluster_radius=10.0,
-            gap_ceiling=60.0,
+            config=SweepConfig(cluster_radius=10.0, gap_ceiling=60.0),
             notes=(
                 "Satellite groups around the 591 G feature and structure near "
                 "the GSLAC.  The 1005 G value corresponds to an intra-branch "
@@ -399,7 +389,7 @@ def _build_entries() -> dict[str, CatalogEntry]:
                 ExpectedFeature(831.5, 44.5),
             ),
             sweep_points=4096,
-            cluster_radius=8.0,
+            config=SweepConfig(cluster_radius=8.0),
             notes=(
                 "Broad bands at 332-342, 365-394, 492-502 and 795-868 G plus "
                 "many crossings below 96 G."
@@ -430,7 +420,7 @@ def _build_entries() -> dict[str, CatalogEntry]:
                 ExpectedFeature(769.0, 3.0),
             ),
             sweep_points=2048,
-            cluster_radius=5.0,
+            config=SweepConfig(cluster_radius=5.0),
             track_center=732.0,
             expected_slope=-0.017,
             notes="Line groups at 695, 714, 732, 750 and 769 G.",

@@ -45,21 +45,17 @@ class DomainError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# Option resolution: flag > config file > built-in default
+# Option resolution: flag > config file > catalog entry > built-in default
 # ---------------------------------------------------------------------------
 
 _DEFAULTS = {
     "bmin": 0.5,
-    "bmax": 1100.0,
-    "points": None,          # per-catalog-entry default when None
+    "bmax": 1100.0,          # also the upper bound of tshift's --feature
+    "points": 2048,          # catalog entries supply their own
     "temp": 300.0,
     "tmin": 4.0,
     "tmax": 300.0,
     "tstep": 8.0,
-    "jump_threshold": None,
-    "gap_ceiling": None,
-    "gap_true": None,
-    "cluster_radius": None,
 }
 
 
@@ -78,18 +74,21 @@ def _load_config(path: str | None) -> dict:
     return cfg
 
 
-def _resolve(name: str, args: argparse.Namespace, cfg: dict):
+def _resolve(name: str, args: argparse.Namespace, cfg: dict, entry_value=None):
+    """flag > config file > catalog entry's ``entry_value`` > built-in default."""
     value = getattr(args, name, None)
     if value is not None:
         return value
     if name in cfg:
         return cfg[name]
-    return _DEFAULTS.get(name)
+    return _DEFAULTS[name] if entry_value is None else entry_value
 
 
-def _resolve_float(name: str, args: argparse.Namespace, cfg: dict) -> float:
-    value = _resolve(name, args, cfg)
+def _resolve_float(name: str, args: argparse.Namespace, cfg: dict, entry_value=None) -> float:
+    value = _resolve(name, args, cfg, entry_value)
     try:
+        if isinstance(value, bool):  # JSON true/false are not numbers
+            raise TypeError
         return float(value)
     except (TypeError, ValueError) as exc:
         raise DomainError(f"invalid {name} value {value!r}: expected a number") from exc
@@ -125,23 +124,27 @@ def _entry_and_system(args: argparse.Namespace):
     return entry, entry.system
 
 
-def _sweep_settings(entry, args, cfg):
-    """Grid points and detection settings: flag > config > entry > default."""
-    points = _resolve("points", args, cfg)
-    if points is None:
-        points = entry.sweep_points if entry is not None else 2048
-    base = entry.sweep_config() if entry is not None else SweepConfig()
+def _points(entry, args, cfg) -> int:
+    """Grid points, a whole number no larger than MAX_POINTS."""
+    value = _resolve("points", args, cfg, entry and entry.sweep_points)
     try:
-        points = int(points)
-        if points > MAX_POINTS:
-            raise DomainError(f"grid of {points} points exceeds the cap of {MAX_POINTS}; use fewer points")
-        overrides = {}
-        for key in ("jump_threshold", "gap_ceiling", "gap_true", "cluster_radius"):
-            value = _resolve(key, args, cfg)
-            if value is not None:
-                overrides[key] = float(value)
-        return points, dataclasses.replace(base, **overrides)
+        points = int(value)
+        if isinstance(value, bool) or points != float(value):
+            raise ValueError(f"points must be a whole number, got {value!r}")
     except (TypeError, ValueError, OverflowError) as exc:
+        raise DomainError(f"invalid detection settings: {exc}") from exc
+    if points > MAX_POINTS:
+        raise DomainError(f"grid of {points} points exceeds the cap of {MAX_POINTS}; use fewer points")
+    return points
+
+
+def _detection_config(entry, args, cfg) -> SweepConfig:
+    base = entry.config if entry is not None else SweepConfig()
+    settings = {f.name: _resolve_float(f.name, args, cfg, getattr(base, f.name))
+                for f in dataclasses.fields(SweepConfig)}
+    try:
+        return SweepConfig(**settings)
+    except ValueError as exc:
         raise DomainError(f"invalid detection settings: {exc}") from exc
 
 
@@ -184,7 +187,7 @@ def _cmd_catalog(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _load_config(args.config)
     entry, system = _entry_and_system(args)
-    points, _ = _sweep_settings(entry, args, cfg)
+    points = _points(entry, args, cfg)
     bmin = _resolve_float("bmin", args, cfg)
     bmax = _resolve_float("bmax", args, cfg)
     temp = _resolve_float("temp", args, cfg)
@@ -214,7 +217,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_features(args: argparse.Namespace) -> int:
     cfg = _load_config(args.config)
     entry, system = _entry_and_system(args)
-    points, sweep_cfg = _sweep_settings(entry, args, cfg)
+    points = _points(entry, args, cfg)
+    sweep_cfg = _detection_config(entry, args, cfg)
     bmin = _resolve_float("bmin", args, cfg)
     bmax = _resolve_float("bmax", args, cfg)
     temp = _resolve_float("temp", args, cfg)
@@ -236,11 +240,12 @@ def _cmd_features(args: argparse.Namespace) -> int:
 
 def _cmd_tshift(args: argparse.Namespace) -> int:
     target = args.feature
-    if not 0.0 <= target <= 1100.0:
-        raise DomainError(f"--feature must be a field within 0-1100 G, got {target}")
+    if not 0.0 <= target <= _DEFAULTS["bmax"]:
+        raise DomainError(f"--feature must be a field within 0-{_DEFAULTS['bmax']:g} G, got {target}")
     cfg = _load_config(args.config)
     entry, system = _entry_and_system(args)
-    points, sweep_cfg = _sweep_settings(entry, args, cfg)
+    points = _points(entry, args, cfg)
+    sweep_cfg = _detection_config(entry, args, cfg)
     tmin = _resolve_float("tmin", args, cfg)
     tmax = _resolve_float("tmax", args, cfg)
     tstep = _resolve_float("tstep", args, cfg)
@@ -267,9 +272,9 @@ def _cmd_tshift(args: argparse.Namespace) -> int:
         model.zfs_at(t)
     window = 25.0
     bmin = max(0.0, target - window)
-    bmax = min(1100.0, target + window)
+    bmax = min(_DEFAULTS["bmax"], target + window)
     feats = find_features(system, bmin, bmax, max(points // 4, 512),
-                          temperature=300.0, model=model, config=sweep_cfg)
+                          temperature=T_REF, model=model, config=sweep_cfg)
     if not feats:
         raise DomainError(f"no feature found within {window} G of {target} G")
     feature = min(feats, key=lambda f: abs(f.center - target))
@@ -309,29 +314,25 @@ def _cmd_fit_trace(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def _add_system_args(p: argparse.ArgumentParser) -> None:
+    """--system/--spec, --points and --config: what every solving command takes."""
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--system", help="catalog system id")
     group.add_argument("--spec", help="path to a JSON spin-system spec file")
+    p.add_argument("--points", type=int, help="grid points")
+    p.add_argument("--config", help="JSON config file overriding defaults")
 
 
-def _add_sweep_args(p: argparse.ArgumentParser) -> None:
+def _add_range_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--bmin", type=float, help="scan start, gauss")
     p.add_argument("--bmax", type=float, help="scan end, gauss")
     p.add_argument("--temp", type=float, help="temperature, kelvin")
-    _add_detection_args(p)
 
 
 def _add_detection_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--points", type=int, help="grid points")
     p.add_argument("--jump-threshold", dest="jump_threshold", type=float)
     p.add_argument("--gap-ceiling", dest="gap_ceiling", type=float)
     p.add_argument("--gap-true", dest="gap_true", type=float)
     p.add_argument("--cluster-radius", dest="cluster_radius", type=float)
-
-
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="JSON config file overriding defaults")
-    p.add_argument("--out", help="output file (default stdout)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -345,21 +346,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("catalog", help="list preset systems")
     p.add_argument("--format", choices=["text", "json"], default="text")
-    _add_common(p)
     p.set_defaults(func=_cmd_catalog)
 
     p = sub.add_parser("sweep", help="compute eigenvalues/projections vs field")
     _add_system_args(p)
-    _add_sweep_args(p)
+    _add_range_args(p)
     p.add_argument("--format", choices=["csv", "json"], default="csv")
-    _add_common(p)
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("features", help="detect and classify crossing features")
     _add_system_args(p)
-    _add_sweep_args(p)
+    _add_range_args(p)
+    _add_detection_args(p)
     p.add_argument("--format", choices=["json", "csv"], default="json")
-    _add_common(p)
     p.set_defaults(func=_cmd_features)
 
     p = sub.add_parser("tshift", help="temperature shift of one feature")
@@ -370,7 +369,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tmin", type=float)
     p.add_argument("--tmax", type=float)
     p.add_argument("--tstep", type=float)
-    _add_common(p)
     p.set_defaults(func=_cmd_tshift)
 
     p = sub.add_parser("fit-trace", help="fit Lorentzian dips to a PL trace")
@@ -378,9 +376,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", help="comma-separated dip seed fields, gauss")
     p.add_argument("--central", type=float,
                    help="central dip field for side-peak separations")
-    _add_common(p)
     p.set_defaults(func=_cmd_fit_trace)
 
+    for p in sub.choices.values():
+        p.add_argument("--out", help="output file (default stdout)")
     return parser
 
 

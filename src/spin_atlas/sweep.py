@@ -461,7 +461,7 @@ def _refine_bracket(solver: _Solver, cands: list[CandidateEvent], config: SweepC
     return events
 
 
-def cluster_features(events: list[CrossingEvent], cluster_radius: float = 15.0) -> list[CrossingFeature]:
+def cluster_features(events: list[CrossingEvent], cluster_radius: float) -> list[CrossingFeature]:
     """Single-linkage clustering of refined events along the field axis.
 
     Feature center is the median of the member line fields.

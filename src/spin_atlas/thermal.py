@@ -67,12 +67,9 @@ class ThermalZfsModel:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ThermalZfsModel":
-        base = cls()
-        return cls(
-            d0=float(d.get("d0", base.d0)),
-            c1=float(d.get("c1", base.c1)),
-            c2=float(d.get("c2", base.c2)),
-            delta1=float(d.get("delta1", base.delta1)),
-            delta2=float(d.get("delta2", base.delta2)),
-            boltzmann=float(d.get("boltzmann", base.boltzmann)),
-        )
+        """Override any of the fields by name; other keys are ignored."""
+        values = {f.name: d[f.name] for f in fields(cls) if f.name in d}
+        for name, value in values.items():
+            if isinstance(value, bool):  # JSON true/false are not numbers
+                raise TypeError(f"{name} must be a number, got {value!r}")
+        return cls(**{name: float(value) for name, value in values.items()})

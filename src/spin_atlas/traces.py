@@ -169,8 +169,11 @@ def _residuals(params: np.ndarray, b: np.ndarray, pl: np.ndarray) -> np.ndarray:
 def auto_seeds(trace: Trace) -> list[float]:
     """Seed dip centers from local minima with robust prominence.
 
-    The trace is detrended with a linear fit; minima deeper than three times
-    the median absolute deviation of the detrended signal are kept.
+    The trace is detrended with a linear fit.  A run of equal PL samples (a
+    quantised dip bottom) counts as one minimum, seeded at its middle, when
+    the detrended samples on both sides of it are higher; minima deeper than
+    three times the median absolute deviation of the detrended signal are
+    kept.
     """
     b = np.asarray(trace.field)
     pl = np.asarray(trace.pl)
@@ -178,14 +181,16 @@ def auto_seeds(trace: Trace) -> list[float]:
     detrended = pl - np.polyval(coeff, b)
     mad = float(np.median(np.abs(detrended - np.median(detrended))))
     threshold = 3.0 * mad if mad > 0 else 0.0
+    starts = np.flatnonzero(np.diff(pl, prepend=np.nan) != 0)
+    ends = np.append(starts[1:], len(pl)) - 1
     seeds = []
-    for k in range(1, len(pl) - 1):
+    for i, j in zip(starts[1:-1], ends[1:-1]):
         if (
-            detrended[k] <= detrended[k - 1]
-            and detrended[k] <= detrended[k + 1]
-            and -detrended[k] > threshold
+            detrended[i - 1] > detrended[i]
+            and detrended[j + 1] > detrended[j]
+            and -detrended[i : j + 1].mean() > threshold
         ):
-            seeds.append(float(b[k]))
+            seeds.append(float(0.5 * (b[i] + b[j])))
     return seeds
 
 

@@ -19,10 +19,9 @@ _WINDOW_POINTS = 160
 
 def detect_entry_features(entry):
     """Run the entry's tuned detection, full-range or windowed by size."""
-    cfg = entry.sweep_config()
     if entry.system.dimension <= _WINDOW_DIM:
         return find_features(
-            entry.system, 0.5, 1100.0, entry.sweep_points, config=cfg
+            entry.system, 0.5, 1100.0, entry.sweep_points, config=entry.config
         )
     feats = []
     for ef in entry.expected_features:
@@ -30,7 +29,7 @@ def detect_entry_features(entry):
         hi = min(1100.0, ef.center + ef.tolerance + _WINDOW_PAD)
         feats.extend(
             find_features(
-                entry.system, lo, hi, _WINDOW_POINTS, config=cfg, refine=False
+                entry.system, lo, hi, _WINDOW_POINTS, config=entry.config, refine=False
             )
         )
     return feats

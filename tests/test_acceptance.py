@@ -119,9 +119,8 @@ SLOPE_CASES = [
 
 
 def _tracked_feature(entry, around):
-    cfg = entry.sweep_config()
     feats = find_features(
-        entry.system, around - 20.0, around + 20.0, 384, config=cfg
+        entry.system, around - 20.0, around + 20.0, 384, config=entry.config
     )
     target = entry.track_center if entry.track_center is not None else around
     return nearest(feats, target)

@@ -1,6 +1,8 @@
 """Catalog presets: listing, lookup, JSON round trips, and the
 reference-regression suite of expected feature positions."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -10,13 +12,30 @@ from spin_atlas.catalog import (
     list_systems,
     system_ids,
 )
-from spin_atlas.sweep import sweep
+from spin_atlas.sweep import SweepConfig, sweep
 from spin_atlas.system import SpinSystem
 
 REQUIRED_IDS = [
     "nv", "nv-nv", "nv-p1", "nv-2p1", "nv-3p1", "onv-2p1", "onv-3p1",
     "2nv-13c", "nv-onv-13c", "2onv-13c", "nv-onv-p1", "2onv-p1", "nv-13c",
 ]
+
+
+_DEFAULT_DETECTION = SweepConfig(jump_threshold=0.4, gap_ceiling=30.0, gap_true=0.05,
+                                 cluster_radius=15.0)
+_TUNED_DETECTION = {
+    "onv-2p1": {"cluster_radius": 5.0},
+    "2onv-p1": {"cluster_radius": 5.0},
+    "2nv-13c": {"cluster_radius": 10.0},
+    "nv-onv-13c": {"cluster_radius": 10.0, "gap_ceiling": 60.0},
+    "nv-onv-p1": {"cluster_radius": 8.0},
+}
+
+
+@pytest.mark.parametrize("sys_id", REQUIRED_IDS)
+def test_entry_detection_settings(sys_id):
+    expected = dataclasses.replace(_DEFAULT_DETECTION, **_TUNED_DETECTION.get(sys_id, {}))
+    assert get_system(sys_id).config == expected
 
 
 def test_listing_contains_required_ids():

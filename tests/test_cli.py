@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from spin_atlas.catalog import get_system, list_systems
 from spin_atlas.cli import main
 from spin_atlas.system import SpinSystem
-from spin_atlas.traces import dip_model
+from spin_atlas.traces import Trace, auto_seeds, dip_model
 
 
 def run(args, capsys):
@@ -93,12 +93,23 @@ def test_unknown_system_exits_1(capsys):
     assert "available ids" in err
 
 
-def test_malformed_flags_exit_2(capsys):
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--system", "nv", "--points", "many"],
+        ["unknown-command"],
+        # Each command takes only the options it reads.
+        ["sweep", "--system", "nv", "--gap-true", "0.1"],
+        ["sweep", "--system", "nv", "--cluster-radius", "3"],
+        ["catalog", "--config", "c.json"],
+        ["fit-trace", "t.csv", "--seeds", "350", "--config", "c.json"],
+    ],
+    ids=["points-not-a-number", "unknown-command", "sweep-gap-true",
+         "sweep-cluster-radius", "catalog-config", "fit-trace-config"],
+)
+def test_malformed_flags_exit_2(argv, capsys):
     with pytest.raises(SystemExit) as exc:
-        main(["sweep", "--system", "nv", "--points", "many"])
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        main(["unknown-command"])
+        main(argv)
     assert exc.value.code == 2
 
 
@@ -308,6 +319,35 @@ def _one_dip_trace(path, points):
         "B_gauss,pl\n" + "\n".join(f"{b:.4f},{v:.8f}" for b, v in zip(grid, pl))
     )
     return path
+
+
+@st.composite
+def quantised_dips(draw):
+    """(field grid, integer PL counts, center, hwhm) of one noise-free
+    Lorentzian dip at least 10 counts deep, well inside a 201-point trace."""
+    field = np.linspace(300.0, 400.0, 201)
+    center = draw(st.floats(330.0, 370.0))
+    hwhm = draw(st.floats(1.0, 5.0))
+    counts = draw(st.floats(200.0, 1e5))
+    depth = draw(st.floats(max(0.02, 10.0 / counts), 0.3))
+    pl = np.round(dip_model(np.array([counts, 0.0, center, hwhm, depth]), field))
+    return field, pl, center, hwhm
+
+
+@settings(max_examples=60, deadline=None)
+@given(dip=quantised_dips())
+def test_quantised_dip_gets_one_seed(dip):
+    field, pl, center, hwhm = dip
+    seeds = auto_seeds(Trace(tuple(field), tuple(pl)))
+    assert len(seeds) == 1 and abs(seeds[0] - center) <= hwhm
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "trace.csv"
+        path.write_text("B_gauss,pl\n" + "\n".join(f"{b:.2f},{v:.0f}" for b, v in zip(field, pl)))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["fit-trace", str(path)]) == 0
+    dips = json.loads(out.getvalue())["dips"]
+    assert [d["removable"] for d in dips] == [False]
 
 
 def test_fit_trace_roundtrip(tmp_path, capsys):
@@ -550,6 +590,13 @@ def test_out_of_range_inputs_exit_1(argv, message, capsys, monkeypatch):
         ("sweep", {"points": float("inf")}, "infinity"),
         ("sweep", {"points": 1e12}, "cap of 16384"),
         ("tshift", {"points": 1e12}, "cap of 16384"),
+        ("sweep", {"points": 5.9}, "whole number"),
+        ("features", {"points": True}, "whole number"),
+        ("features", {"cluster_radius": True}, "cluster_radius"),
+        ("tshift", {"gap_ceiling": False}, "gap_ceiling"),
+        ("sweep", {"bmin": True}, "bmin"),
+        ("tshift", {"tstep": True}, "tstep"),
+        ("features", {"thermal_model": {"d0": True}}, "d0 must be a number"),
     ],
 )
 def test_malformed_config_values_exit_1(tmp_path, command, cfg, message, capsys):
