@@ -59,6 +59,17 @@ _DEFAULTS = {
 }
 
 
+# Every key a config file may hold: a config shared by several commands
+# may carry keys that only some of them read.
+_CONFIG_KEYS = (frozenset(_DEFAULTS) | {"thermal_model"}
+                | {f.name for f in dataclasses.fields(SweepConfig)})
+
+
+def _is_number(value) -> bool:
+    """A JSON number: not a string, a boolean, null or a container."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
@@ -71,6 +82,10 @@ def _load_config(path: str | None) -> dict:
         raise DomainError(f"malformed config file {path}: {exc}") from exc
     if not isinstance(cfg, dict):
         raise DomainError(f"config file {path} must contain a JSON object")
+    unknown = sorted(set(cfg) - _CONFIG_KEYS)
+    if unknown:
+        raise DomainError(f"config file {path}: unknown key {unknown[0]!r}; "
+                          f"known keys are {', '.join(sorted(_CONFIG_KEYS))}")
     return cfg
 
 
@@ -87,22 +102,20 @@ def _resolve(name: str, args: argparse.Namespace, cfg: dict, entry_value=None):
 def _resolve_float(name: str, args: argparse.Namespace, cfg: dict, entry_value=None) -> float:
     value = _resolve(name, args, cfg, entry_value)
     try:
-        if isinstance(value, bool):  # JSON true/false are not numbers
+        if not _is_number(value):
             raise TypeError
         return float(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, OverflowError) as exc:
         raise DomainError(f"invalid {name} value {value!r}: expected a number") from exc
 
 
 def _thermal_model(cfg: dict) -> ThermalZfsModel:
     overrides = cfg.get("thermal_model", {})
-    if not overrides:
-        return ThermalZfsModel()
     if not isinstance(overrides, dict):
         raise DomainError(f"thermal_model must be a JSON object, got {overrides!r}")
     try:
         return ThermalZfsModel.from_dict(overrides)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise DomainError(f"invalid thermal_model: {exc}") from exc
 
 
@@ -128,10 +141,10 @@ def _points(entry, args, cfg) -> int:
     """Grid points, a whole number no larger than MAX_POINTS."""
     value = _resolve("points", args, cfg, entry and entry.sweep_points)
     try:
-        points = int(value)
-        if isinstance(value, bool) or points != float(value):
+        if not _is_number(value) or int(value) != value:
             raise ValueError(f"points must be a whole number, got {value!r}")
-    except (TypeError, ValueError, OverflowError) as exc:
+        points = int(value)
+    except (ValueError, OverflowError) as exc:
         raise DomainError(f"invalid detection settings: {exc}") from exc
     if points > MAX_POINTS:
         raise DomainError(f"grid of {points} points exceeds the cap of {MAX_POINTS}; use fewer points")

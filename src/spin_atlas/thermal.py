@@ -67,9 +67,12 @@ class ThermalZfsModel:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ThermalZfsModel":
-        """Override any of the fields by name; other keys are ignored."""
-        values = {f.name: d[f.name] for f in fields(cls) if f.name in d}
-        for name, value in values.items():
-            if isinstance(value, bool):  # JSON true/false are not numbers
+        """Override any of the fields by name; an unknown name is an error."""
+        names = [f.name for f in fields(cls)]
+        for name, value in d.items():
+            if name not in names:
+                raise ValueError(f"unknown field {name!r}; fields are {', '.join(names)}")
+            # JSON strings and true/false are not numbers
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise TypeError(f"{name} must be a number, got {value!r}")
-        return cls(**{name: float(value) for name, value in values.items()})
+        return cls(**{name: float(value) for name, value in d.items()})

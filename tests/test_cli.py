@@ -584,7 +584,7 @@ def test_out_of_range_inputs_exit_1(argv, message, capsys, monkeypatch):
         ("sweep", {"thermal_model": "abc"}, "thermal_model"),
         ("features", {"thermal_model": {"d0": "abc"}}, "thermal_model"),
         ("tshift", {"thermal_model": {"c1": [1]}}, "thermal_model"),
-        ("sweep", {"thermal_model": {"c2": "nan"}}, "c2 must be finite"),
+        ("sweep", {"thermal_model": {"c2": float("nan")}}, "c2 must be finite"),
         ("sweep", {"thermal_model": {"d0": -5}}, "D(300 K)"),
         ("tshift", {"thermal_model": {"d0": -5}}, "D(4 K)"),
         ("sweep", {"points": float("inf")}, "infinity"),
@@ -597,6 +597,14 @@ def test_out_of_range_inputs_exit_1(argv, message, capsys, monkeypatch):
         ("sweep", {"bmin": True}, "bmin"),
         ("tshift", {"tstep": True}, "tstep"),
         ("features", {"thermal_model": {"d0": True}}, "d0 must be a number"),
+        ("sweep", {"bmin": "1000"}, "bmin"),
+        ("sweep", {"points": "8"}, "whole number"),
+        ("features", {"thermal_model": {"d0": "1.0"}}, "d0 must be a number"),
+        ("features", {"cluster_raduis": 3}, "'cluster_raduis'"),
+        ("features", {"thermal_model": {"D0": 1.0}}, "'D0'"),
+        ("sweep", {"bmin": 10**400}, "bmin"),
+        ("sweep", {"thermal_model": {"d0": 10**400}}, "thermal_model"),
+        ("sweep", {"thermal_model": 0}, "thermal_model"),
     ],
 )
 def test_malformed_config_values_exit_1(tmp_path, command, cfg, message, capsys):

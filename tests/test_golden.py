@@ -25,6 +25,10 @@ COMMANDS = {
     "sweep-nv-json": ["sweep", "--system", "nv", "--format", "json"],
     "tshift-nv": ["tshift", "--system", "nv", "--feature", "1024", "--tmin", "200",
                   "--tmax", "300", "--tstep", "25"],
+    # trace-3dip.csv: 3 Lorentzian dips (500/512/526 G) on a sloped baseline,
+    # 400 points over 480-560 G, Gaussian noise of 1e-3 from default_rng(7).
+    "fit-trace-3dip": ["fit-trace", str(GOLDEN / "trace-3dip.csv"),
+                       "--seeds", "499,512.5,527", "--central", "512"],
 }
 
 _NUMBER = re.compile(r"-?\d+(?:\.\d+)?(?:e[-+]?\d+)?")

@@ -2,10 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spin_atlas.traces import (
     Trace,
     TraceError,
+    _jacobian,
+    _residuals,
     auto_seeds,
     dip_model,
     fit_dips,
@@ -74,6 +78,62 @@ def test_monte_carlo_center_recovery():
         total += 1
     assert center_ok / total >= 0.95
     assert sep_ok / total >= 0.95
+
+
+@st.composite
+def jacobian_points(draw):
+    """(params, fields, pl): 1-7 dips of either width sign and a depth that is
+    zero or of either sign, on a sloped baseline that stays positive; fields
+    at, near and far from the centers."""
+    real = lambda lo, hi: st.floats(lo, hi, allow_nan=False)  # noqa: E731
+    signed = lambda lo, hi: st.builds(  # noqa: E731
+        lambda x, sign: sign * x, real(lo, hi), st.sampled_from([-1.0, 1.0]))
+    params = [draw(real(1.0, 10.0)), draw(signed(1e-6, 5e-4))]
+    fields = list(np.linspace(0.0, 1200.0, 41))
+    for _ in range(draw(st.integers(1, 7))):
+        c, w = draw(real(400.0, 600.0)), draw(signed(0.5, 20.0))
+        params.extend([c, w, draw(st.one_of(st.just(0.0), signed(1e-3, 0.5)))])
+        fields.extend(c + k * w for k in (-30.0, -3.0, -1.0, -0.1, 0.0, 0.1, 1.0, 3.0, 30.0))
+    b = np.array(fields)
+    pl = draw(real(0.0, 2.0)) + 0.01 * np.sin(b)
+    return np.array(params), b, pl
+
+
+@settings(max_examples=200, deadline=None)
+@given(point=jacobian_points())
+def test_jacobian_matches_central_difference(point):
+    params, b, pl = point
+    jac = _jacobian(params, b, pl)
+    assert jac.shape == (len(b), len(params))
+    # A dip's center and width step by 1e-4 of its width, so truncation error
+    # stays below 1e-6; every step is large enough that the residual's
+    # roundoff does too.
+    steps = np.full(len(params), 1e-4)
+    steps[2::3] = steps[3::3] = 1e-4 * np.abs(params[3::3])
+    for i, h in enumerate(steps):
+        up, down = params.copy(), params.copy()
+        up[i] += h
+        down[i] -= h
+        num = (_residuals(up, b, pl) - _residuals(down, b, pl)) / (up[i] - down[i])
+        scale = max(np.max(np.abs(num)), np.max(np.abs(jac[:, i])))
+        assert np.max(np.abs(jac[:, i] - num)) <= 1e-6 * scale, i
+
+
+def test_fit_evaluates_the_model_once_per_step(monkeypatch):
+    # A finite-difference Jacobian would add 2 + 3 per dip model evaluations
+    # for every Jacobian; the analytic one adds none.
+    calls = []
+
+    def counting_model(params, b):
+        calls.append(1)
+        return dip_model(params, b)
+
+    monkeypatch.setattr("spin_atlas.traces.dip_model", counting_model)
+    trace = make_trace([500.0, 512.0, 524.0], [3.0, 2.5, 3.5], [0.02, 0.03, 0.015],
+                       baseline=(1.0, -1e-5), noise=0.001, seed=42)
+    fit = fit_dips(trace, seeds=[499.0, 511.5, 525.0])
+    assert fit.converged
+    assert 0 < len(calls) <= fit.iterations + 1
 
 
 def test_fit_idempotent():
