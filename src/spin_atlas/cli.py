@@ -138,7 +138,7 @@ def _entry_and_system(args: argparse.Namespace):
 
 
 def _points(entry, args, cfg) -> int:
-    """Grid points, a whole number no larger than MAX_POINTS."""
+    """Grid points, a whole number from 2 to MAX_POINTS."""
     value = _resolve("points", args, cfg, entry and entry.sweep_points)
     try:
         if not _is_number(value) or int(value) != value:
@@ -146,6 +146,8 @@ def _points(entry, args, cfg) -> int:
         points = int(value)
     except (ValueError, OverflowError) as exc:
         raise DomainError(f"invalid detection settings: {exc}") from exc
+    if points < 2:
+        raise DomainError(f"grid of {points} points is too small; use at least 2")
     if points > MAX_POINTS:
         raise DomainError(f"grid of {points} points exceeds the cap of {MAX_POINTS}; use fewer points")
     return points

@@ -39,5 +39,6 @@ EE_COUPLING_TRANSVERSE = 5.0
 # Hard cap on the composite Hilbert-space dimension.
 DIMENSION_CAP = 1024
 
-# Cap on |gamma| (MHz/G), tensor entries and ZFS fields (MHz) in a spec.
+# Cap on |gamma| (MHz/G), tensor entries and ZFS fields (MHz) in a spec, and
+# on the fields (gauss) a sweep spans.
 MAGNITUDE_CAP = 1e6

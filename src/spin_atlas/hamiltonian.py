@@ -84,7 +84,8 @@ class HamiltonianTerms(tuple):
 
 
 # Repeat lookups come only from within one find_features or temperature_shift
-# call, on one system, so one entry serves them all (24 MB at the 1024 cap).
+# call, on one system, so one entry serves them all (at the 1024 cap, 24 MiB
+# of real terms or 48 MiB of complex ones).
 @lru_cache(maxsize=1)
 def hamiltonian_terms(spec: SpinSystem) -> HamiltonianTerms:
     """Precompute (H_const, H_d, H_b) and their invariant blocks for a system.

@@ -26,6 +26,7 @@ from pathlib import Path
 import numpy as np
 from scipy.optimize import minimize_scalar
 
+from .constants import MAGNITUDE_CAP
 from .hamiltonian import hamiltonian_terms, probe_projector_vector
 from .kernels import batched_eigh_project
 from .thermal import ThermalZfsModel
@@ -150,9 +151,26 @@ class CrossingEvent:
 
 @dataclass(frozen=True)
 class CrossingFeature:
-    center: float             # gauss
+    """A cluster of crossing lines; everything else it reports is derived
+    from them."""
+
     lines: tuple              # CrossingEvents, ascending in field
-    span: tuple               # (lo, hi) gauss
+
+    @property
+    def center(self) -> float:
+        """Median of the line fields, gauss."""
+        return float(np.median([ln.field for ln in self.lines]))
+
+    @property
+    def span(self) -> tuple:
+        """(lo, hi) gauss: the first and last line fields."""
+        return self.lines[0].field, self.lines[-1].field
+
+    @property
+    def central_line(self) -> CrossingEvent:
+        """The first line at minimal |field - center|."""
+        center = self.center
+        return min(self.lines, key=lambda ln: abs(ln.field - center))
 
     @property
     def min_gap(self) -> float:
@@ -160,7 +178,7 @@ class CrossingFeature:
 
     @property
     def kind(self) -> str:
-        return _line_nearest(self, self.center).kind
+        return self.central_line.kind
 
     def to_dict(self) -> dict:
         return {
@@ -179,11 +197,6 @@ class CrossingFeature:
                 for ln in self.lines
             ],
         }
-
-
-def _line_nearest(feature: CrossingFeature, b: float) -> CrossingEvent:
-    fields = np.array([ln.field for ln in feature.lines])
-    return feature.lines[int(np.argmin(np.abs(fields - b)))]
 
 
 class _Solver:
@@ -289,8 +302,8 @@ def sweep(
     model: ThermalZfsModel | None = None,
 ) -> SweepResult:
     """Diagonalize over an ascending field grid and track projections."""
-    if not (math.isfinite(b_min) and math.isfinite(b_max) and 0.0 <= b_min < b_max):
-        raise ValueError(f"require finite 0 <= b_min < b_max, got {b_min}, {b_max}")
+    if not 0.0 <= b_min < b_max <= MAGNITUDE_CAP:  # also false for NaN
+        raise ValueError(f"require 0 <= b_min < b_max <= {MAGNITUDE_CAP:g} G, got {b_min}, {b_max}")
     if n_points < 2:
         raise ValueError("need at least 2 grid points")
     model = model or ThermalZfsModel()
@@ -351,6 +364,23 @@ def detect_events(sr: SweepResult, config: SweepConfig | None = None) -> list[Ca
     n, npairs = gaps.shape
     candidates: dict[tuple, CandidateEvent] = {}
 
+    def keep(pair: int, k: int) -> None:
+        """Keep the pair's candidate at grid index k if its p exchange
+        reaches the threshold and beats the one kept for its (pair, k // 3)
+        key; the first kept wins a tie."""
+        ex = _exchange(projs, gaps, pair, k)
+        if ex < _EXCHANGE_THRESHOLD:
+            return
+        key = (pair, k // 3)
+        if key not in candidates or candidates[key].projection_jump < ex:
+            candidates[key] = CandidateEvent(
+                pair=pair,
+                b_lo=float(sr.field[max(k - 1, 0)]),
+                b_hi=float(sr.field[min(k + 1, n - 1)]),
+                grid_index=k,
+                projection_jump=float(ex),
+            )
+
     # Gap local minima below the scan ceiling, filtered by p relevance.
     # Boundary points count as minima so features at the grid edge (e.g. the
     # zero-field crossing) are still bracketed.
@@ -362,46 +392,20 @@ def detect_events(sr: SweepResult, config: SweepConfig | None = None) -> list[Ca
         if g[-1] <= g[-2] and g[-1] < config.gap_ceiling:
             minima.append(n - 1)
         for k in minima:
-            ex = _exchange(projs, gaps, pair, int(k))
-            if ex < _EXCHANGE_THRESHOLD:
-                continue
-            key = (pair, int(k) // 3)
-            cand = CandidateEvent(
-                pair=pair,
-                b_lo=float(sr.field[max(k - 1, 0)]),
-                b_hi=float(sr.field[min(k + 1, n - 1)]),
-                grid_index=int(k),
-                projection_jump=float(ex),
-            )
-            if key not in candidates or candidates[key].projection_jump < ex:
-                candidates[key] = cand
+            keep(pair, int(k))
 
     # Direct p-jumps between adjacent grid points (true crossings can slip
     # between grid points without a resolved gap minimum).
     dp = np.abs(np.diff(projs, axis=0))
     for k, i in zip(*np.where(dp > config.jump_threshold)):
-        for pair in (i - 1, i):
+        for pair in (int(i) - 1, int(i)):
             if not 0 <= pair < npairs:
                 continue
-            km = int(np.argmin(gaps[max(k - 1, 0) : k + 2, pair])) + max(k - 1, 0)
-            if gaps[km, pair] >= config.gap_ceiling:
-                continue
-            key = (int(pair), km // 3)
-            if key in candidates:
-                continue
-            ex = _exchange(projs, gaps, int(pair), km)
-            if ex < _EXCHANGE_THRESHOLD:
-                continue
-            candidates[key] = CandidateEvent(
-                pair=int(pair),
-                b_lo=float(sr.field[max(km - 1, 0)]),
-                b_hi=float(sr.field[min(km + 1, n - 1)]),
-                grid_index=km,
-                projection_jump=float(ex),
-            )
+            km = int(np.argmin(gaps[max(k - 1, 0) : k + 2, pair]) + max(k - 1, 0))
+            if gaps[km, pair] < config.gap_ceiling and (pair, km // 3) not in candidates:
+                keep(pair, km)
 
-    out = sorted(candidates.values(), key=lambda e: (e.b_lo, e.pair))
-    return out
+    return sorted(candidates.values(), key=lambda e: (e.b_lo, e.pair))
 
 
 def _polish(gap, sample: np.ndarray, k: int) -> tuple[float, float]:
@@ -430,6 +434,17 @@ def _spectra(solver: _Solver, sample: np.ndarray):
     return levels, gap
 
 
+def _line(cand: CandidateEvent, field: float, min_gap: float, config: SweepConfig) -> CrossingEvent:
+    """The candidate's line at ``field``: true if its gap is below ``gap_true``."""
+    return CrossingEvent(
+        field=field,
+        levels=(cand.pair, cand.pair + 1),
+        min_gap=min_gap,
+        kind="true" if min_gap < config.gap_true else "avoided",
+        projection_jump=cand.projection_jump,
+    )
+
+
 def _refine_bracket(solver: _Solver, cands: list[CandidateEvent], config: SweepConfig) -> list[CrossingEvent]:
     """Bracketed gap minimization of the candidates of one (b_lo, b_hi), in
     order; classify true vs avoided.
@@ -448,24 +463,12 @@ def _refine_bracket(solver: _Solver, cands: list[CandidateEvent], config: SweepC
         if len(interior) == 0:
             interior = [int(np.argmin(g))]
         for k in interior:
-            center, min_gap = _polish(lambda b: gap(b, cand.pair), sample, k)
-            events.append(
-                CrossingEvent(
-                    field=center,
-                    levels=(cand.pair, cand.pair + 1),
-                    min_gap=min_gap,
-                    kind="true" if min_gap < config.gap_true else "avoided",
-                    projection_jump=cand.projection_jump,
-                )
-            )
+            events.append(_line(cand, *_polish(lambda b: gap(b, cand.pair), sample, k), config))
     return events
 
 
 def cluster_features(events: list[CrossingEvent], cluster_radius: float) -> list[CrossingFeature]:
-    """Single-linkage clustering of refined events along the field axis.
-
-    Feature center is the median of the member line fields.
-    """
+    """Single-linkage clustering of refined events along the field axis."""
     if not events:
         return []
     events = sorted(events, key=lambda e: e.field)
@@ -475,17 +478,7 @@ def cluster_features(events: list[CrossingEvent], cluster_radius: float) -> list
             groups[-1].append(ev)
         else:
             groups.append([ev])
-    features = []
-    for grp in groups:
-        fields = [e.field for e in grp]
-        features.append(
-            CrossingFeature(
-                center=float(np.median(fields)),
-                lines=tuple(grp),
-                span=(min(fields), max(fields)),
-            )
-        )
-    return features
+    return [CrossingFeature(lines=tuple(grp)) for grp in groups]
 
 
 def find_features(
@@ -518,17 +511,10 @@ def find_features(
             refined.extend(_refine_bracket(solver, list(group), config))
     else:
         gaps = sr.gaps()
-        for cand in candidates:
-            gap = float(gaps[cand.grid_index, cand.pair])
-            refined.append(
-                CrossingEvent(
-                    field=float(sr.field[cand.grid_index]),
-                    levels=(cand.pair, cand.pair + 1),
-                    min_gap=gap,
-                    kind="true" if gap < config.gap_true else "avoided",
-                    projection_jump=cand.projection_jump,
-                )
-            )
+        refined = [
+            _line(c, float(sr.field[c.grid_index]), float(gaps[c.grid_index, c.pair]), config)
+            for c in candidates
+        ]
     # Candidates of one level pair can refine to the same field (a gap minimum
     # and a p jump at one crossing); keep the smallest gap per 0.05 G bin.
     unique: dict[tuple, CrossingEvent] = {}
@@ -566,19 +552,17 @@ def temperature_shift(
     feature: CrossingFeature,
     t_grid,
     model: ThermalZfsModel | None = None,
-    track_field: float | None = None,
 ) -> TemperatureShift:
     """Continue a feature center in temperature and report shifts from T_REF.
 
-    The tracked line defaults to the feature's central line; `track_field`
-    picks the member line nearest a physically motivated field instead. Its
-    center is tracked at T_REF from the line's field, at T_REF again if the
-    grid holds it, then in two walks outward: the grid temperatures above
-    T_REF upward, those below downward, each seeded from the last center its
-    walk tracked. Failed temperatures go to `lost`; repeats are kept.
+    The tracked line is the feature's central line. Its center is tracked at
+    T_REF from the line's field, at T_REF again if the grid holds it, then in
+    two walks outward: the grid temperatures above T_REF upward, those below
+    downward, each seeded from the last center its walk tracked. Failed
+    temperatures go to `lost`; repeats are kept.
     """
     model = model or ThermalZfsModel()
-    line = _line_nearest(feature, feature.center if track_field is None else track_field)
+    line = feature.central_line
     pair = line.levels[0]
 
     def center_at(t: float, seed: float) -> float | None:

@@ -60,9 +60,9 @@ class ThermalZfsModel:
             raise ValueError("slope defined for T > 0")
         total = 0.0
         for ci, di in ((self.c1, self.delta1), (self.c2, self.delta2)):
-            x = di / (self.boltzmann * temperature)
-            ex = math.exp(x)
-            total += ci * (di / (self.boltzmann * temperature**2)) * ex / (ex - 1.0) ** 2
+            # dn/dT = delta/(k T^2) * n (n + 1): 0 wherever n is, no overflow
+            n = occupation(di, temperature, self.boltzmann)
+            total += ci * (di / (self.boltzmann * temperature**2)) * n * (n + 1.0)
         return total
 
     @classmethod

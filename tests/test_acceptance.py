@@ -13,7 +13,7 @@ import pytest
 
 from spin_atlas import constants as c
 from spin_atlas.catalog import get_system, system_ids
-from spin_atlas.sweep import find_features, sweep, temperature_shift
+from spin_atlas.sweep import CrossingFeature, find_features, sweep, temperature_shift
 from spin_atlas.system import Site, SpinSystem
 from spin_atlas.thermal import ThermalZfsModel
 from spin_atlas.traces import Trace, dip_model, fit_dips, side_peak_separations
@@ -119,11 +119,17 @@ SLOPE_CASES = [
 
 
 def _tracked_feature(entry, around):
+    """The feature nearest the entry's ``track_center`` (else ``around``).
+    Where the entry names a ``track_center``, the feature is narrowed to its
+    line nearest that field, so that line is the one tracked."""
     feats = find_features(
         entry.system, around - 20.0, around + 20.0, 384, config=entry.config
     )
-    target = entry.track_center if entry.track_center is not None else around
-    return nearest(feats, target)
+    if entry.track_center is None:
+        return nearest(feats, around)
+    feature = nearest(feats, entry.track_center)
+    line = min(feature.lines, key=lambda ln: abs(ln.field - entry.track_center))
+    return CrossingFeature(lines=(line,))
 
 
 def test_criterion_3_temperature_slopes():
@@ -132,9 +138,7 @@ def test_criterion_3_temperature_slopes():
     for sys_id, around, expected in SLOPE_CASES:
         entry = get_system(sys_id)
         feature = _tracked_feature(entry, around)
-        shift = temperature_shift(
-            entry.system, feature, [300.0], track_field=entry.track_center,
-        )
+        shift = temperature_shift(entry.system, feature, [300.0])
         details.append(f"{around:.0f}G {shift.slope_at_ref:+.4f}")
         if abs(shift.slope_at_ref - expected) > 0.004:
             failures.append(
@@ -148,9 +152,7 @@ def test_criterion_3_temperature_slopes():
 def test_criterion_4_total_732_shift():
     entry = get_system("2onv-p1")
     feature = _tracked_feature(entry, 732.0)
-    shift = temperature_shift(
-        entry.system, feature, [0.0, 300.0], track_field=entry.track_center,
-    )
+    shift = temperature_shift(entry.system, feature, [0.0, 300.0])
     total = shift.centers[0] - shift.centers[-1]
     failures = []
     if shift.lost:

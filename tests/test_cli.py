@@ -556,6 +556,12 @@ def test_detection_settings_precedence(tmp_path, monkeypatch, capsys):
         (["sweep", "--bmin", "-100", "--bmax", "-50", "--points", "4"], "b_min"),
         (["features", "--bmin", "-1100", "--bmax", "-900", "--points", "256"], "b_min"),
         (["sweep", "--points", "1000000000000"], "cap of 16384"),
+        (["sweep", "--bmin", "0", "--bmax", "1e308", "--points", "3"], "b_max"),
+        (["features", "--bmin", "0", "--bmax", "1e300", "--points", "8"], "b_max"),
+        (["sweep", "--points", "1"], "at least 2"),
+        (["features", "--points", "0"], "at least 2"),
+        *[(["tshift", "--feature", "1024", "--tmin", "290", "--tmax", "300", "--tstep", "10",
+            "--points", points], "at least 2") for points in ("-7", "0", "1")],
     ],
 )
 def test_out_of_range_inputs_exit_1(argv, message, capsys, monkeypatch):

@@ -177,7 +177,7 @@ def _stub_tracking(monkeypatch, lost_at=None):
 
     monkeypatch.setattr(sweep_mod, "_track_center", track)
     line = CrossingEvent(field=500.0, levels=(0, 1), min_gap=0.0, kind="true", projection_jump=1.0)
-    feature = CrossingFeature(center=500.0, lines=(line,), span=(500.0, 500.0))
+    feature = CrossingFeature(lines=(line,))
     return calls, feature, SimpleNamespace(zfs_at=lambda t: t)
 
 
@@ -222,6 +222,11 @@ def test_sweep_rejects_bad_grid(nv):
     for b_min, b_max in ((-100.0, -50.0), (-1.0, 50.0)):
         with pytest.raises(ValueError, match="b_min"):
             sweep(nv, b_min, b_max, 4)
+    # Fields are capped like every spec magnitude; the cap itself sweeps.
+    for b_max in (c.MAGNITUDE_CAP * (1 + 1e-15), 1e308, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="b_max"):
+            sweep(nv, 0.0, b_max, 3)
+    assert np.isfinite(sweep(nv, 0.0, c.MAGNITUDE_CAP, 3).eigenvalues).all()
 
 
 @settings(max_examples=40, deadline=None)
@@ -260,6 +265,43 @@ def test_cluster_features_single_linkage():
     assert [len(f.lines) for f in feats] == [3, 1]
     assert feats[0].center == 20.0  # median of member fields
     assert feats[0].span == (10.0, 31.0)
+    # Lines at 10 and 12 G are equally near their 11 G center: the first wins.
+    first, second = (CrossingEvent(b, (0, 1), 1.0, kind, 1.0) for b, kind in ((10.0, "avoided"), (12.0, "true")))
+    (tie,) = cluster_features([second, first], 15.0)
+    assert (tie.center, tie.central_line, tie.kind) == (11.0, first, "avoided")
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    lines=st.lists(
+        st.tuples(st.integers(0, 30).map(float), st.sampled_from(["true", "avoided"]), st.floats(0.0, 5.0)),
+        min_size=1,
+        max_size=12,
+    ),
+    radius=st.sampled_from([0.0, 1.0, 2.0, 15.0]),
+)
+def test_feature_is_a_view_of_its_lines(lines, radius):
+    """Clustering only groups lines; each feature's center is the median of
+    its line fields, its span the first and last field, its central line the
+    first at minimal |field - center| (integer fields make ties common), its
+    kind that line's, and its min gap the smallest line gap."""
+    events = [
+        CrossingEvent(field=b, levels=(i, i + 1), min_gap=g, kind=kind, projection_jump=1.0)
+        for i, (b, kind, g) in enumerate(lines)
+    ]
+    feats = cluster_features(events, radius)
+    assert [ln for f in feats for ln in f.lines] == sorted(events, key=lambda e: e.field)
+    for f, after in zip(feats, feats[1:]):
+        assert after.lines[0].field - f.lines[-1].field > radius
+    for f in feats:
+        fields = np.array([ln.field for ln in f.lines])
+        assert (np.diff(fields) <= radius).all()
+        assert f.center == float(np.median(fields))
+        assert f.span == (fields.min(), fields.max())
+        central = f.lines[int(np.argmin(np.abs(fields - f.center)))]
+        assert f.central_line is central
+        assert f.kind == central.kind
+        assert f.min_gap == min(ln.min_gap for ln in f.lines)
 
 
 def test_sweep_module_is_not_shadowed():
