@@ -12,6 +12,7 @@ true crossing (gap below threshold at 0.01 G resolution) or an avoided one.
 from __future__ import annotations
 
 import bisect
+import copy
 import ctypes
 import dataclasses
 import functools
@@ -24,7 +25,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .constants import MAGNITUDE_CAP
 from .hamiltonian import hamiltonian_terms, probe_projector_vector
@@ -77,20 +77,42 @@ def _usable_cores() -> int:
         return os.cpu_count() or 1
 
 
-def _split_count(n: int, dim: int, largest: int) -> int:
-    """Slices of an n-field grid that ``_Solver.batch`` solves concurrently.
+def _split_count(n: int, *step_shape: int) -> int:
+    """Slices of an n-field solve that run concurrently (``_in_slices``).
 
-    More than one only when BLAS runs one thread, as it reports now: threads
-    of our own on top of a threaded BLAS are slower. Each slice's kernel steps
-    take an equal share of ``_STACK_ENTRIES``, so a slice must fit at least
-    one matrix of the largest block in its share. Only a 648-state block
-    (onv-3p1), where one matrix is already over the budget, stays serial;
-    nv-3p1 (d = 648, largest block 131) splits up to three ways.
+    ``step_shape`` is the shape of one field's largest kernel step: d x the
+    largest block for ``_Solver.batch``, the (g, b, b) stack of the largest
+    block size for ``_Solver.eigvals``. More than one slice only when BLAS
+    runs one thread, as it reports now: threads of our own on top of a
+    threaded BLAS are slower. Each slice's kernel steps take an equal share
+    of ``_STACK_ENTRIES``, so a slice must fit at least one field's step in
+    its share. Only a 648-state block (onv-3p1), where one matrix is already
+    over the budget, stays serial; nv-3p1 (d = 648, largest block 131)
+    splits its sweep up to three ways.
     """
     count = _openblas_thread_count()
     if count is None or count() != 1:
         return 1
-    return max(1, min(_usable_cores(), n, _STACK_ENTRIES // (dim * largest)))
+    return max(1, min(_usable_cores(), n, _STACK_ENTRIES // math.prod(step_shape)))
+
+
+def _in_slices(fill, fields: np.ndarray, outs: tuple, workers: int) -> None:
+    """``fill(fields, *outs, budget)`` on ``workers`` contiguous slices of the
+    fields and of the (n, d) arrays ``outs``, each slice with an equal share
+    of ``_STACK_ENTRIES`` as its budget: the calling thread fills the first
+    slice and one short-lived helper thread each of the others. LAPACK
+    releases the GIL, and every field is solved alone, so the result does not
+    depend on the split.
+    """
+    n = len(fields)
+    budget = _STACK_ENTRIES // workers
+    first, *rest = (slice(n * w // workers, n * (w + 1) // workers) for w in range(workers))
+    # The pool starts a thread only per submitted slice: none when serial.
+    with ThreadPoolExecutor(workers) as pool:
+        helpers = [pool.submit(fill, fields[sl], *(out[sl] for out in outs), budget) for sl in rest]
+        fill(fields[first], *(out[first] for out in outs), budget)
+        for helper in helpers:
+            helper.result()
 
 
 @dataclass(frozen=True)
@@ -208,51 +230,58 @@ class _Solver:
     stable sort keeps exactly degenerate levels in block order.
 
     Blocks of one size are held as one (g, b, b) stack per term, so an
-    eigenvalue-only solve takes one ``eigvalsh`` call per block size;
-    ``h0[k]`` and ``h_b[k]`` are views of block k in its stack. The solver
-    keeps no state between calls: every call solves every field it is given.
+    eigenvalue-only solve takes one ``eigvalsh`` call per block size and
+    kernel step; ``h0[k]`` and ``h_b[k]`` are views of block k in its stack.
+    The solver keeps no state between calls: every call solves every field
+    it is given.
     """
 
     def __init__(self, spec, d_zfs: float):
         terms = hamiltonian_terms(spec)
-        h_const, h_d, h_b = terms
-        h0 = h_const + d_zfs * h_d
         self.rows = terms.blocks
+        self.dim = terms[0].shape[0]
+        self._stacks = []  # (members, H_const, H_d, H_b stacks) of each block size
+        for size in dict.fromkeys(len(r) for r in self.rows):
+            members = [k for k, r in enumerate(self.rows) if len(r) == size]
+            if size == self.dim:  # one block, the whole space: views, not copies, of the terms
+                stacks = (h[None] for h in terms)
+            else:
+                idx = np.array([self.rows[k] for k in members])
+                stacks = (h[idx[:, :, None], idx[:, None, :]] for h in terms)
+            self._stacks.append((members, *stacks))
+        self.v0, self.d_pre, self.d_post = probe_projector_vector(spec)
+        self._set_zfs(d_zfs)
+
+    def _set_zfs(self, d_zfs: float) -> None:
+        """H0 = H_const + D * H_d on the gathered stacks, which is elementwise
+        the sum formed on the whole matrices before gathering."""
         self.h0 = [None] * len(self.rows)
         self.h_b = [None] * len(self.rows)
         self.groups = []  # (H0 stack, H_b stack) of each block size
-        for size in dict.fromkeys(len(r) for r in self.rows):
-            members = [k for k, r in enumerate(self.rows) if len(r) == size]
-            idx = np.array([self.rows[k] for k in members])
-            ix = (idx[:, :, None], idx[:, None, :])
-            group = (h0[ix], h_b[ix])
-            self.groups.append(group)
+        for members, h_const, h_d, h_b in self._stacks:
+            h0 = h_const + d_zfs * h_d
+            self.groups.append((h0, h_b))
             for j, k in enumerate(members):
-                self.h0[k], self.h_b[k] = group[0][j], group[1][j]
-        self.v0, self.d_pre, self.d_post = probe_projector_vector(spec)
-        self.dim = h0.shape[0]
+                self.h0[k], self.h_b[k] = h0[j], h_b[j]
+
+    def at(self, d_zfs: float) -> "_Solver":
+        """The same system's solver at ZFS ``d_zfs``: it shares the gathered
+        term stacks and the probe vector, and forms only its own H0."""
+        other = copy.copy(self)
+        other._set_zfs(d_zfs)
+        return other
 
     def batch(self, fields: np.ndarray):
         """Ascending eigenvalues (n, d) and their probe projections (n, d).
 
-        The grid is cut into ``_split_count`` contiguous slices: the calling
-        thread solves the first and one short-lived helper thread each of the
-        others, every slice writing straight into its own rows of the result.
-        LAPACK releases the GIL, and every field is solved alone, so the
-        result does not depend on the split.
+        The grid is cut into ``_split_count`` slices (``_in_slices``), every
+        slice writing straight into its own rows of the result.
         """
         n = len(fields)
         vals = np.empty((n, self.dim))
         projs = np.empty((n, self.dim))
         workers = _split_count(n, self.dim, max(len(r) for r in self.rows))
-        budget = _STACK_ENTRIES // workers
-        first, *rest = (slice(n * w // workers, n * (w + 1) // workers) for w in range(workers))
-        # The pool starts a thread only per submitted slice: none when serial.
-        with ThreadPoolExecutor(workers) as pool:
-            helpers = [pool.submit(self._fill, fields[sl], vals[sl], projs[sl], budget) for sl in rest]
-            self._fill(fields[first], vals[first], projs[first], budget)
-            for helper in helpers:
-                helper.result()
+        _in_slices(self._fill, fields, (vals, projs), workers)
         order = np.argsort(vals, axis=1, kind="stable")
         return np.take_along_axis(vals, order, axis=1), np.take_along_axis(projs, order, axis=1)
 
@@ -283,14 +312,42 @@ class _Solver:
             col += b
 
     def eigvals(self, fields: np.ndarray) -> np.ndarray:
-        """Ascending eigenvalues at every field, shape (n, d), from one
-        ``eigvalsh`` call per block size."""
-        vals = []
-        for h0, hb in self.groups:
-            hams = fields[:, None, None, None] * hb
-            hams += h0  # in place: no second (n, g, b, b) temporary
-            vals.append(np.linalg.eigvalsh(hams).reshape(len(fields), -1))
-        return np.sort(np.concatenate(vals, axis=1), axis=1)
+        """Ascending eigenvalues at every field, shape (n, d).
+
+        Each block size's stack goes to ``eigvalsh`` in steps
+        (``_fill_eigvals``). The fields are split across ``_split_count``
+        slices (``_in_slices``) only when their stacks exceed one slice's share
+        of ``_STACK_ENTRIES``: a smaller call loses more to the helper thread
+        than it gains (at nv-2p1, 21 fields took 2.6 ms serial and 3.3 ms
+        split, 64 fields 7.8 ms serial and 4.6 ms split).
+        """
+        n = len(fields)
+        vals = np.empty((n, self.dim))
+        workers = _split_count(n, *max((h0.shape for h0, _ in self.groups), key=math.prod))
+        if n * sum(h0.size for h0, _ in self.groups) <= _STACK_ENTRIES // workers:
+            workers = 1  # one worker's share holds the whole call
+        _in_slices(self._fill_eigvals, fields, (vals,), workers)
+        vals.sort(axis=1)
+        return vals
+
+    def _fill_eigvals(self, fields: np.ndarray, vals: np.ndarray, budget: int) -> None:
+        """Group-ordered eigenvalues of ``fields`` into the (n, d) view
+        ``vals``: each block size's (g, b, b) stack in steps of at most
+        ``budget`` fields x g x b x b entries, or of one field, reusing one
+        buffer per block size."""
+        n = len(fields)
+        col = 0
+        for h0, h_b in self.groups:
+            step = max(1, min(n, budget // h0.size))
+            hams = np.empty((step, *h0.shape), np.result_type(h0, h_b))
+            cols = slice(col, col + h0.shape[0] * h0.shape[1])
+            for start in range(0, n, step):
+                m = min(step, n - start)
+                np.multiply(fields[start : start + m, None, None, None], h_b, out=hams[:m])
+                hams[:m] += h0
+                vals[start : start + m, cols] = np.linalg.eigvalsh(hams[:m]).reshape(m, -1)
+            del hams
+            col = cols.stop
 
 
 def sweep(
@@ -340,14 +397,12 @@ class CandidateEvent:
 def _exchange(projs: np.ndarray, gaps: np.ndarray, pair: int, k: int) -> float:
     """p exchange of the pair across grid index k, window widened until the
     gap has reopened (or a hard cap), so broad avoided crossings register."""
-    n = projs.shape[0]
-    g0 = gaps[k, pair]
-    w = 2
-    w_cap = max(5, n // 40)
-    while w < w_cap:
-        lo, hi = max(k - w, 0), min(k + w, n - 1)
-        if gaps[lo, pair] > max(3.0 * g0, g0 + 1.0) and gaps[hi, pair] > max(3.0 * g0, g0 + 1.0):
-            break
+    g = gaps[:, pair]
+    n = len(g)
+    g0 = float(g[k])
+    reopened = max(3.0 * g0, g0 + 1.0)
+    w, w_cap = 2, max(5, n // 40)
+    while w < w_cap and not (g[k - w if k > w else 0] > reopened and g[k + w if k + w < n else n - 1] > reopened):
         w += 1
     lo, hi = max(k - w, 0), min(k + w, n - 1)
     return max(
@@ -408,32 +463,6 @@ def detect_events(sr: SweepResult, config: SweepConfig | None = None) -> list[Ca
     return sorted(candidates.values(), key=lambda e: (e.b_lo, e.pair))
 
 
-def _polish(gap, sample: np.ndarray, k: int) -> tuple[float, float]:
-    """Field and value of the minimum of ``gap(b)`` between the neighbours of
-    sample[k], by bounded Brent to the refinement resolution."""
-    res = minimize_scalar(
-        gap,
-        bounds=(sample[max(k - 1, 0)], sample[min(k + 1, len(sample) - 1)]),
-        method="bounded",
-        options={"xatol": _FIELD_RESOLUTION},
-    )
-    return float(res.x), float(res.fun)
-
-
-def _spectra(solver: _Solver, sample: np.ndarray):
-    """Levels (n, d) at ``sample`` from one call, and ``gap(b, pair)``, which
-    solves any other field once and keeps its spectrum while ``gap`` lives."""
-    levels = solver.eigvals(sample)
-    table = dict(zip(sample.tolist(), levels))
-
-    def gap(b: float, pair: int) -> float:
-        if b not in table:
-            table[b] = solver.eigvals(np.array([b]))[0]
-        return float(table[b][pair + 1] - table[b][pair])
-
-    return levels, gap
-
-
 def _line(cand: CandidateEvent, field: float, min_gap: float, config: SweepConfig) -> CrossingEvent:
     """The candidate's line at ``field``: true if its gap is below ``gap_true``."""
     return CrossingEvent(
@@ -445,26 +474,144 @@ def _line(cand: CandidateEvent, field: float, min_gap: float, config: SweepConfi
     )
 
 
-def _refine_bracket(solver: _Solver, cands: list[CandidateEvent], config: SweepConfig) -> list[CrossingEvent]:
-    """Bracketed gap minimization of the candidates of one (b_lo, b_hi), in
-    order; classify true vs avoided.
+# The constants of scipy.optimize's ``_minimize_scalar_bounded``.
+_SQRT_EPS = math.sqrt(2.2e-16)
+_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
 
-    The spectrum at a field does not depend on the level pair, so each field
-    is solved once for all the bracket's pairs, through one ``_spectra``
-    table that lives as long as this call. A non-unimodal bracket (several
-    local minima of one pair's gap) is split and every minimum is reported.
+
+def _brent(a: float, b: float):
+    """Bounded Brent minimisation over [a, b] to ``_FIELD_RESOLUTION``, as a
+    generator: it yields each field to evaluate, is sent the function's value
+    there, and returns (x, f(x)) of its minimum.
+
+    A port of scipy's ``minimize_scalar(method="bounded")`` at
+    ``xatol=_FIELD_RESOLUTION`` and its default ``maxiter``, with every float
+    operation kept, so the fields asked for and the result are bit-identical
+    to scipy's.
     """
-    sample = np.linspace(cands[0].b_lo, cands[0].b_hi, 17)
-    levels, gap = _spectra(solver, sample)
-    events = []
-    for cand in cands:
-        g = levels[:, cand.pair + 1] - levels[:, cand.pair]
-        interior = np.where((g[1:-1] <= g[:-2]) & (g[1:-1] <= g[2:]))[0] + 1
-        if len(interior) == 0:
-            interior = [int(np.argmin(g))]
-        for k in interior:
-            events.append(_line(cand, *_polish(lambda b: gap(b, cand.pair), sample, k), config))
-    return events
+    fulc = a + _GOLDEN * (b - a)
+    nfc, xf = fulc, fulc
+    rat = e = 0.0
+    x = xf
+    fx = yield x
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = _SQRT_EPS * abs(xf) + _FIELD_RESOLUTION / 3.0
+    tol2 = 2.0 * tol1
+    while abs(xf - xm) > (tol2 - 0.5 * (b - a)):
+        golden = True
+        if abs(e) > tol1:  # try a parabolic step
+            golden = False
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = rat
+            if abs(p) < abs(0.5 * q * r) and p > q * (a - xf) and p < q * (b - xf):
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if (x - a) < tol2 or (b - x) < tol2:
+                    rat = tol1 * (-1.0 if xm - xf < 0.0 else 1.0)
+            else:
+                golden = True
+        if golden:
+            e = (a - xf) if xf >= xm else (b - xf)
+            rat = _GOLDEN * e
+        x = xf + (-1.0 if rat < 0.0 else 1.0) * max(abs(rat), tol1)
+        fu = yield x
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if (fu <= fnfc) or (nfc == xf):
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif (fu <= ffulc) or (fulc == xf) or (fulc == nfc):
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * abs(xf) + _FIELD_RESOLUTION / 3.0
+        tol2 = 2.0 * tol1
+        if num >= 500:  # scipy's default maxiter
+            break
+    return xf, fx
+
+
+def _gap_minima(solver: _Solver, searches: list, pick) -> list:
+    """Refined gap minima of level pairs, every minimisation of a call in
+    lock-step.
+
+    ``searches`` holds (sample, pairs): ascending fields and the level pairs
+    to minimise over them. ``pick(g)`` gives the indices k of a pair's gap
+    sample ``g`` whose neighbours bracket a minimum; each bracket is refined
+    by one ``_brent`` run. Round 0 solves every sample with one
+    ``solver.eigvals`` call. Each later round takes the next field of every
+    live run, solves the distinct fields with one call, and sends each run
+    the gap of its own pair. Only those gaps are kept, never the spectra.
+
+    Returns, for each search and each of its pairs, the (field, gap) of every
+    picked minimum in pick order.
+    """
+    if not searches:
+        return []
+
+    def solve(fields: np.ndarray):
+        """Levels at the distinct ``fields`` from one call, and each field's
+        row among them."""
+        distinct, row = np.unique(fields, return_inverse=True)
+        return solver.eigvals(distinct), row
+
+    levels, row = solve(np.concatenate([sample for sample, _ in searches]))
+    results, live = [], []
+    start = 0
+    for sample, pairs in searches:
+        rows = levels[row[start : start + len(sample)]]
+        start += len(sample)
+        results.append([])
+        for pair in pairs:
+            ks = pick(rows[:, pair + 1] - rows[:, pair])
+            found = [None] * len(ks)
+            results[-1].append(found)
+            for i, k in enumerate(ks):
+                run = _brent(float(sample[max(k - 1, 0)]), float(sample[min(k + 1, len(sample) - 1)]))
+                live.append((run, pair, found, i, next(run)))
+    while live:
+        levels, row = solve(np.array([b for *_, b in live]))
+        asking = []
+        for (run, pair, found, i, _), at in zip(live, levels[row]):
+            try:
+                asking.append((run, pair, found, i, run.send(float(at[pair + 1] - at[pair]))))
+            except StopIteration as done:
+                found[i] = done.value
+        live = asking
+    return results
+
+
+def _local_minima(g: np.ndarray) -> list:
+    """Interior local minima of a gap sample, or its argmin if it has none:
+    a non-unimodal bracket is split and every minimum is reported."""
+    interior = np.where((g[1:-1] <= g[:-2]) & (g[1:-1] <= g[2:]))[0] + 1
+    return interior.tolist() if len(interior) else [int(np.argmin(g))]
+
+
+def _inner_argmin(g: np.ndarray) -> list:
+    """The argmin of a gap sample, or nothing when it sits at an edge."""
+    k = int(np.argmin(g))
+    return [] if k in (0, len(g) - 1) else [k]
 
 
 def cluster_features(events: list[CrossingEvent], cluster_radius: float) -> list[CrossingFeature]:
@@ -502,13 +649,18 @@ def find_features(
     model = model or ThermalZfsModel()
     sr = sweep(spec, b_min, b_max, n_points, temperature, model)
     candidates = detect_events(sr, config)
-    refined = []
     if refine:
-        solver = _Solver(spec, sr.d_zfs)
         # Candidates come sorted by (b_lo, pair), so those sharing a bracket
-        # are adjacent and refine together.
-        for _, group in itertools.groupby(candidates, key=lambda c: (c.b_lo, c.b_hi)):
-            refined.extend(_refine_bracket(solver, list(group), config))
+        # are adjacent and share its 17-point sample.
+        groups = [list(g) for _, g in itertools.groupby(candidates, key=lambda c: (c.b_lo, c.b_hi))]
+        searches = [(np.linspace(g[0].b_lo, g[0].b_hi, 17), [c.pair for c in g]) for g in groups]
+        minima = _gap_minima(_Solver(spec, sr.d_zfs), searches, _local_minima)
+        refined = [
+            _line(cand, x, gap, config)
+            for group, found in zip(groups, minima)
+            for cand, pair_minima in zip(group, found)
+            for x, gap in pair_minima
+        ]
     else:
         gaps = sr.gaps()
         refined = [
@@ -534,17 +686,14 @@ class TemperatureShift:
     lost: list = field(default_factory=list)  # temperatures where tracking failed
 
 
-def _track_center(spec, d_zfs: float, pair: int, seed: float) -> float | None:
+def _track_center(solver: _Solver, d_zfs: float, pair: int, seed: float) -> float | None:
     """The pair's gap minimum within _TRACK_WINDOW of seed at ZFS d_zfs, or
-    None when it ran off the window (feature lost)."""
-    solver = _Solver(spec, d_zfs)
+    None when it ran off the window (feature lost). ``solver`` is the
+    system's solver at any D; only its H0 is formed again."""
     coarse = np.linspace(seed - _TRACK_WINDOW, seed + _TRACK_WINDOW, 21)
     coarse = coarse[coarse > 0]
-    levels, gap = _spectra(solver, coarse)
-    k = int(np.argmin(levels[:, pair + 1] - levels[:, pair]))
-    if k in (0, len(coarse) - 1):
-        return None
-    return _polish(lambda b: gap(b, pair), coarse, k)[0]
+    [[found]] = _gap_minima(solver.at(d_zfs), [(coarse, [pair])], _inner_argmin)
+    return found[0][0] if found else None
 
 
 def temperature_shift(
@@ -564,9 +713,10 @@ def temperature_shift(
     model = model or ThermalZfsModel()
     line = feature.central_line
     pair = line.levels[0]
+    solver = _Solver(spec, model.zfs_at(T_REF))
 
     def center_at(t: float, seed: float) -> float | None:
-        return _track_center(spec, model.zfs_at(t), pair, seed)
+        return _track_center(solver, model.zfs_at(t), pair, seed)
 
     ref_center = center_at(T_REF, line.field)
     if ref_center is None:

@@ -1,9 +1,10 @@
 """Invariant blocks: the partition of H(B, D) and block-by-block solves
 against dense ``np.linalg.eigh`` of the full matrix, the kernel-call budget
-of ``_Solver.batch`` and its split of the field grid across threads, the
-dtype of the cached terms, the grouped eigenvalue solves, and the per-bracket
-spectra of refinement."""
+of ``_Solver.batch`` and ``_Solver.eigvals`` and their split of the fields
+across threads, the dtype of the cached terms, the grouped eigenvalue solves,
+and the lock-step rounds of refinement."""
 
+import itertools
 import os
 import sys
 import threading
@@ -13,12 +14,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import minimize_scalar
 
 import spin_atlas.sweep as sweep_mod
 from spin_atlas.catalog import get_system, list_systems
 from spin_atlas.hamiltonian import HamiltonianTerms, hamiltonian_terms
 from spin_atlas.kernels import batched_eigh_project
-from spin_atlas.sweep import _Solver, detect_events, find_features, sweep
+from spin_atlas.sweep import SweepConfig, _Solver, detect_events, find_features, sweep
 from spin_atlas.system import Coupling, Hyperfine, InteractionTensor, Site, SpinSystem
 
 from test_hamiltonian import D300, X_PROBE, random_systems
@@ -252,6 +254,57 @@ def test_sweep_kernel_calls_stay_within_budget(sys_id, n_points, monkeypatch):
         assert n * d * b * workers <= sweep_mod._STACK_ENTRIES or n == 1
 
 
+def record_eigvalsh_calls(mp):
+    """Wrap ``np.linalg.eigvalsh``, where ``_Solver.eigvals`` looks it up;
+    each call appends (thread id, stack shape) to the returned list."""
+    calls, eigvalsh = [], np.linalg.eigvalsh
+
+    def recorder(a):
+        calls.append((threading.get_ident(), a.shape))
+        return eigvalsh(a)
+
+    mp.setattr(np.linalg, "eigvalsh", recorder)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "sys_id, n_fields, split",
+    [("nv-2p1", 21, False), ("nv-2p1", 300, True), ("onv-2p1", 40, True), ("nv-3p1", 6, True), ("nv-p1", 3000, True)],
+)
+def test_eigvals_calls_stay_within_budget(sys_id, n_fields, split, monkeypatch):
+    """Every ``eigvalsh`` stack holds at most one worker's share of the
+    budget, or one field. The fields are split across cores only when their
+    stacks exceed one share (at nv-2p1, 21 fields stay on the calling
+    thread), and the split changes no bit."""
+    spec = get_system(sys_id).system
+    solver = _Solver(spec, D300)
+    fields = np.linspace(0.5, 1100.0, n_fields)
+    set_blas(monkeypatch, threads=2)
+    ref = solver.eigvals(fields)
+    set_blas(monkeypatch, threads=1, cores=4)
+    calls = record_eigvalsh_calls(monkeypatch)
+    vals = solver.eigvals(fields)
+    largest = max((h0.shape for h0, _ in solver.groups), key=np.prod)
+    workers = sweep_mod._split_count(n_fields, *largest) if split else 1
+    threads = {ident for ident, _ in calls}
+    assert (len(threads) > 1) == split and len(threads) <= workers <= 4
+    assert threading.get_ident() in threads
+    for _, (m, g, b, _) in calls:
+        assert m * g * b * b * workers <= sweep_mod._STACK_ENTRIES or m == 1
+    assert sum(m for _, (m, *_) in calls) == n_fields * len(solver.groups)
+    assert np.array_equal(vals, ref)
+
+
+def test_sweep_prescan_solves_one_648_state_matrix_per_call(monkeypatch):
+    """One onv-3p1 matrix alone is over the budget, so the positivity
+    pre-scan at the range's two ends takes two single-matrix calls."""
+    set_blas(monkeypatch, threads=1, cores=4)
+    calls = record_eigvalsh_calls(monkeypatch)
+    sweep(get_system("onv-3p1").system, 500.0, 508.0, 2)
+    assert [shape for _, shape in calls] == [(1, 1, 648, 648)] * 2
+    assert {ident for ident, _ in calls} == {threading.get_ident()}
+
+
 @st.composite
 def split_specs(draw):
     choice = draw(st.sampled_from(["nv-2p1", "nv-onv-p1", "complex"]))
@@ -378,38 +431,109 @@ def test_grouped_eigvals_are_bit_identical(data):
         assert np.array_equal(solver.eigvals(np.array(fields)), per_block_eigvals(spec, D300, fields))
 
 
-def test_refinement_solves_each_field_once_per_bracket(monkeypatch):
-    """Candidates sharing a bracket share its solves, every field solved lies
-    inside the bracket, and no bracket reuses spectra solved for another."""
-    spec = get_system("nv-2p1").system
-    runs = []  # one per bracket: {"args", "events", "solved", "open"}
-    refine_bracket, eigvals = sweep_mod._refine_bracket, _Solver.eigvals
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_solver_at_another_zfs_is_bit_identical(data):
+    """A solver moved to another D forms H0 on the gathered stacks; its
+    spectra and projections equal those of a solver built at that D."""
+    spec = data.draw(solver_specs())
+    d_zfs = data.draw(st.floats(min_value=2800.0, max_value=2900.0))
+    fields = np.array(data.draw(field_lists()))
+    moved, built = _Solver(spec, D300).at(d_zfs), _Solver(spec, d_zfs)
+    assert np.array_equal(moved.eigvals(fields), built.eigvals(fields))
+    for got, want in zip(moved.batch(fields), built.batch(fields)):
+        assert np.array_equal(got, want)
 
-    def bracket_recorder(solver, cands, config):
-        assert len({(c.b_lo, c.b_hi) for c in cands}) == 1
-        run = {"args": (solver, cands, config), "solved": [], "open": True}
-        runs.append(run)
-        run["events"] = refine_bracket(solver, cands, config)
-        run["open"] = False
-        return run["events"]
+
+# A P1 electron with a 13C, and a probe NV tilted out of the xz plane: the
+# probe's v0 and H are complex.
+TILTED_AXIS = tuple(float(x) for x in (np.sin(0.3) * np.cos(0.5), np.sin(0.3) * np.sin(0.5), np.cos(0.3)))
+COMPLEX_PROBE = SpinSystem(
+    sites=[
+        Site(kind="p1_electron"),
+        Site(kind="nv_electron", axis=TILTED_AXIS),
+        Site(kind="c13", hyperfine=Hyperfine(InteractionTensor.axial(30.0, 60.0), 0)),
+    ],
+    probe_site=1,
+)
+
+
+def refine_per_bracket(solver, candidates, config):
+    """The refinement oracle: each bracket of candidates on its own, its
+    17-point sample from one ``eigvals`` call, and every interior gap minimum
+    of each pair (the argmin if there is none) polished by scipy's bounded
+    Brent on single-field solves."""
+    events = []
+    for _, group in itertools.groupby(candidates, key=lambda c: (c.b_lo, c.b_hi)):
+        cands = list(group)
+        sample = np.linspace(cands[0].b_lo, cands[0].b_hi, 17)
+        levels = solver.eigvals(sample)
+        for cand in cands:
+            pair = cand.pair
+            g = levels[:, pair + 1] - levels[:, pair]
+            interior = np.where((g[1:-1] <= g[:-2]) & (g[1:-1] <= g[2:]))[0] + 1
+            for k in interior if len(interior) else [int(np.argmin(g))]:
+                res = minimize_scalar(
+                    lambda b: float(np.diff(solver.eigvals(np.array([b]))[0, pair : pair + 2])[0]),
+                    bounds=(sample[max(k - 1, 0)], sample[min(k + 1, 16)]),
+                    method="bounded",
+                    options={"xatol": sweep_mod._FIELD_RESOLUTION},
+                )
+                events.append(sweep_mod._line(cand, float(res.x), float(res.fun), config))
+    return events
+
+
+@pytest.mark.parametrize(
+    "spec, b_min, b_max",
+    [(get_system("nv-2p1").system, 300.0, 400.0), (COMPLEX_PROBE, 530.0, 570.0)],
+    ids=["nv-2p1", "complex-probe"],
+)
+def test_refinement_solves_each_field_once_per_round(spec, b_min, b_max, monkeypatch):
+    """All candidates refine in lock-step: one ``eigvals`` call for every
+    bracket's sample, then one per Brent round. Each solved field lies inside
+    some candidate's bracket, no call solves a field twice, and the lines
+    equal those of refining bracket by bracket with scipy, bit for bit."""
+    config = SweepConfig()
+    sr = sweep(spec, b_min, b_max, 256)
+    candidates = detect_events(sr, config)
+    assert np.iscomplexobj(_Solver(spec, sr.d_zfs).h0[0]) == (spec is COMPLEX_PROBE)
+    oracle = refine_per_bracket(_Solver(spec, sr.d_zfs), candidates, config)
+    solved, lines, evaluations = [], [], []
+    eigvals, line, brent = _Solver.eigvals, sweep_mod._line, sweep_mod._brent
 
     def eigvals_recorder(self, fields):
-        if runs and runs[-1]["open"]:
-            cands = runs[-1]["args"][1]
-            assert cands[0].b_lo <= fields.min() and fields.max() <= cands[0].b_hi
-            runs[-1]["solved"].extend(fields.tolist())
+        solved.append(fields.tolist())
         return eigvals(self, fields)
 
-    monkeypatch.setattr(sweep_mod, "_refine_bracket", bracket_recorder)
+    def line_recorder(*args):
+        lines.append(line(*args))
+        return lines[-1]
+
+    def brent_recorder(a, b):
+        run, n, value = brent(a, b), len(evaluations), None
+        evaluations.append(0)
+        while True:
+            try:
+                x = run.send(value)
+            except StopIteration as done:
+                return done.value
+            evaluations[n] += 1
+            value = yield x
+
     monkeypatch.setattr(_Solver, "eigvals", eigvals_recorder)
-    find_features(spec, 300.0, 400.0, 256)
-    candidates = detect_events(sweep(spec, 300.0, 400.0, 256))
-    assert len(runs) < len(candidates)  # some brackets hold several pairs
-    assert sum(len(run["solved"]) for run in runs) > 17 * len(runs)  # Brent solved too
-    for run in runs:
-        assert len(run["solved"]) == len(set(run["solved"]))
-    # Refined again, the bracket with the most pairs solves every field again.
-    first = max(runs, key=lambda run: len(run["args"][1]))
-    assert len(first["args"][1]) > 1
-    assert bracket_recorder(*first["args"]) == first["events"]
-    assert runs[-1]["solved"] == first["solved"]
+    monkeypatch.setattr(sweep_mod, "_line", line_recorder)
+    monkeypatch.setattr(sweep_mod, "_brent", brent_recorder)
+    find_features(spec, b_min, b_max, 256, config=config)
+    assert solved[0] == [b_min, b_max]  # the sweep's positivity pre-scan
+    rounds = solved[1:]
+    assert len({(c.b_lo, c.b_hi) for c in candidates}) < len(candidates)  # shared brackets
+    assert len(evaluations) >= len(candidates) and max(evaluations) > 1
+    assert len(rounds) == 1 + max(evaluations)
+    assert max(len(r) for r in rounds[1:]) > 1  # Brent runs of several brackets together
+    for fields in rounds:
+        assert len(fields) == len(set(fields))
+        for b in fields:
+            assert any(c.b_lo <= b <= c.b_hi for c in candidates)
+    assert lines == oracle
+
+

@@ -1,13 +1,16 @@
 """Field sweeps, crossing detection/classification, and temperature tracking."""
 
+import functools
 import inspect
 import io
+import math
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import minimize_scalar
 
 import spin_atlas.sweep as sweep_mod
 from spin_atlas import constants as c
@@ -168,13 +171,15 @@ def test_isolated_nv_shift_matches_zfs_closed_form(nv):
 
 def _stub_tracking(monkeypatch, lost_at=None):
     """Replace the gap tracker by one that records (T, seed) and returns the
-    center 1000 + T, or None at ``lost_at``. The model's D is T itself."""
+    center 1000 + T, or None at ``lost_at``. The model's D is T itself, and
+    the solver the tracker is handed is a stand-in."""
     calls = []
 
-    def track(spec, d_zfs, pair, seed):
+    def track(solver, d_zfs, pair, seed):
         calls.append((d_zfs, seed))
         return None if d_zfs == lost_at else 1000.0 + d_zfs
 
+    monkeypatch.setattr(sweep_mod, "_Solver", lambda spec, d_zfs: None)
     monkeypatch.setattr(sweep_mod, "_track_center", track)
     line = CrossingEvent(field=500.0, levels=(0, 1), min_gap=0.0, kind="true", projection_jump=1.0)
     feature = CrossingFeature(lines=(line,))
@@ -212,6 +217,101 @@ def test_continuation_without_reference_in_grid(monkeypatch):
     ])
     assert shift.temperatures == [200.0, 250.0, 250.0, 350.0, 400.0]
     assert not shift.lost
+
+
+def test_tracking_builds_the_block_stacks_once(nv, monkeypatch):
+    """Every temperature of a walk reuses one solver's gathered stacks, and
+    forms only its own H0 on them."""
+    feature = find_features(nv, 1000.0, 1050.0, 256)[0]
+    inits = []
+
+    class CountingSolver(_Solver):
+        def __init__(self, *args):
+            inits.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(sweep_mod, "_Solver", CountingSolver)
+    shift = temperature_shift(nv, feature, [100.0, 200.0, 300.0])
+    assert len(inits) == 1 and len(shift.temperatures) == 3
+
+
+def reference_exchange(projs, gaps, pair, k):
+    """``_exchange`` as a plain loop that widens the window one step at a
+    time, re-forming the threshold at each step."""
+    n = projs.shape[0]
+    g0 = gaps[k, pair]
+    w = 2
+    w_cap = max(5, n // 40)
+    while w < w_cap:
+        lo, hi = max(k - w, 0), min(k + w, n - 1)
+        if gaps[lo, pair] > max(3.0 * g0, g0 + 1.0) and gaps[hi, pair] > max(3.0 * g0, g0 + 1.0):
+            break
+        w += 1
+    lo, hi = max(k - w, 0), min(k + w, n - 1)
+    return max(abs(projs[hi, pair] - projs[lo, pair]), abs(projs[hi, pair + 1] - projs[lo, pair + 1]))
+
+
+@pytest.mark.parametrize("sys_id, n_points", [("nv-2p1", 1024), ("nv-p1", 300)])
+def test_exchange_matches_reference_loop(sys_id, n_points, monkeypatch):
+    """The window search gives the reference loop's value at every grid index
+    of every pair, edges included, so the candidates do not change."""
+    sr = sweep(get_system(sys_id).system, 0.5, 1100.0, n_points)
+    gaps, projs = sr.gaps(), sr.projections
+    for pair in range(0, gaps.shape[1], max(1, gaps.shape[1] // 12)):
+        for k in range(n_points):
+            assert sweep_mod._exchange(projs, gaps, pair, k) == reference_exchange(projs, gaps, pair, k)
+    candidates = detect_events(sr)
+    monkeypatch.setattr(sweep_mod, "_exchange", reference_exchange)
+    assert detect_events(sr) == candidates
+
+
+def run_brent(f, a, b):
+    """Drive ``_brent`` on ``f`` over [a, b]: (x, f(x)) and every field asked for."""
+    run = sweep_mod._brent(a, b)
+    asked = [next(run)]
+    while True:
+        try:
+            asked.append(run.send(f(asked[-1])))
+        except StopIteration as done:
+            return done.value, asked
+
+
+BRENT_FUNCTIONS = {
+    # Smooth, with the minimum inside, outside or at either end of the bracket.
+    "parabola": lambda x, p, q: p * (x - q) ** 2 + 0.1,
+    # Several local minima in one bracket.
+    "wave": lambda x, p, q: math.sin(p * x) + 0.01 * q * x,
+    # Kinks and jumps: the lower of two Vs, plus a step.
+    "piecewise": lambda x, p, q: min(abs(x - q), 2.0 * abs(x - q - p) + 0.05) + (0.3 if x > q + 0.5 * p else 0.0),
+    # A flat gap, exact and at roundoff level: the result rests on ties.
+    "constant": lambda x, p, q: 0.0,
+    "roundoff": lambda x, p, q: 6.8e-10 + 1e-16 * math.sin(1e7 * x),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    kind=st.sampled_from(sorted(BRENT_FUNCTIONS)),
+    a=st.floats(min_value=0.0, max_value=1100.0),
+    width=st.one_of(st.floats(min_value=0.0, max_value=0.01), st.floats(min_value=0.01, max_value=200.0)),
+    p=st.floats(min_value=0.01, max_value=50.0),
+    q=st.floats(min_value=-0.5, max_value=1.5),
+)
+def test_brent_matches_scipy_bounded(kind, a, width, p, q):
+    """The ported bounded Brent asks for scipy's fields, in scipy's order,
+    and returns scipy's x and f(x), bit for bit."""
+    b = a + width
+    f = functools.partial(BRENT_FUNCTIONS[kind], p=p, q=a + q * width)
+    asked = []
+
+    def recorded(x):
+        asked.append(float(x))
+        return f(x)
+
+    res = minimize_scalar(recorded, bounds=(a, b), method="bounded", options={"xatol": sweep_mod._FIELD_RESOLUTION})
+    (x, fun), fields = run_brent(f, a, b)
+    assert fields == asked and res.nfev == len(fields)
+    assert (x, fun) == (float(res.x), float(res.fun))
 
 
 def test_sweep_rejects_bad_grid(nv):
