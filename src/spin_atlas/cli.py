@@ -259,7 +259,6 @@ def _cmd_tshift(args: argparse.Namespace) -> int:
         raise DomainError(f"--feature must be a field within 0-{_DEFAULTS['bmax']:g} G, got {target}")
     cfg = _load_config(args.config)
     entry, system = _entry_and_system(args)
-    points = _points(entry, args, cfg)
     sweep_cfg = _detection_config(entry, args, cfg)
     tmin = _resolve_float("tmin", args, cfg)
     tmax = _resolve_float("tmax", args, cfg)
@@ -288,7 +287,9 @@ def _cmd_tshift(args: argparse.Namespace) -> int:
     window = 25.0
     bmin = max(0.0, target - window)
     bmax = min(_DEFAULTS["bmax"], target + window)
-    feats = find_features(system, bmin, bmax, max(points // 4, 512),
+    # The locate grid follows the system's sweep grid, not a --points.
+    sweep_points = _DEFAULTS["points"] if entry is None else entry.sweep_points
+    feats = find_features(system, bmin, bmax, max(sweep_points // 4, 512),
                           temperature=T_REF, model=model, config=sweep_cfg)
     if not feats:
         raise DomainError(f"no feature found within {window} G of {target} G")
@@ -329,15 +330,15 @@ def _cmd_fit_trace(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def _add_system_args(p: argparse.ArgumentParser) -> None:
-    """--system/--spec, --points and --config: what every solving command takes."""
+    """--system/--spec and --config: what every solving command takes."""
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--system", help="catalog system id")
     group.add_argument("--spec", help="path to a JSON spin-system spec file")
-    p.add_argument("--points", type=int, help="grid points")
     p.add_argument("--config", help="JSON config file overriding defaults")
 
 
 def _add_range_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--points", type=int, help="grid points")
     p.add_argument("--bmin", type=float, help="scan start, gauss")
     p.add_argument("--bmax", type=float, help="scan end, gauss")
     p.add_argument("--temp", type=float, help="temperature, kelvin")

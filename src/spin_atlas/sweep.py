@@ -45,9 +45,10 @@ __all__ = [
     "T_REF",
 ]
 
-# Bound on fields x d x block size per kernel step (~4 MB complex): a step's
-# eigenvectors and the probe rows gathered from them each hold at most that
-# many entries. At d = 648 this is one matrix per call.
+# Bound on the entries of one kernel step (~4 MB complex). A vector step
+# holds fields x d x block size: its eigenvectors and the probe rows gathered
+# from them each fit in that. An eigenvalue-only step holds its fields' whole
+# (g, b, b) stack of one block size. At d = 648 a step is one matrix.
 _STACK_ENTRIES = 1 << 18
 
 _EXCHANGE_THRESHOLD = 0.25  # windowed p exchange for gap-minimum relevance
@@ -77,42 +78,22 @@ def _usable_cores() -> int:
         return os.cpu_count() or 1
 
 
-def _split_count(n: int, *step_shape: int) -> int:
-    """Slices of an n-field solve that run concurrently (``_in_slices``).
+def _split_count(n: int, per_field: int) -> int:
+    """Slices of an n-field solve that run concurrently (``_Solver._solve``).
 
-    ``step_shape`` is the shape of one field's largest kernel step: d x the
-    largest block for ``_Solver.batch``, the (g, b, b) stack of the largest
-    block size for ``_Solver.eigvals``. More than one slice only when BLAS
-    runs one thread, as it reports now: threads of our own on top of a
-    threaded BLAS are slower. Each slice's kernel steps take an equal share
-    of ``_STACK_ENTRIES``, so a slice must fit at least one field's step in
-    its share. Only a 648-state block (onv-3p1), where one matrix is already
-    over the budget, stays serial; nv-3p1 (d = 648, largest block 131)
-    splits its sweep up to three ways.
+    ``per_field`` is what one field adds to the solve's largest kernel step
+    (``_Solver._per_field``). More than one slice only when BLAS runs one
+    thread, as it reports now: threads of our own on top of a threaded BLAS
+    are slower. Each slice's kernel steps take an equal share of
+    ``_STACK_ENTRIES``, so a slice must fit at least one field's step in its
+    share. Only a 648-state block (onv-3p1), where one matrix is already over
+    the budget, stays serial; nv-3p1 (d = 648, largest block 131) splits its
+    sweep up to three ways.
     """
     count = _openblas_thread_count()
     if count is None or count() != 1:
         return 1
-    return max(1, min(_usable_cores(), n, _STACK_ENTRIES // math.prod(step_shape)))
-
-
-def _in_slices(fill, fields: np.ndarray, outs: tuple, workers: int) -> None:
-    """``fill(fields, *outs, budget)`` on ``workers`` contiguous slices of the
-    fields and of the (n, d) arrays ``outs``, each slice with an equal share
-    of ``_STACK_ENTRIES`` as its budget: the calling thread fills the first
-    slice and one short-lived helper thread each of the others. LAPACK
-    releases the GIL, and every field is solved alone, so the result does not
-    depend on the split.
-    """
-    n = len(fields)
-    budget = _STACK_ENTRIES // workers
-    first, *rest = (slice(n * w // workers, n * (w + 1) // workers) for w in range(workers))
-    # The pool starts a thread only per submitted slice: none when serial.
-    with ThreadPoolExecutor(workers) as pool:
-        helpers = [pool.submit(fill, fields[sl], *(out[sl] for out in outs), budget) for sl in rest]
-        fill(fields[first], *(out[first] for out in outs), budget)
-        for helper in helpers:
-            helper.result()
+    return max(1, min(_usable_cores(), n, _STACK_ENTRIES // per_field))
 
 
 @dataclass(frozen=True)
@@ -224,45 +205,39 @@ class CrossingFeature:
 class _Solver:
     """Eigenvalue/projection evaluations for one (spec, D), block by block.
 
-    H(B) = H0 + B * H_b is cut into the invariant blocks of
+    H(B) = H0 + B * H_b is cut into the invariant blocks ``rows`` of
     ``hamiltonian_terms(spec).blocks``. Each block is diagonalized on its
     own and the levels of all blocks are merged into one ascending order; a
     stable sort keeps exactly degenerate levels in block order.
 
-    Blocks of one size are held as one (g, b, b) stack per term, so an
-    eigenvalue-only solve takes one ``eigvalsh`` call per block size and
-    kernel step; ``h0[k]`` and ``h_b[k]`` are views of block k in its stack.
-    The solver keeps no state between calls: every call solves every field
-    it is given.
+    Blocks of one size are held as one (g, b, b) stack per term, with each
+    member's rows and its columns of the block-ordered output. Both solve
+    kinds go through ``_fill`` on these stacks. The solver keeps no state
+    between calls: every call solves every field it is given.
     """
 
     def __init__(self, spec, d_zfs: float):
         terms = hamiltonian_terms(spec)
         self.rows = terms.blocks
         self.dim = terms[0].shape[0]
-        self._stacks = []  # (members, H_const, H_d, H_b stacks) of each block size
-        for size in dict.fromkeys(len(r) for r in self.rows):
+        starts = np.cumsum([0, *map(len, self.rows)])
+        self._stacks = []  # (member rows, their columns, H_const, H_d, H_b stacks) of each block size
+        for size in dict.fromkeys(map(len, self.rows)):
             members = [k for k, r in enumerate(self.rows) if len(r) == size]
+            rows = [self.rows[k] for k in members]
             if size == self.dim:  # one block, the whole space: views, not copies, of the terms
                 stacks = (h[None] for h in terms)
             else:
-                idx = np.array([self.rows[k] for k in members])
+                idx = np.array(rows)
                 stacks = (h[idx[:, :, None], idx[:, None, :]] for h in terms)
-            self._stacks.append((members, *stacks))
+            self._stacks.append((rows, starts[members, None] + np.arange(size), *stacks))
         self.v0, self.d_pre, self.d_post = probe_projector_vector(spec)
         self._set_zfs(d_zfs)
 
     def _set_zfs(self, d_zfs: float) -> None:
         """H0 = H_const + D * H_d on the gathered stacks, which is elementwise
         the sum formed on the whole matrices before gathering."""
-        self.h0 = [None] * len(self.rows)
-        self.h_b = [None] * len(self.rows)
-        self.groups = []  # (H0 stack, H_b stack) of each block size
-        for members, h_const, h_d, h_b in self._stacks:
-            h0 = h_const + d_zfs * h_d
-            self.groups.append((h0, h_b))
-            for j, k in enumerate(members):
-                self.h0[k], self.h_b[k] = h0[j], h_b[j]
+        self.groups = [(rows, cols, h_const + d_zfs * h_d, h_b) for rows, cols, h_const, h_d, h_b in self._stacks]
 
     def at(self, d_zfs: float) -> "_Solver":
         """The same system's solver at ZFS ``d_zfs``: it shares the gathered
@@ -272,82 +247,87 @@ class _Solver:
         return other
 
     def batch(self, fields: np.ndarray):
-        """Ascending eigenvalues (n, d) and their probe projections (n, d).
-
-        The grid is cut into ``_split_count`` slices (``_in_slices``), every
-        slice writing straight into its own rows of the result.
-        """
-        n = len(fields)
-        vals = np.empty((n, self.dim))
-        projs = np.empty((n, self.dim))
-        workers = _split_count(n, self.dim, max(len(r) for r in self.rows))
-        _in_slices(self._fill, fields, (vals, projs), workers)
+        """Ascending eigenvalues (n, d) and their probe projections (n, d)."""
+        vals, projs = self._solve(fields, vectors=True)
         order = np.argsort(vals, axis=1, kind="stable")
         return np.take_along_axis(vals, order, axis=1), np.take_along_axis(projs, order, axis=1)
 
-    def _fill(self, fields: np.ndarray, vals: np.ndarray, projs: np.ndarray, budget: int) -> None:
-        """Block-ordered eigenvalues and projections of ``fields`` into the
-        (n, d) views ``vals`` and ``projs``.
-
-        Each block's field stack goes to the kernel in steps of at most
-        ``budget`` fields x d x block size, or of one field. Every step of a
-        block reuses one stack.
-        """
-        n = len(fields)
-        col = 0
-        for k, rows in enumerate(self.rows):
-            b = len(rows)
-            step = max(1, min(n, budget // (self.dim * b)))
-            hams = np.empty((step, b, b), np.result_type(self.h0[k], self.h_b[k]))
-            cols = slice(col, col + b)
-            for start in range(0, n, step):
-                sl = slice(start, start + step)
-                m = min(step, n - start)
-                np.multiply(fields[sl, None, None], self.h_b[k], out=hams[:m])
-                hams[:m] += self.h0[k]
-                vals[sl, cols], projs[sl, cols] = batched_eigh_project(
-                    hams[:m], self.v0, self.d_pre, self.d_post, rows
-                )
-            del hams  # before the next block allocates its own
-            col += b
-
     def eigvals(self, fields: np.ndarray) -> np.ndarray:
-        """Ascending eigenvalues at every field, shape (n, d).
-
-        Each block size's stack goes to ``eigvalsh`` in steps
-        (``_fill_eigvals``). The fields are split across ``_split_count``
-        slices (``_in_slices``) only when their stacks exceed one slice's share
-        of ``_STACK_ENTRIES``: a smaller call loses more to the helper thread
-        than it gains (at nv-2p1, 21 fields took 2.6 ms serial and 3.3 ms
-        split, 64 fields 7.8 ms serial and 4.6 ms split).
-        """
-        n = len(fields)
-        vals = np.empty((n, self.dim))
-        workers = _split_count(n, *max((h0.shape for h0, _ in self.groups), key=math.prod))
-        if n * sum(h0.size for h0, _ in self.groups) <= _STACK_ENTRIES // workers:
-            workers = 1  # one worker's share holds the whole call
-        _in_slices(self._fill_eigvals, fields, (vals,), workers)
+        """Ascending eigenvalues at every field, shape (n, d)."""
+        vals, _ = self._solve(fields, vectors=False)
         vals.sort(axis=1)
         return vals
 
-    def _fill_eigvals(self, fields: np.ndarray, vals: np.ndarray, budget: int) -> None:
-        """Group-ordered eigenvalues of ``fields`` into the (n, d) view
-        ``vals``: each block size's (g, b, b) stack in steps of at most
-        ``budget`` fields x g x b x b entries, or of one field, reusing one
-        buffer per block size."""
+    def _per_field(self, h0: np.ndarray, vectors: bool) -> int:
+        """Entries one field adds to a kernel step of the (g, b, b) stack
+        ``h0``: d x b for a vector solve, g x b x b for an eigenvalue-only
+        one."""
+        g, b, _ = h0.shape
+        return self.dim * b if vectors else g * b * b
+
+    def _solve(self, fields: np.ndarray, vectors: bool):
+        """Block-ordered eigenvalues (n, d) of ``fields``, and their probe
+        projections (n, d) if ``vectors``, else None.
+
+        The fields are cut into ``_split_count`` contiguous slices, each with
+        an equal share of ``_STACK_ENTRIES`` as its budget: the calling thread
+        fills the first slice and one short-lived helper thread each of the
+        others. LAPACK releases the GIL, and every field is solved alone, so
+        the result does not depend on the split. A call whose steps one
+        worker's share holds whole stays serial: a smaller call loses more to
+        the helper thread than it gains (at nv-2p1, 21 eigenvalue-only fields
+        took 2.6 ms serial and 3.3 ms split, 64 fields 7.8 ms serial and
+        4.6 ms split).
+        """
         n = len(fields)
-        col = 0
-        for h0, h_b in self.groups:
-            step = max(1, min(n, budget // h0.size))
+        vals = np.empty((n, self.dim))
+        projs = np.empty((n, self.dim)) if vectors else None
+        per_field = [self._per_field(h0, vectors) for *_, h0, _ in self.groups]
+        workers = _split_count(n, max(per_field))
+        if n * sum(per_field) <= _STACK_ENTRIES // workers:
+            workers = 1
+        budget = _STACK_ENTRIES // workers
+
+        def fill(sl: slice) -> None:
+            self._fill(fields[sl], vals[sl], None if projs is None else projs[sl], budget)
+
+        first, *rest = (slice(n * w // workers, n * (w + 1) // workers) for w in range(workers))
+        # The pool starts a thread only per submitted slice: none when serial.
+        with ThreadPoolExecutor(workers) as pool:
+            helpers = [pool.submit(fill, sl) for sl in rest]
+            fill(first)
+            for helper in helpers:
+                helper.result()
+        return vals, projs
+
+    def _fill(self, fields: np.ndarray, vals: np.ndarray, projs: np.ndarray | None, budget: int) -> None:
+        """Eigenvalues of ``fields`` into the (n, d) view ``vals``, and their
+        projections into ``projs`` unless it is None, every block in its own
+        columns.
+
+        Each block size's (m, g, b, b) stack of fields is formed in steps of
+        at most ``budget`` entries (``_per_field`` each), or of one field,
+        reusing one buffer per size. An eigenvalue-only step is one
+        ``eigvalsh`` call on the stack; a vector step is one kernel call per
+        member block.
+        """
+        n = len(fields)
+        for rows, cols, h0, h_b in self.groups:
+            step = max(1, min(n, budget // self._per_field(h0, projs is not None)))
             hams = np.empty((step, *h0.shape), np.result_type(h0, h_b))
-            cols = slice(col, col + h0.shape[0] * h0.shape[1])
             for start in range(0, n, step):
+                sl = slice(start, start + step)
                 m = min(step, n - start)
-                np.multiply(fields[start : start + m, None, None, None], h_b, out=hams[:m])
+                np.multiply(fields[sl, None, None, None], h_b, out=hams[:m])
                 hams[:m] += h0
-                vals[start : start + m, cols] = np.linalg.eigvalsh(hams[:m]).reshape(m, -1)
-            del hams
-            col = cols.stop
+                if projs is None:
+                    vals[sl, cols] = np.linalg.eigvalsh(hams[:m])
+                    continue
+                for j, (r, c) in enumerate(zip(rows, cols)):
+                    vals[sl, c], projs[sl, c] = batched_eigh_project(
+                        hams[:m, j], self.v0, self.d_pre, self.d_post, r
+                    )
+            del hams  # before the next size allocates its own
 
 
 def sweep(
@@ -708,7 +688,8 @@ def temperature_shift(
     T_REF from the line's field, at T_REF again if the grid holds it, then in
     two walks outward: the grid temperatures above T_REF upward, those below
     downward, each seeded from the last center its walk tracked. Failed
-    temperatures go to `lost`; repeats are kept.
+    grid temperatures go to `lost`; repeats are kept. A center lost at T_REF
+    or at T_REF +/- 5 K, the points of the slope, raises RuntimeError.
     """
     model = model or ThermalZfsModel()
     line = feature.central_line
@@ -738,14 +719,15 @@ def temperature_shift(
     walk(range(lo - 1, -1, -1), seed)
 
     slope_lo, slope_hi = (center_at(T_REF + dt, ref_center) for dt in (-5.0, 5.0))
-    slope = float("nan") if slope_lo is None or slope_hi is None else (slope_hi - slope_lo) / 10.0
+    if slope_lo is None or slope_hi is None:
+        raise RuntimeError(f"feature near {line.field:.2f} G lost within 5 K of the reference temperature")
 
     kept = [(t, c) for t, c in zip(temps, centers) if c is not None]
     return TemperatureShift(
         temperatures=[t for t, _ in kept],
         centers=[c for _, c in kept],
         delta_b=[c - ref_center for _, c in kept],
-        slope_at_ref=slope,
+        slope_at_ref=(slope_hi - slope_lo) / 10.0,
         lost=[t for t, c in zip(temps, centers) if c is None],
     )
 

@@ -1,9 +1,11 @@
 """Invariant blocks: the partition of H(B, D) and block-by-block solves
-against dense ``np.linalg.eigh`` of the full matrix, the kernel-call budget
-of ``_Solver.batch`` and ``_Solver.eigvals`` and their split of the fields
-across threads, the dtype of the cached terms, the grouped eigenvalue solves,
-and the lock-step rounds of refinement."""
+against dense ``np.linalg.eigh`` of the full matrix, the order of exactly
+degenerate levels, the kernel-call budget of ``_Solver.batch`` and
+``_Solver.eigvals`` and their split of the fields across threads, the dtype
+of the cached terms, the grouped eigenvalue solves, and the lock-step rounds
+of refinement."""
 
+import collections
 import itertools
 import os
 import sys
@@ -122,7 +124,7 @@ def test_blocked_solver_matches_dense(complex_probe, data):
     assert len(solver.rows) >= 2
     if complex_probe:
         assert solver.d_pre > 1 and np.abs(solver.v0.imag).max() > 1e-6
-        assert np.iscomplexobj(solver.h0[0]) and np.abs(hams.imag).max() > 1e-6
+        assert all(np.iscomplexobj(h0) for *_, h0, _ in solver.groups) and np.abs(hams.imag).max() > 1e-6
         # H_b is real and diagonal here: realness is decided for the triple.
         assert all(np.iscomplexobj(h) for h in terms)
     else:
@@ -140,6 +142,40 @@ def test_x_axis_probe_matches_dense():
     h_const, h_d, h_b = hamiltonian_terms(X_PROBE)
     hams = (h_const + D300 * h_d)[None] + fields[:, None, None] * h_b[None]
     assert_matches_dense(solver, hams, fields)
+
+
+def test_exact_ties_keep_block_order():
+    """Levels degenerate across blocks keep the order of their blocks.
+
+    With the 13C first, the blocks alternate in size (2, 1, 2, 1), so one
+    size's members are not adjacent in block order. At B = 0 the uncoupled
+    13C makes each level of one 13C state exactly equal to one of the other,
+    and tied levels of a 2- and a 1-state block carry different roundoff
+    probe weights. ``batch`` equals solving block by block, merging the
+    blocks in order and sorting stably, bit for bit.
+    """
+    spec = SpinSystem(sites=[Site(kind="c13"), Site(kind="nv_electron", axis=(1.0, 0.0, 0.0))], probe_site=1)
+    solver = _Solver(spec, D300)
+    assert [len(r) for r in solver.rows] == [2, 1, 2, 1]
+    fields = np.array([0.0, 0.5, 340.0, 0.0])
+    h_const, h_d, h_b = hamiltonian_terms(spec)
+    h0 = h_const + D300 * h_d
+    ref_vals, ref_projs = [], []
+    for b in fields:
+        solved = [
+            batched_eigh_project((b * h_b[np.ix_(r, r)] + h0[np.ix_(r, r)])[None], solver.v0, solver.d_pre, solver.d_post, r)
+            for r in solver.rows
+        ]
+        vals = np.concatenate([v[0] for v, _ in solved])
+        projs = np.concatenate([p[0] for _, p in solved])
+        order = np.argsort(vals, kind="stable")
+        ref_vals.append(vals[order])
+        ref_projs.append(projs[order])
+        if b == 0.0:  # some tie is between levels of unequal probe weight
+            tied = np.flatnonzero(np.diff(vals[order]) == 0)
+            assert any(projs[order][k] != projs[order][k + 1] for k in tied)
+    vals, projs = solver.batch(fields)
+    assert np.array_equal(vals, ref_vals) and np.array_equal(projs, ref_projs)
 
 
 @settings(max_examples=40, deadline=None)
@@ -211,47 +247,28 @@ def test_catalog_terms_are_real(sys_id):
 
 @pytest.mark.parametrize("sys_id", ["nv-2p1", "onv-2p1"])
 def test_batch_steps_are_bit_identical(sys_id, monkeypatch):
-    """Splitting a block's field stack into kernel steps changes no bit.
+    """Splitting a block size's field stack into steps changes no bit, for
+    either solve kind.
 
-    nv-2p1 has 9 blocks, onv-2p1 one.  A budget of one entry forces one
-    field per step; three largest-block matrices per step leave a ragged
-    last step of one field out of ten.
+    nv-2p1 has 9 blocks in 5 sizes, onv-2p1 one.  A budget of one entry
+    forces one field per step; three fields of the largest step per step
+    leave a ragged last step of one field out of ten.
     """
     spec = get_system(sys_id).system
     solver = _Solver(spec, D300)
     fields = np.linspace(0.5, 1100.0, 10)
     monkeypatch.setattr(sweep_mod, "_STACK_ENTRIES", 1 << 40)
     ref_vals, ref_projs = solver.batch(fields)
+    ref_eigvals = solver.eigvals(fields)
     largest = max(len(r) for r in solver.rows)
+    largest_stack = max(h0.size for *_, h0, _ in solver.groups)
     for budget in (1, 3 * solver.dim * largest):
         monkeypatch.setattr(sweep_mod, "_STACK_ENTRIES", budget)
         vals, projs = solver.batch(fields)
         assert np.array_equal(vals, ref_vals) and np.array_equal(projs, ref_projs)
-
-
-@pytest.mark.parametrize(
-    "sys_id, n_points", [("nv-2p1", 200), ("onv-2p1", 200), ("nv-3p1", 6), ("onv-3p1", 3)]
-)
-def test_sweep_kernel_calls_stay_within_budget(sys_id, n_points, monkeypatch):
-    """The kernel calls in flight together hold at most one budget of
-    fields x d x block size, or each a single matrix where one alone exceeds
-    a worker's share. Each worker's share must fit one matrix of the largest
-    block: nv-3p1 (d = 648, largest block 131) splits three ways, and only
-    onv-3p1 (one 648-state block) stays serial."""
-    set_blas(monkeypatch, threads=1, cores=4)
-    calls = record_kernel_calls(monkeypatch)
-    spec = get_system(sys_id).system
-    largest = max(len(r) for r in hamiltonian_terms(spec).blocks)
-    workers = sweep_mod._split_count(n_points, spec.dimension, largest)
-    fits = sweep_mod._STACK_ENTRIES // (spec.dimension * largest)
-    assert workers == max(1, min(4, fits))
-    assert (workers == 1) == (sys_id == "onv-3p1")
-    sweep(spec, 0.5, 1100.0, n_points)
-    assert len(calls) > len(hamiltonian_terms(spec).blocks)  # the grid was split
-    threads = {ident for ident, *_ in calls}
-    assert (len(threads) > 1) == (workers > 1) and len(threads) <= workers
-    for _, n, d, b in calls:
-        assert n * d * b * workers <= sweep_mod._STACK_ENTRIES or n == 1
+    for budget in (1, 3 * largest_stack):
+        monkeypatch.setattr(sweep_mod, "_STACK_ENTRIES", budget)
+        assert np.array_equal(solver.eigvals(fields), ref_eigvals)
 
 
 def record_eigvalsh_calls(mp):
@@ -268,31 +285,66 @@ def record_eigvalsh_calls(mp):
 
 
 @pytest.mark.parametrize(
-    "sys_id, n_fields, split",
-    [("nv-2p1", 21, False), ("nv-2p1", 300, True), ("onv-2p1", 40, True), ("nv-3p1", 6, True), ("nv-p1", 3000, True)],
+    "kind, sys_id, n_fields, split",
+    [
+        ("batch", "nv-2p1", 200, True),
+        ("batch", "onv-2p1", 200, True),
+        ("batch", "nv-3p1", 6, True),
+        ("batch", "onv-3p1", 3, False),
+        ("eigvals", "nv-2p1", 21, False),
+        ("eigvals", "nv-2p1", 300, True),
+        ("eigvals", "onv-2p1", 40, True),
+        ("eigvals", "nv-3p1", 6, True),
+        ("eigvals", "nv-p1", 3000, True),
+    ],
 )
-def test_eigvals_calls_stay_within_budget(sys_id, n_fields, split, monkeypatch):
-    """Every ``eigvalsh`` stack holds at most one worker's share of the
-    budget, or one field. The fields are split across cores only when their
-    stacks exceed one share (at nv-2p1, 21 fields stay on the calling
-    thread), and the split changes no bit."""
+def test_solve_calls_stay_within_budget(kind, sys_id, n_fields, split, monkeypatch):
+    """Both solve kinds step, split and stay serial by one rule.
+
+    One field adds d x b entries to a vector step of block size b (its
+    eigenvectors and gathered probe rows) and g x b x b to an
+    eigenvalue-only step (the whole stack of the size's g blocks). Every
+    step is as large as one worker's share of the budget allows, or one
+    field. The fields split across ``_split_count`` workers, whose share must
+    fit one field of the largest step: nv-3p1 (d = 648, largest block 131)
+    splits, onv-3p1 (one 648-state block) stays serial. A call whose steps
+    one share holds whole stays on the calling thread (21 eigenvalue-only
+    fields at nv-2p1). The split changes no bit.
+    """
     spec = get_system(sys_id).system
     solver = _Solver(spec, D300)
+    solve = getattr(solver, kind)
     fields = np.linspace(0.5, 1100.0, n_fields)
     set_blas(monkeypatch, threads=2)
-    ref = solver.eigvals(fields)
+    ref = solve(fields)
     set_blas(monkeypatch, threads=1, cores=4)
-    calls = record_eigvalsh_calls(monkeypatch)
-    vals = solver.eigvals(fields)
-    largest = max((h0.shape for h0, _ in solver.groups), key=np.prod)
-    workers = sweep_mod._split_count(n_fields, *largest) if split else 1
-    threads = {ident for ident, _ in calls}
-    assert (len(threads) > 1) == split and len(threads) <= workers <= 4
+    calls = record_kernel_calls(monkeypatch) if kind == "batch" else record_eigvalsh_calls(monkeypatch)
+    got = solve(fields)
+    if kind == "batch":
+        steps = [(ident, n, b) for ident, n, _, b in calls]
+    else:
+        steps = [(ident, m, b) for ident, (m, _, b, _) in calls]
+    members = collections.Counter(len(r) for r in solver.rows)
+    per_field = {b: spec.dimension * b if kind == "batch" else g * b * b for b, g in members.items()}
+    workers = sweep_mod._split_count(n_fields, max(per_field.values()))
+    assert workers == max(1, min(4, n_fields, sweep_mod._STACK_ENTRIES // max(per_field.values())))
+    if n_fields * sum(per_field.values()) <= sweep_mod._STACK_ENTRIES // workers:
+        workers = 1
+    assert (workers > 1) == split
+    threads = {ident for ident, *_ in steps}
     assert threading.get_ident() in threads
-    for _, (m, g, b, _) in calls:
-        assert m * g * b * b * workers <= sweep_mod._STACK_ENTRIES or m == 1
-    assert sum(m for _, (m, *_) in calls) == n_fields * len(solver.groups)
-    assert np.array_equal(vals, ref)
+    assert (len(threads) > 1) == split and len(threads) <= workers
+    for _, m, b in steps:
+        assert m * per_field[b] * workers <= sweep_mod._STACK_ENTRIES or m == 1
+    share, expected = sweep_mod._STACK_ENTRIES // workers, collections.Counter()
+    for w in range(workers):
+        n = n_fields * (w + 1) // workers - n_fields * w // workers
+        for b, g in members.items():
+            step = max(1, min(n, share // per_field[b]))
+            for start in range(0, n, step):
+                expected[min(step, n - start), b] += g if kind == "batch" else 1
+    assert collections.Counter((m, b) for _, m, b in steps) == expected
+    assert np.array_equal(got, ref)  # a (vals, projs) pair compares as one array
 
 
 def test_sweep_prescan_solves_one_648_state_matrix_per_call(monkeypatch):
@@ -336,6 +388,8 @@ def test_split_batch_is_bit_identical(data):
         calls = record_kernel_calls(mp)
         vals, projs = solver.batch(fields)
     workers = min(cores, len(fields))  # every budget drawn fits a matrix per core
+    if len(fields) * solver.dim * sum({len(r) for r in solver.rows}) <= budget // workers:
+        workers = 1  # one share holds the whole call
     threads = {ident for ident, *_ in calls}
     assert threading.get_ident() in threads
     assert (len(threads) > 1) == (workers > 1) and len(threads) <= workers
@@ -369,7 +423,7 @@ def test_split_stays_off_unless_blas_runs_one_thread(threads, monkeypatch):
     calls = record_kernel_calls(monkeypatch)
     spec = get_system("onv-2p1").system
     solver = _Solver(spec, D300)
-    assert sweep_mod._split_count(200, solver.dim, solver.dim) == 1
+    assert sweep_mod._split_count(200, solver.dim * solver.dim) == 1
     solver.batch(np.linspace(0.5, 1100.0, 200))
     assert {ident for ident, *_ in calls} == {threading.get_ident()}
     sizes = [n for _, n, *_ in calls]
@@ -434,12 +488,17 @@ def test_grouped_eigvals_are_bit_identical(data):
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
 def test_solver_at_another_zfs_is_bit_identical(data):
-    """A solver moved to another D forms H0 on the gathered stacks; its
-    spectra and projections equal those of a solver built at that D."""
+    """A solver moved to another D shares the gathered term stacks and forms
+    only H0 on them; its spectra and projections equal those of a solver
+    built at that D."""
     spec = data.draw(solver_specs())
     d_zfs = data.draw(st.floats(min_value=2800.0, max_value=2900.0))
     fields = np.array(data.draw(field_lists()))
-    moved, built = _Solver(spec, D300).at(d_zfs), _Solver(spec, d_zfs)
+    origin = _Solver(spec, D300)
+    moved, built = origin.at(d_zfs), _Solver(spec, d_zfs)
+    assert moved._stacks is origin._stacks and moved.groups is not origin.groups
+    for (*_, h_b), (*_, moved_h_b) in zip(origin.groups, moved.groups):
+        assert moved_h_b is h_b
     assert np.array_equal(moved.eigvals(fields), built.eigvals(fields))
     for got, want in zip(moved.batch(fields), built.batch(fields)):
         assert np.array_equal(got, want)
@@ -496,7 +555,7 @@ def test_refinement_solves_each_field_once_per_round(spec, b_min, b_max, monkeyp
     config = SweepConfig()
     sr = sweep(spec, b_min, b_max, 256)
     candidates = detect_events(sr, config)
-    assert np.iscomplexobj(_Solver(spec, sr.d_zfs).h0[0]) == (spec is COMPLEX_PROBE)
+    assert all(np.iscomplexobj(h0) == (spec is COMPLEX_PROBE) for *_, h0, _ in _Solver(spec, sr.d_zfs).groups)
     oracle = refine_per_bracket(_Solver(spec, sr.d_zfs), candidates, config)
     solved, lines, evaluations = [], [], []
     eigvals, line, brent = _Solver.eigvals, sweep_mod._line, sweep_mod._brent

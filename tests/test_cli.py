@@ -113,9 +113,10 @@ def test_malformed_flags_exit_2(argv, capsys):
     assert exc.value.code == 2
 
 
-@pytest.mark.parametrize("flag", ["--bmin", "--bmax", "--temp"])
+@pytest.mark.parametrize("flag", ["--bmin", "--bmax", "--temp", "--points"])
 def test_tshift_rejects_sweep_range_flags(flag, capsys):
-    # tshift always locates at 300 K within 25 G of --feature.
+    # tshift always locates at 300 K within 25 G of --feature, on a grid
+    # set by the system.
     with pytest.raises(SystemExit) as exc:
         main(["tshift", "--system", "nv", "--feature", "1024", flag, "500"])
     assert exc.value.code == 2
@@ -309,6 +310,29 @@ def test_tshift_slope_and_format(capsys):
     # Reference row shifts by definition zero.
     ref = [ln for ln in lines if ln.startswith("300.00")][0]
     assert ref.endswith(",0.00")
+
+
+TSHIFT_NEAR_REF = ["tshift", "--system", "nv", "--feature", "1024", "--tmin", "290", "--tmax", "300", "--tstep", "10"]
+
+
+def test_tshift_ignores_config_points(tmp_path, capsys):
+    # The locate grid comes from the system, as the window from --feature.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"points": 10**12, "bmin": 5.0}))
+    plain = run(TSHIFT_NEAR_REF, capsys)
+    assert plain[0] == 0 and run(TSHIFT_NEAR_REF + ["--config", str(cfg)], capsys) == plain
+
+
+def test_tshift_lost_slope_point_exits_1(tmp_path, capsys):
+    # D(300 K) is unchanged, but D falls about 2.9 MHz/K there, so the
+    # feature moves about 1 G/K and leaves its 5 G search window 5 K away.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"thermal_model": {"c1": -3000, "d0": 3216.2474588242826}}))
+    code, out, err = run(TSHIFT_NEAR_REF + ["--config", str(cfg)], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("spin-atlas: error:") and "5 K of the reference" in err
+    assert len(err.splitlines()) == 1
 
 
 def _one_dip_trace(path, points):
@@ -560,8 +584,9 @@ def test_detection_settings_precedence(tmp_path, monkeypatch, capsys):
         (["features", "--bmin", "0", "--bmax", "1e300", "--points", "8"], "b_max"),
         (["sweep", "--points", "1"], "at least 2"),
         (["features", "--points", "0"], "at least 2"),
-        *[(["tshift", "--feature", "1024", "--tmin", "290", "--tmax", "300", "--tstep", "10",
-            "--points", points], "at least 2") for points in ("-7", "0", "1")],
+        (["sweep", "--points", "-7"], "at least 2"),
+        (["sweep", "--points", "0"], "at least 2"),
+        (["features", "--points", "1"], "at least 2"),
     ],
 )
 def test_out_of_range_inputs_exit_1(argv, message, capsys, monkeypatch):
@@ -571,10 +596,10 @@ def test_out_of_range_inputs_exit_1(argv, message, capsys, monkeypatch):
             raise AssertionError("solved before the inputs were checked")
 
         monkeypatch.setattr("spin_atlas.cli.find_features", no_solve)
-        field_range = []
+        grid = []
     else:
-        field_range = ["--bmin", "1000", "--bmax", "1050"]
-    args = argv[:1] + ["--system", "nv", "--points", "16"] + field_range + argv[1:]
+        grid = ["--points", "16", "--bmin", "1000", "--bmax", "1050"]
+    args = argv[:1] + ["--system", "nv"] + grid + argv[1:]
     code, out, err = run(args, capsys)
     assert code == 1
     assert out == ""
@@ -595,7 +620,7 @@ def test_out_of_range_inputs_exit_1(argv, message, capsys, monkeypatch):
         ("tshift", {"thermal_model": {"d0": -5}}, "D(4 K)"),
         ("sweep", {"points": float("inf")}, "infinity"),
         ("sweep", {"points": 1e12}, "cap of 16384"),
-        ("tshift", {"points": 1e12}, "cap of 16384"),
+        ("features", {"points": 1e12}, "cap of 16384"),
         ("sweep", {"points": 5.9}, "whole number"),
         ("features", {"points": True}, "whole number"),
         ("features", {"cluster_radius": True}, "cluster_radius"),
@@ -617,10 +642,10 @@ def test_malformed_config_values_exit_1(tmp_path, command, cfg, message, capsys)
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))  # inf is written as Infinity, which json reads
     args = [command, "--system", "nv", "--config", str(path)]
-    if "points" not in cfg:
-        args += ["--points", "16"]
     if command == "tshift":
         args += ["--feature", "1024"]
+    elif "points" not in cfg:
+        args += ["--points", "16"]
     code, out, err = run(args, capsys)
     assert code == 1
     assert out == ""
