@@ -6,7 +6,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
-import io
 import json
 import math
 import os
@@ -163,23 +162,32 @@ def _detection_config(entry, args, cfg) -> SweepConfig:
         raise DomainError(f"invalid detection settings: {exc}") from exc
 
 
-def _write_atomic(path: str | None, text: str) -> None:
-    """Write output atomically (temp file + rename); '-'/None means stdout."""
+def _write_atomic(path: str | None, write) -> None:
+    """Write output atomically (temp file + rename); '-'/None means stdout.
+
+    ``write`` is the output text, or a function that streams it to the
+    text file it is given. A failed write leaves no temp file behind.
+    """
+    if isinstance(write, str):
+        text = write
+        write = lambda fh: fh.write(text)  # noqa: E731
     if path in (None, "-"):
-        sys.stdout.write(text)
+        write(sys.stdout)
         return
     directory = os.path.dirname(os.path.abspath(path))
     tmp = None
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".spin-atlas-")
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            write(fh)
         os.replace(tmp, path)
-    except OSError as exc:
+    except BaseException as exc:
         if tmp is not None:
             with contextlib.suppress(OSError):
                 os.remove(tmp)
-        raise DomainError(f"cannot write output file {path}: {exc}") from exc
+        if isinstance(exc, OSError):
+            raise DomainError(f"cannot write output file {path}: {exc}") from exc
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +216,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     temp = _resolve_float("temp", args, cfg)
     result = sweep(system, bmin, bmax, points, temperature=temp, model=_thermal_model(cfg))
     if args.format == "json":
-        text = json.dumps(
+        output = json.dumps(
             {
                 "temperature_K": result.temperature,
                 "d_zfs_MHz": round(result.d_zfs, 4),
@@ -222,10 +230,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             }
         ) + "\n"
     else:
-        buf = io.StringIO()
-        result.to_csv(buf)
-        text = buf.getvalue()
-    _write_atomic(args.out, text)
+        output = result.to_csv  # streamed row by row, never held whole
+    _write_atomic(args.out, output)
     return EXIT_OK
 
 

@@ -7,21 +7,27 @@ lab z axis) and the NV zero-field splitting D (MHz):
 
 so a field sweep or a temperature continuation only rescales precomputed
 matrices. All energies are in MHz (h = 1). The basis states split into blocks
-that no term couples (for spins all along z, the sectors of total M_z), and
-each block can be diagonalized on its own.
+that no term couples (for spins all along z, the sectors of total M_z).
+Identical site groups, such as the P1 centers of a cluster, split each block
+further into permutation-symmetry sectors. Every block or sector can be
+diagonalized on its own.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import itertools
 from functools import lru_cache
 
 import numpy as np
+from scipy import sparse
 from scipy.sparse.csgraph import connected_components
 
 from .operators import embed, kron_sites, rotation_to_axis, spin_operators
 from .system import SpeciesKind, SpinSystem
 
 __all__ = [
+    "Block",
     "HamiltonianTerms",
     "hamiltonian_terms",
     "build_hamiltonian",
@@ -31,6 +37,7 @@ __all__ = [
 
 _HERMITICITY_TOL = 1e-9
 _REAL_TOL = 1e-12
+_SYMMETRY_TOL = 1e-12  # relative, for a site exchange to count as a symmetry
 
 
 def _site_frame_ops(axis: np.ndarray):
@@ -57,30 +64,170 @@ def _bilinear(tensor_lab: np.ndarray, slot_a: int, slot_b: int, dims: list[int])
     return out
 
 
+@dataclasses.dataclass(frozen=True, eq=False)
+class Block:
+    """An invariant subspace of H(B, D): the orthonormal real columns of
+    ``basis``, a sparse (len(rows), size) array over the ascending basis
+    states ``rows``. A block of the nonzero pattern alone has the identity.
+    Each column of a symmetry sector lies in one orbit of basis states under
+    the exchanges of identical units, so it has at most k! entries for k
+    units."""
+
+    rows: np.ndarray
+    basis: sparse.csr_array
+
+    @property
+    def size(self) -> int:
+        return self.basis.shape[1]
+
+    def project(self, h: np.ndarray) -> np.ndarray:
+        """B^T h B of a full-space matrix h, through the sparse basis."""
+        return (self.basis.T @ h[np.ix_(self.rows, self.rows)]) @ self.basis
+
+
+def _commutes(terms, swap: np.ndarray) -> bool:
+    """Whether the basis permutation ``swap`` leaves every term unchanged."""
+    return all(
+        np.abs(h[np.ix_(swap, swap)] - h).max() <= _SYMMETRY_TOL * max(np.abs(h).max(), 1.0) for h in terms
+    )
+
+
+def _jucys_murphy(terms, swaps) -> list:
+    """The Jucys-Murphy sums X_k = sum_{j<k} (j k) of every set of units
+    whose exchanges commute with all terms, each as its list of basis
+    permutations.
+
+    ``swaps`` holds, per class of identical units, a dict from each unit pair
+    (i, j), i < j, to the basis permutation exchanging them. Exchanges that
+    commute form an equivalence on a class's units: if (a b) and (a c) do,
+    so does (b c) = (a b)(a c)(a b). So each unit joins the first set whose
+    first member it commutes with.
+    """
+    sums = []
+    for swap in swaps:
+        sets: list[list[int]] = []
+        for unit in range(1 + max(j for _, j in swap)):
+            for members in sets:
+                if _commutes(terms, swap[members[0], unit]):
+                    members.append(unit)
+                    break
+            else:
+                sets.append([unit])
+        sums += [[swap[m[j], m[k]] for j in range(k)] for m in sets for k in range(1, len(m))]
+    return sums
+
+
+def _blocks(pattern: np.ndarray, sums: list) -> tuple:
+    """Invariant blocks: the joint eigenspaces of the Jucys-Murphy ``sums``
+    within the connected components of ``pattern`` joined by their
+    permutations.
+
+    The sums act within each orbit of basis states under the permutations,
+    so they are diagonalized one orbit at a time, all orbits of one size in
+    one ``eigh`` call on a weighted sum whose integer eigenvalues tell every
+    label tuple apart. Each eigenvector's labels, rounded, pick its sector.
+    Blocks come in component order, sectors of a component in descending
+    label order, columns in orbit order (by lowest state). Without sums every
+    orbit is one state, so each component is one block with the identity.
+    """
+    dim = len(pattern)
+    states = np.arange(dim)
+    moves = np.zeros_like(pattern)
+    for swap in itertools.chain.from_iterable(sums):
+        moves[states, swap] = True
+    _, component = connected_components(pattern | moves, directed=False)
+    _, orbit_of = connected_components(moves, directed=False)
+    by_orbit = np.argsort(orbit_of, kind="stable")
+    counts = np.bincount(orbit_of)
+    starts = np.cumsum(counts) - counts
+    base = 2 * max(map(len, sums), default=0) + 1  # X_k has eigenvalues within -k..k
+    where = np.empty(dim, dtype=int)  # each state's position in its orbit
+    sectors: dict[tuple, list] = {}  # (component, -labels) -> (orbit, column) pairs
+    for size in np.unique(counts):
+        orbits = by_orbit[starts[counts == size][:, None] + np.arange(size)]
+        where[orbits] = np.arange(size)
+        rank = np.arange(len(orbits))[:, None]
+        xs = np.zeros((len(sums), len(orbits), size, size))
+        for x, perms in zip(xs, sums):
+            for swap in perms:
+                x[rank, where[swap[orbits]], np.arange(size)] += 1.0
+        _, vecs = np.linalg.eigh(np.tensordot(base ** np.arange(len(sums)), xs, axes=1))
+        labels = np.rint(np.einsum("oac,ioab,obc->oci", vecs, xs, vecs)).astype(int)
+        for orbit, columns, column_labels in zip(orbits, vecs.transpose(0, 2, 1), labels):
+            for column, label in zip(columns, column_labels):
+                sectors.setdefault((component[orbit[0]], *-label), []).append((orbit, column))
+    blocks = []
+    for key in sorted(sectors):
+        columns = sorted(sectors[key], key=lambda col: col[0][0])  # stable: one orbit's columns keep their order
+        rows = np.unique(np.concatenate([orbit for orbit, _ in columns]))
+        r = np.concatenate([np.searchsorted(rows, orbit) for orbit, _ in columns])
+        c = np.repeat(np.arange(len(columns)), [len(orbit) for orbit, _ in columns])
+        data = np.concatenate([column for _, column in columns])
+        blocks.append(Block(rows, sparse.csr_array((data, (r, c)), shape=(len(rows), len(columns)))))
+    return tuple(blocks)
+
+
 class HamiltonianTerms(tuple):
     """The triple ``(H_const, H_d, H_b)`` plus its invariant ``blocks``.
 
     All three terms are float64 when each has a negligible imaginary part,
-    else all complex, so every affine combination of them has one dtype.
+    else all complex, so every affine combination of them has one dtype. A
+    term that is not Hermitian raises ValueError.
 
-    ``blocks`` holds the ascending basis indices of each connected component
-    of the three terms' combined nonzero pattern. No term couples two blocks,
-    so H(B, D) leaves every block invariant for all B and D. For spins all
-    along z the blocks are the sectors of total M_z; a system that mixes
-    every basis state is a single block.
+    ``blocks`` holds the :class:`Block` objects that no term couples, so H(B, D)
+    leaves each one invariant for all B and D. Their rows come from the
+    connected components of the three terms' combined nonzero pattern: for
+    spins all along z, the sectors of total M_z; a system that mixes every
+    basis state is a single component. ``swaps`` offers exchanges of
+    identical units (see :func:`_jucys_murphy`); those that commute with
+    every term split the components into permutation-symmetry sectors.
     """
 
-    blocks: tuple[np.ndarray, ...]
+    blocks: tuple[Block, ...]
 
-    def __new__(cls, h_const: np.ndarray, h_d: np.ndarray, h_b: np.ndarray):
+    def __new__(cls, h_const: np.ndarray, h_d: np.ndarray, h_b: np.ndarray, swaps=()):
         terms = (h_const, h_d, h_b)
         if all(np.abs(h.imag).max() < _REAL_TOL for h in terms):
             terms = tuple(np.ascontiguousarray(h.real) for h in terms)
+        for name, h in zip(("H_const", "H_d", "H_b"), terms):
+            if not np.abs(h - h.conj().T).max() <= _HERMITICITY_TOL * max(np.abs(h).max(), 1.0):
+                raise ValueError(f"Hamiltonian term {name} is not Hermitian")
         self = super().__new__(cls, terms)
         pattern = (h_const != 0) | (h_d != 0) | (h_b != 0)
-        n_blocks, labels = connected_components(pattern, directed=False)
-        self.blocks = tuple(np.flatnonzero(labels == k) for k in range(n_blocks))
+        self.blocks = _blocks(pattern, _jucys_murphy(self, swaps))
         return self
+
+
+def _unit_swaps(spec: SpinSystem) -> list:
+    """Basis permutations exchanging identical units, per class of units.
+
+    A unit is a site that is not a hyperfine-coupled nucleus, with the nuclei
+    coupled to it (a P1 electron and its 14N). Units other than the probe's
+    whose sites are equal, hyperfine targets aside, form a class; couplings
+    are not compared here, as the terms' commutator check decides.
+    """
+    units: dict[tuple, list[tuple]] = {}
+    for i, s in enumerate(spec.sites):
+        if s.hyperfine is not None or i == spec.probe_site:
+            continue
+        nuclei = [j for j, t in enumerate(spec.sites) if t.hyperfine is not None and t.hyperfine.to_site == i]
+        own = (dataclasses.replace(spec.sites[j], hyperfine=dataclasses.replace(spec.sites[j].hyperfine, to_site=0))
+               for j in nuclei)
+        key = (s, *own)
+        units.setdefault(key, []).append((i, *nuclei))
+    labels = np.arange(spec.dimension).reshape(spec.dims)
+    swaps = []
+    for members in units.values():
+        if len(members) < 2:
+            continue
+        swap = {}
+        for (i, a), (j, b) in itertools.combinations(enumerate(members), 2):
+            order = list(range(len(spec.sites)))
+            for x, y in zip(a, b):
+                order[x], order[y] = y, x
+            swap[i, j] = labels.transpose(order).ravel()
+        swaps.append(swap)
+    return swaps
 
 
 # Repeat lookups come only from within one find_features or temperature_shift
@@ -92,8 +239,9 @@ def hamiltonian_terms(spec: SpinSystem) -> HamiltonianTerms:
 
     H_const collects strain, hyperfine, quadrupole, nuclear/electron-fixed
     terms and pairwise couplings; H_d is the sum of (n.S)^2 over NV sites;
-    H_b is the total Zeeman derivative dH/dB. The blocks are cached with the
-    terms, so ``hamiltonian_terms.cache_clear()`` drops both.
+    H_b is the total Zeeman derivative dH/dB. The blocks, symmetry sectors
+    included, are cached with the terms, so
+    ``hamiltonian_terms.cache_clear()`` drops both.
     """
     dims = spec.dims
     dim = spec.dimension
@@ -128,7 +276,7 @@ def hamiltonian_terms(spec: SpinSystem) -> HamiltonianTerms:
     for cp in spec.couplings:
         h_const += _bilinear(cp.tensor.lab_matrix(), cp.site_a, cp.site_b, dims)
 
-    return HamiltonianTerms(h_const, h_d, h_b)
+    return HamiltonianTerms(h_const, h_d, h_b, _unit_swaps(spec))
 
 
 def build_hamiltonian(spec: SpinSystem, b_field: float, d_zfs: float) -> np.ndarray:

@@ -46,9 +46,11 @@ __all__ = [
 ]
 
 # Bound on the entries of one kernel step (~4 MB complex). A vector step
-# holds fields x d x block size: its eigenvectors and the probe rows gathered
-# from them each fit in that. An eigenvalue-only step holds its fields' whole
-# (g, b, b) stack of one block size. At d = 648 a step is one matrix.
+# holds fields x d x block size: its eigenvectors fit in that, and so do the
+# probe rows gathered from them, except that a sector of three identical
+# units gathers up to two basis coefficients per row. An eigenvalue-only step
+# holds its fields' whole (g, b, b) stack of one block size. A vector step of
+# onv-3p1 (d = 648, sectors of up to 210 states) is one field.
 _STACK_ENTRIES = 1 << 18
 
 _EXCHANGE_THRESHOLD = 0.25  # windowed p exchange for gap-minimum relevance
@@ -86,9 +88,9 @@ def _split_count(n: int, per_field: int) -> int:
     thread, as it reports now: threads of our own on top of a threaded BLAS
     are slower. Each slice's kernel steps take an equal share of
     ``_STACK_ENTRIES``, so a slice must fit at least one field's step in its
-    share. Only a 648-state block (onv-3p1), where one matrix is already over
-    the budget, stays serial; nv-3p1 (d = 648, largest block 131) splits its
-    sweep up to three ways.
+    share. So onv-3p1 (d = 648), whose 210-state sectors fill over half the
+    budget per field, sweeps serially; nv-3p1 (d = 648, largest sector 43)
+    splits its sweep up to nine ways.
     """
     count = _openblas_thread_count()
     if count is None or count() != 1:
@@ -205,39 +207,37 @@ class CrossingFeature:
 class _Solver:
     """Eigenvalue/projection evaluations for one (spec, D), block by block.
 
-    H(B) = H0 + B * H_b is cut into the invariant blocks ``rows`` of
-    ``hamiltonian_terms(spec).blocks``. Each block is diagonalized on its
-    own and the levels of all blocks are merged into one ascending order; a
-    stable sort keeps exactly degenerate levels in block order.
+    H(B) = H0 + B * H_b is cut into the invariant blocks of
+    ``hamiltonian_terms(spec).blocks``: the M_z blocks, split into
+    permutation-symmetry sectors where the system has identical units. Each
+    block is diagonalized on its own, as B^T H B for its sparse orthonormal
+    basis B, and the levels of all blocks are merged into one ascending
+    order; a stable sort keeps exactly degenerate levels in block order.
 
     Blocks of one size are held as one (g, b, b) stack per term, with each
-    member's rows and its columns of the block-ordered output. Both solve
+    member block and its columns of the block-ordered output. Both solve
     kinds go through ``_fill`` on these stacks. The solver keeps no state
     between calls: every call solves every field it is given.
     """
 
     def __init__(self, spec, d_zfs: float):
         terms = hamiltonian_terms(spec)
-        self.rows = terms.blocks
+        self.blocks = terms.blocks
         self.dim = terms[0].shape[0]
-        starts = np.cumsum([0, *map(len, self.rows)])
-        self._stacks = []  # (member rows, their columns, H_const, H_d, H_b stacks) of each block size
-        for size in dict.fromkeys(map(len, self.rows)):
-            members = [k for k, r in enumerate(self.rows) if len(r) == size]
-            rows = [self.rows[k] for k in members]
-            if size == self.dim:  # one block, the whole space: views, not copies, of the terms
-                stacks = (h[None] for h in terms)
-            else:
-                idx = np.array(rows)
-                stacks = (h[idx[:, :, None], idx[:, None, :]] for h in terms)
-            self._stacks.append((rows, starts[members, None] + np.arange(size), *stacks))
+        starts = np.cumsum([0, *(blk.size for blk in self.blocks)])
+        self._stacks = []  # (member blocks, their columns, H_const, H_d, H_b stacks) of each block size
+        for size in dict.fromkeys(blk.size for blk in self.blocks):
+            members = [k for k, blk in enumerate(self.blocks) if blk.size == size]
+            blocks = [self.blocks[k] for k in members]
+            stacks = (np.array([blk.project(h) for blk in blocks]) for h in terms)
+            self._stacks.append((blocks, starts[members, None] + np.arange(size), *stacks))
         self.v0, self.d_pre, self.d_post = probe_projector_vector(spec)
         self._set_zfs(d_zfs)
 
     def _set_zfs(self, d_zfs: float) -> None:
         """H0 = H_const + D * H_d on the gathered stacks, which is elementwise
         the sum formed on the whole matrices before gathering."""
-        self.groups = [(rows, cols, h_const + d_zfs * h_d, h_b) for rows, cols, h_const, h_d, h_b in self._stacks]
+        self.groups = [(blocks, cols, h_const + d_zfs * h_d, h_b) for blocks, cols, h_const, h_d, h_b in self._stacks]
 
     def at(self, d_zfs: float) -> "_Solver":
         """The same system's solver at ZFS ``d_zfs``: it shares the gathered
@@ -312,7 +312,7 @@ class _Solver:
         member block.
         """
         n = len(fields)
-        for rows, cols, h0, h_b in self.groups:
+        for blocks, cols, h0, h_b in self.groups:
             step = max(1, min(n, budget // self._per_field(h0, projs is not None)))
             hams = np.empty((step, *h0.shape), np.result_type(h0, h_b))
             for start in range(0, n, step):
@@ -323,9 +323,9 @@ class _Solver:
                 if projs is None:
                     vals[sl, cols] = np.linalg.eigvalsh(hams[:m])
                     continue
-                for j, (r, c) in enumerate(zip(rows, cols)):
+                for j, (blk, c) in enumerate(zip(blocks, cols)):
                     vals[sl, c], projs[sl, c] = batched_eigh_project(
-                        hams[:m, j], self.v0, self.d_pre, self.d_post, r
+                        hams[:m, j], self.v0, self.d_pre, self.d_post, blk.rows, blk.basis
                     )
             del hams  # before the next size allocates its own
 

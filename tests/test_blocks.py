@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
+from scipy.sparse.csgraph import connected_components
 
 import spin_atlas.sweep as sweep_mod
 from spin_atlas.catalog import get_system, list_systems
@@ -43,9 +44,9 @@ def record_kernel_calls(mp):
     appends (thread id, n, d, b) to the returned list."""
     calls = []
 
-    def recorder(hams, v0, d_pre, d_post, rows=None):
+    def recorder(hams, v0, d_pre, d_post, rows=None, basis=None):
         calls.append((threading.get_ident(), hams.shape[0], d_pre * 3 * d_post, hams.shape[1]))
-        return batched_eigh_project(hams, v0, d_pre, d_post, rows)
+        return batched_eigh_project(hams, v0, d_pre, d_post, rows, basis)
 
     mp.setattr(sweep_mod, "batched_eigh_project", recorder)
     return calls
@@ -121,7 +122,7 @@ def test_blocked_solver_matches_dense(complex_probe, data):
     h_const, h_d, h_b = terms
     hams = (h_const + D300 * h_d)[None] + fields[:, None, None] * h_b[None]
     solver = _Solver(spec, D300)
-    assert len(solver.rows) >= 2
+    assert len(solver.blocks) >= 2
     if complex_probe:
         assert solver.d_pre > 1 and np.abs(solver.v0.imag).max() > 1e-6
         assert all(np.iscomplexobj(h0) for *_, h0, _ in solver.groups) and np.abs(hams.imag).max() > 1e-6
@@ -136,7 +137,7 @@ def test_x_axis_probe_matches_dense():
     """Blocks that lack some of the probe's rows where v0 is only roundoff:
     ``X_PROBE`` has four, {+1, -1} and {0} at the probe slot per 13C state."""
     solver = _Solver(X_PROBE, D300)
-    assert sorted(len(r) for r in solver.rows) == [1, 1, 2, 2]
+    assert sorted(blk.size for blk in solver.blocks) == [1, 1, 2, 2]
     assert abs(solver.v0[1]) < 1e-12
     fields = np.array([0.0, 0.5, 340.0, 1024.0])
     h_const, h_d, h_b = hamiltonian_terms(X_PROBE)
@@ -156,7 +157,7 @@ def test_exact_ties_keep_block_order():
     """
     spec = SpinSystem(sites=[Site(kind="c13"), Site(kind="nv_electron", axis=(1.0, 0.0, 0.0))], probe_site=1)
     solver = _Solver(spec, D300)
-    assert [len(r) for r in solver.rows] == [2, 1, 2, 1]
+    assert [blk.size for blk in solver.blocks] == [2, 1, 2, 1]
     fields = np.array([0.0, 0.5, 340.0, 0.0])
     h_const, h_d, h_b = hamiltonian_terms(spec)
     h0 = h_const + D300 * h_d
@@ -164,7 +165,7 @@ def test_exact_ties_keep_block_order():
     for b in fields:
         solved = [
             batched_eigh_project((b * h_b[np.ix_(r, r)] + h0[np.ix_(r, r)])[None], solver.v0, solver.d_pre, solver.d_post, r)
-            for r in solver.rows
+            for r in (blk.rows for blk in solver.blocks)
         ]
         vals = np.concatenate([v[0] for v, _ in solved])
         projs = np.concatenate([p[0] for _, p in solved])
@@ -210,6 +211,18 @@ def test_blocked_solver_matches_dense_on_random_patterns(data):
     assert_matches_dense(solver, hams, fields)
 
 
+# Sorted block sizes of the presets with identical P1 units, and of one
+# without.
+CATALOG_SECTORS = {
+    "nv-2p1": [1, 1, 2, 2, 3, 3, 5, 5, 8, 8, 10, 10, 11, 12, 12, 15],
+    "nv-3p1": [1, 1, 1, 1, 2, 2, 2, 2, 3, 3, 5, 5, 8, 8, 8, 8, 8, 8, 10, 10, 14, 14, 16, 16,
+               19, 19, 19, 19, 25, 25, 31, 31, 33, 33, 33, 33, 43, 43, 43, 43],
+    "onv-2p1": [45, 63],
+    "nv-onv-p1": [54],
+    "onv-3p1": [60, 168, 210, 210],
+}
+
+
 @pytest.mark.parametrize(
     "sys_id, n_blocks, largest",
     [
@@ -221,11 +234,23 @@ def test_blocked_solver_matches_dense_on_random_patterns(data):
     ],
 )
 def test_catalog_partitions(sys_id, n_blocks, largest):
+    """The nonzero pattern's components (``n_blocks``, the ``largest`` of
+    them), and the symmetry sectors within them.
+
+    The P1 units of these presets are identical. nv-2p1's 9 M_z blocks split
+    into 16 sectors and onv-2p1's single block into 63 + 45; onv-3p1 splits
+    into 168 + 60 + 210 + 210 (the last two isospectral copies). The sector
+    sizes add up to d, and their rows cover every basis state.
+    """
     spec = get_system(sys_id).system
-    blocks = hamiltonian_terms(spec).blocks
-    assert len(blocks) == n_blocks
-    assert max(len(b) for b in blocks) == largest
-    assert np.array_equal(np.sort(np.concatenate(blocks)), np.arange(spec.dimension))
+    terms = hamiltonian_terms(spec)
+    _, component = connected_components(np.any([h != 0 for h in terms], axis=0), directed=False)
+    assert np.bincount(component).size == n_blocks and np.bincount(component).max() == largest
+    blocks = terms.blocks
+    assert all(len(set(component[blk.rows])) == 1 for blk in blocks)
+    assert sorted(blk.size for blk in blocks) == CATALOG_SECTORS[sys_id]
+    assert sum(blk.size for blk in blocks) == spec.dimension
+    assert np.array_equal(np.unique(np.concatenate([blk.rows for blk in blocks])), np.arange(spec.dimension))
 
 
 def test_single_block_is_the_full_kernel_call():
@@ -250,7 +275,7 @@ def test_batch_steps_are_bit_identical(sys_id, monkeypatch):
     """Splitting a block size's field stack into steps changes no bit, for
     either solve kind.
 
-    nv-2p1 has 9 blocks in 5 sizes, onv-2p1 one.  A budget of one entry
+    nv-2p1 has 16 sectors in 9 sizes, onv-2p1 two.  A budget of one entry
     forces one field per step; three fields of the largest step per step
     leave a ragged last step of one field out of ten.
     """
@@ -260,7 +285,7 @@ def test_batch_steps_are_bit_identical(sys_id, monkeypatch):
     monkeypatch.setattr(sweep_mod, "_STACK_ENTRIES", 1 << 40)
     ref_vals, ref_projs = solver.batch(fields)
     ref_eigvals = solver.eigvals(fields)
-    largest = max(len(r) for r in solver.rows)
+    largest = max(blk.size for blk in solver.blocks)
     largest_stack = max(h0.size for *_, h0, _ in solver.groups)
     for budget in (1, 3 * solver.dim * largest):
         monkeypatch.setattr(sweep_mod, "_STACK_ENTRIES", budget)
@@ -324,7 +349,7 @@ def test_solve_calls_stay_within_budget(kind, sys_id, n_fields, split, monkeypat
         steps = [(ident, n, b) for ident, n, _, b in calls]
     else:
         steps = [(ident, m, b) for ident, (m, _, b, _) in calls]
-    members = collections.Counter(len(r) for r in solver.rows)
+    members = collections.Counter(blk.size for blk in solver.blocks)
     per_field = {b: spec.dimension * b if kind == "batch" else g * b * b for b, g in members.items()}
     workers = sweep_mod._split_count(n_fields, max(per_field.values()))
     assert workers == max(1, min(4, n_fields, sweep_mod._STACK_ENTRIES // max(per_field.values())))
@@ -347,14 +372,17 @@ def test_solve_calls_stay_within_budget(kind, sys_id, n_fields, split, monkeypat
     assert np.array_equal(got, ref)  # a (vals, projs) pair compares as one array
 
 
-def test_sweep_prescan_solves_one_648_state_matrix_per_call(monkeypatch):
-    """One onv-3p1 matrix alone is over the budget, so the positivity
-    pre-scan at the range's two ends takes two single-matrix calls."""
+def test_sweep_prescan_splits_onv_3p1_sectors_one_field_per_thread(monkeypatch):
+    """No onv-3p1 sector is a 648-state matrix any more: one field of its
+    largest size (two 210-state copies) fits half the budget, so the
+    positivity pre-scan at the range's two ends solves one field per thread,
+    in one call per sector size each."""
     set_blas(monkeypatch, threads=1, cores=4)
     calls = record_eigvalsh_calls(monkeypatch)
     sweep(get_system("onv-3p1").system, 500.0, 508.0, 2)
-    assert [shape for _, shape in calls] == [(1, 1, 648, 648)] * 2
-    assert {ident for ident, _ in calls} == {threading.get_ident()}
+    assert sorted(shape for _, shape in calls) == [(1, 1, 60, 60)] * 2 + [(1, 1, 168, 168)] * 2 + [(1, 2, 210, 210)] * 2
+    threads = {ident for ident, _ in calls}
+    assert threading.get_ident() in threads and len(threads) == 2
 
 
 @st.composite
@@ -378,7 +406,7 @@ def test_split_batch_is_bit_identical(data):
     fields = np.array(data.draw(st.lists(st.floats(min_value=0.0, max_value=1100.0), min_size=1, max_size=13)))
     cores = data.draw(st.integers(min_value=2, max_value=5))
     solver = _Solver(spec, D300)
-    largest = max(len(r) for r in solver.rows)
+    largest = max(blk.size for blk in solver.blocks)
     budget = data.draw(st.sampled_from([sweep_mod._STACK_ENTRIES, cores * 2 * solver.dim * largest]))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sweep_mod, "_STACK_ENTRIES", budget)
@@ -388,12 +416,12 @@ def test_split_batch_is_bit_identical(data):
         calls = record_kernel_calls(mp)
         vals, projs = solver.batch(fields)
     workers = min(cores, len(fields))  # every budget drawn fits a matrix per core
-    if len(fields) * solver.dim * sum({len(r) for r in solver.rows}) <= budget // workers:
+    if len(fields) * solver.dim * sum({blk.size for blk in solver.blocks}) <= budget // workers:
         workers = 1  # one share holds the whole call
     threads = {ident for ident, *_ in calls}
     assert threading.get_ident() in threads
     assert (len(threads) > 1) == (workers > 1) and len(threads) <= workers
-    assert sum(n for _, n, *_ in calls) == len(fields) * len(solver.rows)
+    assert sum(n for _, n, *_ in calls) == len(fields) * len(solver.blocks)
     assert np.array_equal(vals, ref_vals) and np.array_equal(projs, ref_projs)
 
 
@@ -426,9 +454,10 @@ def test_split_stays_off_unless_blas_runs_one_thread(threads, monkeypatch):
     assert sweep_mod._split_count(200, solver.dim * solver.dim) == 1
     solver.batch(np.linspace(0.5, 1100.0, 200))
     assert {ident for ident, *_ in calls} == {threading.get_ident()}
-    sizes = [n for _, n, *_ in calls]
-    step = sweep_mod._STACK_ENTRIES // (solver.dim * solver.dim)
-    assert sizes[:-1] == [step] * (len(sizes) - 1) and sum(sizes) == 200
+    for size in {blk.size for blk in solver.blocks}:
+        steps = [n for _, n, _, b in calls if b == size]
+        step = sweep_mod._STACK_ENTRIES // (solver.dim * size)
+        assert steps[:-1] == [step] * (len(steps) - 1) and sum(steps) == 200
 
 
 def test_blas_probe_finds_numpy_openblas(monkeypatch):
@@ -449,13 +478,13 @@ SMALL_PRESETS = [i for i, _ in list_systems() if get_system(i).system.dimension 
 
 
 def per_block_eigvals(spec, d_zfs, fields):
-    """Sorted eigenvalues from one ``eigvalsh`` call per field and block."""
+    """Sorted eigenvalues from one ``eigvalsh`` call per field and block,
+    each term projected onto the block before H0 is formed."""
     terms = hamiltonian_terms(spec)
-    h_const, h_d, h_b = terms
-    h0 = h_const + d_zfs * h_d
+    projected = [[blk.project(h) for h in terms] for blk in terms.blocks]
     out = []
     for b in fields:
-        vals = [np.linalg.eigvalsh(b * h_b[np.ix_(r, r)] + h0[np.ix_(r, r)]) for r in terms.blocks]
+        vals = [np.linalg.eigvalsh(b * h_b + (h_const + d_zfs * h_d)) for h_const, h_d, h_b in projected]
         out.append(np.sort(np.concatenate(vals)))
     return np.array(out)
 

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from spin_atlas.catalog import get_system, list_systems
 from spin_atlas.cli import main
+from spin_atlas.sweep import SweepResult
 from spin_atlas.system import SpinSystem
 from spin_atlas.traces import Trace, auto_seeds, dip_model
 
@@ -659,6 +660,19 @@ def test_atomic_write_creates_file(tmp_path):
     assert json.loads(out.read_text())
     leftovers = [p for p in tmp_path.iterdir() if p.name.startswith(".spin-atlas")]
     assert not leftovers
+
+
+def test_failed_stream_leaves_no_temp_file(tmp_path, monkeypatch):
+    """The CSV is streamed into the temp file; an error part-way through
+    removes it and propagates."""
+    def broken(self, fh):
+        fh.write("B_gauss\n")
+        raise RuntimeError("stream broke")
+
+    monkeypatch.setattr(SweepResult, "to_csv", broken)
+    with pytest.raises(RuntimeError, match="stream broke"):
+        main(["sweep", "--system", "nv", "--points", "4", "--out", str(tmp_path / "out.csv")])
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_failed_write_leaves_no_temp_file(tmp_path, capsys):

@@ -260,7 +260,7 @@ def _full_space_terms(spec):
         h_const += bilinear([place(op, cp.site_a) for op in ops[cp.site_a]],
                             cp.tensor.lab_matrix(),
                             [place(op, cp.site_b) for op in ops[cp.site_b]])
-    return hamiltonian.HamiltonianTerms(h_const, h_d, h_b)
+    return hamiltonian.HamiltonianTerms(h_const, h_d, h_b, hamiltonian._unit_swaps(spec))
 
 
 def assert_terms_identical(terms, ref):
@@ -268,7 +268,9 @@ def assert_terms_identical(terms, ref):
         assert h.dtype == h_ref.dtype
         assert np.array_equal(h, h_ref)
     assert len(terms.blocks) == len(ref.blocks)
-    assert all(np.array_equal(b, b_ref) for b, b_ref in zip(terms.blocks, ref.blocks))
+    for b, b_ref in zip(terms.blocks, ref.blocks):
+        assert np.array_equal(b.rows, b_ref.rows)
+        assert np.array_equal(b.basis.toarray(), b_ref.basis.toarray())
 
 
 @pytest.mark.parametrize("complex_probe", [False, True])

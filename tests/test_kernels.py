@@ -12,13 +12,17 @@ from spin_atlas.kernels import batched_eigh_project
 from test_hamiltonian import D300, TILTED_PROBE, X_PROBE, random_systems
 
 
-def dense_reference(hams, v0, d_pre, d_post, rows=None):
+def dense_reference(hams, v0, d_pre, d_post, rows=None, basis=None):
     """Eigenpairs by batched eigh; weights <psi| I (x) |v0><v0| (x) I |psi>
-    of the eigenvectors placed in their ``rows`` of the full space (default:
-    all of them, in order)."""
+    of the eigenvectors placed in the full space through their ``basis``
+    columns on the states ``rows`` (default: all of them, in order, and the
+    identity)."""
     proj = np.kron(np.eye(d_pre), np.kron(np.outer(v0, v0.conj()), np.eye(d_post)))
     if rows is not None:
         proj = proj[np.ix_(rows, rows)]
+    if basis is not None:
+        basis = basis.toarray()
+        proj = basis.T @ proj @ basis
     vals, vecs = np.linalg.eigh(hams)
     weights = np.einsum("nai,ab,nbi->ni", vecs.conj(), proj, vecs).real
     return vals, weights
@@ -71,12 +75,14 @@ FIXED_SYSTEMS = {"tilted": TILTED_PROBE, "x-probe": X_PROBE}
 @pytest.mark.parametrize("name", ["nv-2p1", "onv-2p1", "tilted", "x-probe"])
 def test_block_rows_match_dense_projector(name):
     """Weights from a block's own rows equal the dense projector's on the
-    eigenvectors placed in those rows: for every row in order (the default,
-    bit for bit), every row reversed, and each invariant block.
+    eigenvectors placed in those rows through the block's basis: for every
+    row in order (the default, bit for bit), every row reversed, and each
+    invariant block.
 
-    nv-2p1 has a z-axis probe and nine blocks, onv-2p1 a real probe state
-    with three nonzero entries and one block, ``TILTED_PROBE`` a complex one;
-    ``X_PROBE`` has blocks that lack rows where v0 is only roundoff.
+    nv-2p1 has a z-axis probe and 16 symmetry sectors, onv-2p1 a real probe
+    state with three nonzero entries and two sectors, ``TILTED_PROBE`` a
+    complex one; ``X_PROBE`` has blocks that lack rows where v0 is only
+    roundoff.
     """
     spec = FIXED_SYSTEMS[name] if name in FIXED_SYSTEMS else get_system(name).system
     terms = hamiltonian_terms(spec)
@@ -88,7 +94,11 @@ def test_block_rows_match_dense_projector(name):
     in_order = batched_eigh_project(hams, v0, d_pre, d_post, np.arange(d))
     default = batched_eigh_project(hams, v0, d_pre, d_post)
     assert all(np.array_equal(a, b) for a, b in zip(in_order, default))
-    for rows in [np.arange(d), np.arange(d)[::-1], *terms.blocks]:
+    for rows in [np.arange(d), np.arange(d)[::-1]]:
         block = hams[:, rows][:, :, rows]
         vals, projs = batched_eigh_project(block, v0, d_pre, d_post, rows)
         assert_matches_reference(vals, projs, *dense_reference(block, v0, d_pre, d_post, rows))
+    for blk in terms.blocks:
+        block = np.array([blk.project(h) for h in hams])
+        vals, projs = batched_eigh_project(block, v0, d_pre, d_post, blk.rows, blk.basis)
+        assert_matches_reference(vals, projs, *dense_reference(block, v0, d_pre, d_post, blk.rows, blk.basis))
