@@ -419,8 +419,6 @@ def _build_entries() -> dict[str, CatalogEntry]:
                 ExpectedFeature(750.0, 3.0),
                 ExpectedFeature(769.0, 3.0),
             ),
-            sweep_points=2048,
-            config=SweepConfig(cluster_radius=5.0),
             track_center=732.0,
             expected_slope=-0.017,
             notes="Line groups at 695, 714, 732, 750 and 769 G.",

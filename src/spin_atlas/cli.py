@@ -273,16 +273,18 @@ def _cmd_tshift(args: argparse.Namespace) -> int:
         raise DomainError(
             f"invalid temperature grid: tmin={tmin}, tmax={tmax}, tstep={tstep}"
         )
-    n_temps = int((tmax - tmin) / tstep) + 1
-    if n_temps > MAX_TEMPERATURES:
+    steps = (tmax - tmin) / tstep  # inf when tstep is subnormal
+    if not steps < MAX_TEMPERATURES:
         raise DomainError(
-            f"temperature grid of {n_temps} points exceeds the cap of "
-            f"{MAX_TEMPERATURES}; use a larger --tstep"
+            f"temperature grid from {tmin} to {tmax} K in steps of {tstep} K exceeds "
+            f"the cap of {MAX_TEMPERATURES} points; use a larger --tstep"
         )
     temps = []
     t = tmin
     while t <= tmax + 1e-9:
         temps.append(round(t, 6))
+        if t + tstep == t:
+            raise DomainError(f"--tstep {tstep} is below the float resolution at {t} K; use a larger --tstep")
         t += tstep
     if T_REF not in temps:
         temps.append(T_REF)

@@ -84,6 +84,18 @@ class Block:
         """B^T h B of a full-space matrix h, through the sparse basis."""
         return (self.basis.T @ h[np.ix_(self.rows, self.rows)]) @ self.basis
 
+    def probe_map(self, v0: np.ndarray, d_pre: int, d_post: int) -> np.ndarray:
+        """The rows of the full-space map I_pre (x) <v0| (x) I_post that reach
+        this block, times its basis: a dense (pairs, size) array whose
+        product with the block's eigenvectors gives their probe amplitudes,
+        one per (pre, post) pair, in ascending pair order. All-zero rows are
+        dropped; a slot where v0 is only roundoff still counts as nonzero."""
+        pre, slot, post = np.unravel_index(self.rows, (d_pre, 3, d_post))
+        full = np.zeros((d_pre * d_post, len(self.rows)), np.result_type(v0))
+        full[pre * d_post + post, np.arange(len(self.rows))] = np.conj(v0)[slot]
+        probe_map = full @ self.basis
+        return probe_map[probe_map.any(axis=1)]
+
 
 def _commutes(terms, swap: np.ndarray) -> bool:
     """Whether the basis permutation ``swap`` leaves every term unchanged."""

@@ -46,11 +46,11 @@ __all__ = [
 ]
 
 # Bound on the entries of one kernel step (~4 MB complex). A vector step
-# holds fields x d x block size: its eigenvectors fit in that, and so do the
-# probe rows gathered from them, except that a sector of three identical
-# units gathers up to two basis coefficients per row. An eigenvalue-only step
-# holds its fields' whole (g, b, b) stack of one block size. A vector step of
-# onv-3p1 (d = 648, sectors of up to 210 states) is one field.
+# holds fields x d x block size: its eigenvectors fit in that, and so do one
+# block's probe amplitudes, at most d / 3 (pre, post) pairs per eigenvector.
+# An eigenvalue-only step holds its fields' whole (g, b, b) stack of one
+# block size. A vector step of onv-3p1 (d = 648, sectors of up to 210
+# states) is one field.
 _STACK_ENTRIES = 1 << 18
 
 _EXCHANGE_THRESHOLD = 0.25  # windowed p exchange for gap-minimum relevance
@@ -215,33 +215,35 @@ class _Solver:
     order; a stable sort keeps exactly degenerate levels in block order.
 
     Blocks of one size are held as one (g, b, b) stack per term, with each
-    member block and its columns of the block-ordered output. Both solve
-    kinds go through ``_fill`` on these stacks. The solver keeps no state
-    between calls: every call solves every field it is given.
+    member block's probe map (``Block.probe_map``, built once here and
+    shared by ``at`` copies) and its columns of the block-ordered output.
+    Both solve kinds go through ``_fill`` on these stacks. The solver keeps
+    no state between calls: every call solves every field it is given.
     """
 
     def __init__(self, spec, d_zfs: float):
         terms = hamiltonian_terms(spec)
         self.blocks = terms.blocks
         self.dim = terms[0].shape[0]
+        self.v0, self.d_pre, self.d_post = probe_projector_vector(spec)
         starts = np.cumsum([0, *(blk.size for blk in self.blocks)])
-        self._stacks = []  # (member blocks, their columns, H_const, H_d, H_b stacks) of each block size
+        self._stacks = []  # (member probe maps, their columns, H_const, H_d, H_b stacks) of each block size
         for size in dict.fromkeys(blk.size for blk in self.blocks):
             members = [k for k, blk in enumerate(self.blocks) if blk.size == size]
             blocks = [self.blocks[k] for k in members]
+            maps = [blk.probe_map(self.v0, self.d_pre, self.d_post) for blk in blocks]
             stacks = (np.array([blk.project(h) for blk in blocks]) for h in terms)
-            self._stacks.append((blocks, starts[members, None] + np.arange(size), *stacks))
-        self.v0, self.d_pre, self.d_post = probe_projector_vector(spec)
+            self._stacks.append((maps, starts[members, None] + np.arange(size), *stacks))
         self._set_zfs(d_zfs)
 
     def _set_zfs(self, d_zfs: float) -> None:
         """H0 = H_const + D * H_d on the gathered stacks, which is elementwise
         the sum formed on the whole matrices before gathering."""
-        self.groups = [(blocks, cols, h_const + d_zfs * h_d, h_b) for blocks, cols, h_const, h_d, h_b in self._stacks]
+        self.groups = [(maps, cols, h_const + d_zfs * h_d, h_b) for maps, cols, h_const, h_d, h_b in self._stacks]
 
     def at(self, d_zfs: float) -> "_Solver":
         """The same system's solver at ZFS ``d_zfs``: it shares the gathered
-        term stacks and the probe vector, and forms only its own H0."""
+        term stacks and the probe maps, and forms only its own H0."""
         other = copy.copy(self)
         other._set_zfs(d_zfs)
         return other
@@ -312,7 +314,7 @@ class _Solver:
         member block.
         """
         n = len(fields)
-        for blocks, cols, h0, h_b in self.groups:
+        for maps, cols, h0, h_b in self.groups:
             step = max(1, min(n, budget // self._per_field(h0, projs is not None)))
             hams = np.empty((step, *h0.shape), np.result_type(h0, h_b))
             for start in range(0, n, step):
@@ -323,9 +325,9 @@ class _Solver:
                 if projs is None:
                     vals[sl, cols] = np.linalg.eigvalsh(hams[:m])
                     continue
-                for j, (blk, c) in enumerate(zip(blocks, cols)):
+                for j, (probe_map, c) in enumerate(zip(maps, cols)):
                     vals[sl, c], projs[sl, c] = batched_eigh_project(
-                        hams[:m, j], self.v0, self.d_pre, self.d_post, blk.rows, blk.basis
+                        hams[:m, j], self.v0, self.d_pre, self.d_post, probe_map
                     )
             del hams  # before the next size allocates its own
 

@@ -13,10 +13,13 @@ import pytest
 
 from spin_atlas import constants as c
 from spin_atlas.catalog import get_system, system_ids
-from spin_atlas.sweep import CrossingFeature, find_features, sweep, temperature_shift
+from spin_atlas.hamiltonian import hamiltonian_terms, probe_projector_vector
+from spin_atlas.sweep import CrossingFeature, _Solver, find_features, sweep, temperature_shift
 from spin_atlas.system import Site, SpinSystem
 from spin_atlas.thermal import ThermalZfsModel
 from spin_atlas.traces import Trace, dip_model, fit_dips, side_peak_separations
+
+from test_kernels import degenerate_clusters, dense_projector
 
 
 def report(criterion: str, failures: list, note: str = "") -> None:
@@ -179,6 +182,38 @@ def test_criterion_5_thermal_model():
     report("5 thermal-model", failures)
 
 
+def _production_path_problem(spec, b_field, h, vals, vecs):
+    """What the sweeps' solver gets wrong against the dense eigenpairs
+    ``vals, vecs`` of ``h = H(b_field, D)``, or None.
+
+    ``_Solver.eigvals`` must match to 1e-9 of the spectral scale. The probe
+    weights of ``_Solver.batch`` must sum to d / 3 and match the dense
+    projector's, summed over each run of levels closer than 1e-9 of the
+    scale (eigh's basis inside a run is arbitrary). Each block, taken back
+    out of its basis, must restore every term.
+    """
+    terms = hamiltonian_terms(spec)
+    solver = _Solver(spec, 2870.385)
+    scale = max(np.abs(vals).max(), 1.0)
+    if np.abs(solver.eigvals(np.array([b_field]))[0] - vals).max() > 1e-9 * scale:
+        return "solver eigenvalues"
+    _, projs = solver.batch(np.array([b_field]))
+    if abs(projs.sum() - spec.dimension / 3.0) > 1e-9:
+        return "solver projection sum"
+    dense = np.einsum("ai,ab,bi->i", vecs.conj(), dense_projector(*probe_projector_vector(spec)), vecs).real
+    for run in degenerate_clusters(vals, 1e-9 * scale):
+        if abs(projs[0, run].sum() - dense[run].sum()) > 1e-9:
+            return "solver projections"
+    for term in terms:
+        rebuilt = np.zeros_like(term)
+        for blk in terms.blocks:
+            basis = blk.basis.toarray()
+            rebuilt[np.ix_(blk.rows, blk.rows)] += basis @ blk.project(term) @ basis.T
+        if np.abs(rebuilt - term).max() > 1e-12 * max(np.abs(term).max(), 1.0):
+            return "block reconstruction"
+    return None
+
+
 def test_criterion_6_property_suites(catalog_features):
     failures = []
 
@@ -190,7 +225,8 @@ def test_criterion_6_property_suites(catalog_features):
         if not np.allclose(sr.projections.sum(axis=1), spec.dimension / 3.0, atol=1e-7):
             failures.append(f"{sys_id} projection sum")
 
-    # Hermiticity + eigen-reconstruction on 1000 random systems.
+    # Hermiticity + eigen-reconstruction on 1000 random systems, and the
+    # same draws through the sweeps' block solver.
     from spin_atlas.hamiltonian import build_hamiltonian, eigendecompose
     from spin_atlas.system import Hyperfine, InteractionTensor
 
@@ -212,7 +248,8 @@ def test_criterion_6_property_suites(catalog_features):
                 )
             )
         spec = SpinSystem(sites=sites)
-        h = build_hamiltonian(spec, rng.uniform(0, 1100), 2870.385)
+        b_field = rng.uniform(0, 1100)
+        h = build_hamiltonian(spec, b_field, 2870.385)
         if np.abs(h - h.conj().T).max() > 1e-9:
             failures.append(f"hermiticity draw {k}")
             break
@@ -220,6 +257,10 @@ def test_criterion_6_property_suites(catalog_features):
         scale = max(np.abs(vals).max(), 1.0)
         if np.abs((vecs * vals) @ vecs.conj().T - h).max() / scale > 1e-6:
             failures.append(f"reconstruction draw {k}")
+            break
+        problem = _production_path_problem(spec, b_field, h, vals, vecs)
+        if problem:
+            failures.append(f"{problem} draw {k}")
             break
 
     # Isolated-NV temperature shift vs closed form.

@@ -44,9 +44,9 @@ def record_kernel_calls(mp):
     appends (thread id, n, d, b) to the returned list."""
     calls = []
 
-    def recorder(hams, v0, d_pre, d_post, rows=None, basis=None):
+    def recorder(hams, v0, d_pre, d_post, probe_map=None):
         calls.append((threading.get_ident(), hams.shape[0], d_pre * 3 * d_post, hams.shape[1]))
-        return batched_eigh_project(hams, v0, d_pre, d_post, rows, basis)
+        return batched_eigh_project(hams, v0, d_pre, d_post, probe_map)
 
     mp.setattr(sweep_mod, "batched_eigh_project", recorder)
     return calls
@@ -164,8 +164,11 @@ def test_exact_ties_keep_block_order():
     ref_vals, ref_projs = [], []
     for b in fields:
         solved = [
-            batched_eigh_project((b * h_b[np.ix_(r, r)] + h0[np.ix_(r, r)])[None], solver.v0, solver.d_pre, solver.d_post, r)
-            for r in (blk.rows for blk in solver.blocks)
+            batched_eigh_project(
+                (b * h_b[np.ix_(blk.rows, blk.rows)] + h0[np.ix_(blk.rows, blk.rows)])[None],
+                solver.v0, solver.d_pre, solver.d_post, blk.probe_map(solver.v0, solver.d_pre, solver.d_post),
+            )
+            for blk in solver.blocks
         ]
         vals = np.concatenate([v[0] for v, _ in solved])
         projs = np.concatenate([p[0] for _, p in solved])
@@ -327,7 +330,7 @@ def test_solve_calls_stay_within_budget(kind, sys_id, n_fields, split, monkeypat
     """Both solve kinds step, split and stay serial by one rule.
 
     One field adds d x b entries to a vector step of block size b (its
-    eigenvectors and gathered probe rows) and g x b x b to an
+    eigenvectors and probe amplitudes) and g x b x b to an
     eigenvalue-only step (the whole stack of the size's g blocks). Every
     step is as large as one worker's share of the budget allows, or one
     field. The fields split across ``_split_count`` workers, whose share must
@@ -517,17 +520,17 @@ def test_grouped_eigvals_are_bit_identical(data):
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
 def test_solver_at_another_zfs_is_bit_identical(data):
-    """A solver moved to another D shares the gathered term stacks and forms
-    only H0 on them; its spectra and projections equal those of a solver
-    built at that D."""
+    """A solver moved to another D shares the gathered term stacks and the
+    probe maps, and forms only H0 on them; its spectra and projections equal
+    those of a solver built at that D."""
     spec = data.draw(solver_specs())
     d_zfs = data.draw(st.floats(min_value=2800.0, max_value=2900.0))
     fields = np.array(data.draw(field_lists()))
     origin = _Solver(spec, D300)
     moved, built = origin.at(d_zfs), _Solver(spec, d_zfs)
     assert moved._stacks is origin._stacks and moved.groups is not origin.groups
-    for (*_, h_b), (*_, moved_h_b) in zip(origin.groups, moved.groups):
-        assert moved_h_b is h_b
+    for (maps, *_, h_b), (moved_maps, *_, moved_h_b) in zip(origin.groups, moved.groups):
+        assert moved_h_b is h_b and moved_maps is maps
     assert np.array_equal(moved.eigvals(fields), built.eigvals(fields))
     for got, want in zip(moved.batch(fields), built.batch(fields)):
         assert np.array_equal(got, want)

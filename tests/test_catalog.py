@@ -25,7 +25,6 @@ _DEFAULT_DETECTION = SweepConfig(jump_threshold=0.4, gap_ceiling=30.0, gap_true=
                                  cluster_radius=15.0)
 _TUNED_DETECTION = {
     "onv-2p1": {"cluster_radius": 5.0},
-    "2onv-p1": {"cluster_radius": 5.0},
     "2nv-13c": {"cluster_radius": 10.0},
     "nv-onv-13c": {"cluster_radius": 10.0, "gap_ceiling": 60.0},
     "nv-onv-p1": {"cluster_radius": 8.0},

@@ -588,6 +588,10 @@ def test_detection_settings_precedence(tmp_path, monkeypatch, capsys):
         (["sweep", "--points", "-7"], "at least 2"),
         (["sweep", "--points", "0"], "at least 2"),
         (["features", "--points", "1"], "at least 2"),
+        (["tshift", "--feature", "1024", "--tmin", "4", "--tmax", "300", "--tstep", "1e-320"], "cap"),
+        # At 1e17 K a 1 K step does not move t, which once looped forever.
+        (["tshift", "--feature", "1024", "--tmin", "1e17", "--tmax", "1.0000000000000003e17", "--tstep", "1"],
+         "resolution"),
     ],
 )
 def test_out_of_range_inputs_exit_1(argv, message, capsys, monkeypatch):
