@@ -9,6 +9,7 @@ import dataclasses
 import json
 import math
 import os
+import stat
 import sys
 import tempfile
 
@@ -162,6 +163,16 @@ def _detection_config(entry, args, cfg) -> SweepConfig:
         raise DomainError(f"invalid detection settings: {exc}") from exc
 
 
+def _output_mode(path: str) -> int:
+    """The mode ``open(path, "w")`` leaves: the file's own, else 0o666 less the umask."""
+    try:
+        return stat.S_IMODE(os.stat(path).st_mode)
+    except FileNotFoundError:
+        umask = os.umask(0)  # reading the umask means setting it
+        os.umask(umask)
+        return 0o666 & ~umask
+
+
 def _write_atomic(path: str | None, write) -> None:
     """Write output atomically (temp file + rename); '-'/None means stdout.
 
@@ -180,6 +191,7 @@ def _write_atomic(path: str | None, write) -> None:
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".spin-atlas-")
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             write(fh)
+        os.chmod(tmp, _output_mode(path))  # mkstemp's is 0o600
         os.replace(tmp, path)
     except BaseException as exc:
         if tmp is not None:
@@ -352,11 +364,10 @@ def _add_range_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--temp", type=float, help="temperature, kelvin")
 
 
-def _add_detection_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--jump-threshold", dest="jump_threshold", type=float)
-    p.add_argument("--gap-ceiling", dest="gap_ceiling", type=float)
-    p.add_argument("--gap-true", dest="gap_true", type=float)
-    p.add_argument("--cluster-radius", dest="cluster_radius", type=float)
+def _add_detection_args(p: argparse.ArgumentParser, skip: str | None = None) -> None:
+    for f in dataclasses.fields(SweepConfig):
+        if f.name != skip:
+            p.add_argument("--" + f.name.replace("_", "-"), dest=f.name, type=float)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -387,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tshift", help="temperature shift of one feature")
     _add_system_args(p)
-    _add_detection_args(p)
+    _add_detection_args(p, skip="gap_true")  # it sets only a line's kind; tshift prints none
     p.add_argument("--feature", type=float, required=True,
                    help="approximate feature center at 300 K, gauss")
     p.add_argument("--tmin", type=float)

@@ -2,11 +2,11 @@
 temperature continuation of feature centers.
 
 The diagnostic follows the projection method: eigenstates are ordered by
-energy after a global positivity shift, and the probe m_S = 0 weights p_i are
-tracked across the grid. Sudden p exchanges between adjacent levels, or local
-minima of the adjacent-level gap, mark (avoided) crossings; each candidate is
-refined by a bracketed one-dimensional gap minimization and classified as a
-true crossing (gap below threshold at 0.01 G resolution) or an avoided one.
+energy, and the probe m_S = 0 weights p_i are tracked across the grid. Sudden
+p exchanges between adjacent levels, or local minima of the adjacent-level
+gap, mark (avoided) crossings; each candidate is refined by a bracketed
+one-dimensional gap minimization and classified as a true crossing (gap below
+threshold at 0.01 G resolution) or an avoided one.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import copy
 import ctypes
 import dataclasses
 import functools
-import itertools
 import json
 import math
 import os
@@ -537,46 +536,45 @@ def _gap_minima(solver: _Solver, searches: list, pick) -> list:
     """Refined gap minima of level pairs, every minimisation of a call in
     lock-step.
 
-    ``searches`` holds (sample, pairs): ascending fields and the level pairs
-    to minimise over them. ``pick(g)`` gives the indices k of a pair's gap
+    ``searches`` holds (sample, pair): ascending fields and the level pair
+    to minimise over them. ``pick(g)`` gives the indices k of the pair's gap
     sample ``g`` whose neighbours bracket a minimum; each bracket is refined
-    by one ``_brent`` run. Round 0 solves every sample with one
-    ``solver.eigvals`` call. Each later round takes the next field of every
-    live run, solves the distinct fields with one call, and sends each run
-    the gap of its own pair. Only those gaps are kept, never the spectra.
+    by one ``_brent`` run. Round 0 solves the fields of every sample, and
+    each later round the next field of every live run, each distinct field
+    once in one call; only the pairs' gaps are kept, never the spectra.
 
-    Returns, for each search and each of its pairs, the (field, gap) of every
-    picked minimum in pick order.
+    Returns, for each search, the (field, gap) of every picked minimum in
+    pick order.
     """
     if not searches:
         return []
 
-    def solve(fields: np.ndarray):
-        """Levels at the distinct ``fields`` from one call, and each field's
-        row among them."""
+    def gaps(fields: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+        """Gap of pair ``pairs[i]`` at ``fields[i]``; one call solves the distinct fields."""
         distinct, row = np.unique(fields, return_inverse=True)
-        return solver.eigvals(distinct), row
+        levels = solver.eigvals(distinct)
+        return levels[row, pairs + 1] - levels[row, pairs]
 
-    levels, row = solve(np.concatenate([sample for sample, _ in searches]))
+    sampled = gaps(
+        np.concatenate([sample for sample, _ in searches]),
+        np.concatenate([np.full(len(sample), pair) for sample, pair in searches]),
+    )
     results, live = [], []
     start = 0
-    for sample, pairs in searches:
-        rows = levels[row[start : start + len(sample)]]
+    for sample, pair in searches:
+        ks = pick(sampled[start : start + len(sample)])
         start += len(sample)
-        results.append([])
-        for pair in pairs:
-            ks = pick(rows[:, pair + 1] - rows[:, pair])
-            found = [None] * len(ks)
-            results[-1].append(found)
-            for i, k in enumerate(ks):
-                run = _brent(float(sample[max(k - 1, 0)]), float(sample[min(k + 1, len(sample) - 1)]))
-                live.append((run, pair, found, i, next(run)))
+        found = [None] * len(ks)
+        results.append(found)
+        for i, k in enumerate(ks):
+            run = _brent(float(sample[max(k - 1, 0)]), float(sample[min(k + 1, len(sample) - 1)]))
+            live.append((run, pair, found, i, next(run)))
     while live:
-        levels, row = solve(np.array([b for *_, b in live]))
         asking = []
-        for (run, pair, found, i, _), at in zip(live, levels[row]):
+        at = gaps(np.array([b for *_, b in live]), np.array([pair for _, pair, *_ in live]))
+        for (run, pair, found, i, _), gap in zip(live, at.tolist()):
             try:
-                asking.append((run, pair, found, i, run.send(float(at[pair + 1] - at[pair]))))
+                asking.append((run, pair, found, i, run.send(gap)))
             except StopIteration as done:
                 found[i] = done.value
         live = asking
@@ -624,31 +622,21 @@ def find_features(
 
     ``refine=False`` skips the per-candidate gap minimization and reports
     events at grid resolution; gaps and classifications are then grid-limited
-    estimates, so use it only where the grid spacing already meets the needed
-    field accuracy (e.g. broad-band centers of very large systems).
+    estimates, and a line can name another level pair than refinement would.
+    Use it only where the grid spacing already meets the needed field
+    accuracy (e.g. broad-band centers of very large systems).
     """
     config = config or SweepConfig()
     model = model or ThermalZfsModel()
     sr = sweep(spec, b_min, b_max, n_points, temperature, model)
     candidates = detect_events(sr, config)
     if refine:
-        # Candidates come sorted by (b_lo, pair), so those sharing a bracket
-        # are adjacent and share its 17-point sample.
-        groups = [list(g) for _, g in itertools.groupby(candidates, key=lambda c: (c.b_lo, c.b_hi))]
-        searches = [(np.linspace(g[0].b_lo, g[0].b_hi, 17), [c.pair for c in g]) for g in groups]
+        searches = [(np.linspace(c.b_lo, c.b_hi, 17), c.pair) for c in candidates]
         minima = _gap_minima(_Solver(spec, sr.d_zfs), searches, _local_minima)
-        refined = [
-            _line(cand, x, gap, config)
-            for group, found in zip(groups, minima)
-            for cand, pair_minima in zip(group, found)
-            for x, gap in pair_minima
-        ]
     else:
         gaps = sr.gaps()
-        refined = [
-            _line(c, float(sr.field[c.grid_index]), float(gaps[c.grid_index, c.pair]), config)
-            for c in candidates
-        ]
+        minima = [[(float(sr.field[c.grid_index]), float(gaps[c.grid_index, c.pair]))] for c in candidates]
+    refined = [_line(c, x, gap, config) for c, found in zip(candidates, minima) for x, gap in found]
     # Candidates of one level pair can refine to the same field (a gap minimum
     # and a p jump at one crossing); keep the smallest gap per 0.05 G bin.
     unique: dict[tuple, CrossingEvent] = {}
@@ -674,7 +662,7 @@ def _track_center(solver: _Solver, d_zfs: float, pair: int, seed: float) -> floa
     system's solver at any D; only its H0 is formed again."""
     coarse = np.linspace(seed - _TRACK_WINDOW, seed + _TRACK_WINDOW, 21)
     coarse = coarse[coarse > 0]
-    [[found]] = _gap_minima(solver.at(d_zfs), [(coarse, [pair])], _inner_argmin)
+    [found] = _gap_minima(solver.at(d_zfs), [(coarse, pair)], _inner_argmin)
     return found[0][0] if found else None
 
 

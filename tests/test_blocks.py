@@ -628,3 +628,66 @@ def test_refinement_solves_each_field_once_per_round(spec, b_min, b_max, monkeyp
     assert lines == oracle
 
 
+
+
+def window_searches():
+    """The solver and one (17-point sample, pair) search per candidate of an
+    nv-2p1 window: 58 candidates in 30 brackets, 17 of them shared."""
+    spec = get_system("nv-2p1").system
+    sr = sweep(spec, 330.0, 350.0, 256)
+    candidates = detect_events(sr, SweepConfig())
+    return _Solver(spec, sr.d_zfs), [(np.linspace(c.b_lo, c.b_hi, 17), c.pair) for c in candidates]
+
+
+def record_eigvals_fields(mp):
+    """Wrap ``_Solver.eigvals``; each call appends its fields to the
+    returned list."""
+    calls, eigvals = [], _Solver.eigvals
+
+    def recorder(self, fields):
+        calls.append(fields.tolist())
+        return eigvals(self, fields)
+
+    mp.setattr(_Solver, "eigvals", recorder)
+    return calls
+
+
+def test_searches_over_one_sample_share_round_zero(monkeypatch):
+    """Two searches over one sample with different pairs: round 0 solves the
+    sample's 17 fields once, in one ``eigvals`` call, and each search finds
+    what it finds alone."""
+    solver, searches = window_searches()
+    sample, pair = searches[0]
+    twin = next(p for s, p in searches[1:] if np.array_equal(s, sample))
+    alone = [sweep_mod._gap_minima(solver, [(sample, p)], sweep_mod._local_minima)[0] for p in (pair, twin)]
+    calls = record_eigvals_fields(monkeypatch)
+    assert sweep_mod._gap_minima(solver, [(sample, pair), (sample, twin)], sweep_mod._local_minima) == alone
+    assert calls[0] == sample.tolist()
+
+
+def test_no_searches_solve_nothing(monkeypatch):
+    calls = record_eigvals_fields(monkeypatch)
+    assert sweep_mod._gap_minima(_Solver(get_system("nv").system, D300), [], sweep_mod._local_minima) == []
+    assert calls == []
+
+
+def test_search_with_nothing_picked_finds_nothing():
+    """A search whose pick returns no index gets [] and starts no Brent
+    run; the others find what they find without it."""
+    solver, searches = window_searches()
+
+    def pick(g):
+        return [] if len(g) == 5 else sweep_mod._local_minima(g)
+
+    want = sweep_mod._gap_minima(solver, searches[:3], pick)
+    got = sweep_mod._gap_minima(solver, [searches[0], (np.linspace(336.0, 337.0, 5), 30), *searches[1:3]], pick)
+    assert all(want) and got == [want[0], [], *want[1:]]
+
+
+@pytest.mark.parametrize("pick", [sweep_mod._local_minima, sweep_mod._inner_argmin], ids=["refine", "track"])
+def test_one_call_finds_what_one_call_per_search_finds(pick):
+    """Searches refined together in lock-step return, bit for bit, what
+    each returns refined alone."""
+    solver, searches = window_searches()
+    alone = [sweep_mod._gap_minima(solver, [search], pick)[0] for search in searches]
+    assert any(alone) and sweep_mod._gap_minima(solver, searches, pick) == alone

@@ -3,6 +3,8 @@
 import contextlib
 import io
 import json
+import os
+import stat
 import tempfile
 from pathlib import Path
 
@@ -102,11 +104,12 @@ def test_unknown_system_exits_1(capsys):
         # Each command takes only the options it reads.
         ["sweep", "--system", "nv", "--gap-true", "0.1"],
         ["sweep", "--system", "nv", "--cluster-radius", "3"],
+        ["tshift", "--system", "nv", "--feature", "1024", "--gap-true", "0.1"],
         ["catalog", "--config", "c.json"],
         ["fit-trace", "t.csv", "--seeds", "350", "--config", "c.json"],
     ],
     ids=["points-not-a-number", "unknown-command", "sweep-gap-true",
-         "sweep-cluster-radius", "catalog-config", "fit-trace-config"],
+         "sweep-cluster-radius", "tshift-gap-true", "catalog-config", "fit-trace-config"],
 )
 def test_malformed_flags_exit_2(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -664,6 +667,24 @@ def test_atomic_write_creates_file(tmp_path):
     assert json.loads(out.read_text())
     leftovers = [p for p in tmp_path.iterdir() if p.name.startswith(".spin-atlas")]
     assert not leftovers
+
+
+@pytest.mark.parametrize("existing", [None, 0o640], ids=["new-file", "existing-0o640"])
+def test_out_file_keeps_the_mode_open_would_leave(existing, tmp_path):
+    """A new file gets 0o666 less the umask, an overwritten one keeps its
+    mode, as with ``open(path, "w")``; no temp file is left behind."""
+    out = tmp_path / "cat.txt"
+    if existing is not None:
+        out.write_text("old\n")
+        out.chmod(existing)
+    umask = os.umask(0o022)
+    try:
+        assert main(["catalog", "--out", str(out)]) == 0
+    finally:
+        os.umask(umask)
+    assert stat.S_IMODE(out.stat().st_mode) == (0o644 if existing is None else existing)
+    assert "nv-p1" in out.read_text()
+    assert [p.name for p in tmp_path.iterdir()] == [out.name]
 
 
 def test_failed_stream_leaves_no_temp_file(tmp_path, monkeypatch):

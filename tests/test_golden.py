@@ -20,6 +20,10 @@ COMMANDS = {
     "features-nv-p1": ["features", "--system", "nv-p1"],
     "features-2nv-13c-window": ["features", "--system", "2nv-13c", "--bmin", "940",
                                 "--bmax", "970", "--format", "csv"],
+    # 58 candidates in 30 brackets, 17 of them shared by several level pairs:
+    # refinement of a system with symmetry sectors.
+    "features-nv-2p1-window": ["features", "--system", "nv-2p1", "--bmin", "330",
+                               "--bmax", "350", "--points", "256"],
     "sweep-nv-2p1": ["sweep", "--system", "nv-2p1", "--bmin", "330", "--bmax", "350",
                      "--points", "16"],
     "sweep-nv-json": ["sweep", "--system", "nv", "--format", "json"],
