@@ -11,8 +11,6 @@ threshold at 0.01 G resolution) or an avoided one.
 
 from __future__ import annotations
 
-import bisect
-import copy
 import ctypes
 import dataclasses
 import functools
@@ -204,71 +202,63 @@ class CrossingFeature:
 
 
 class _Solver:
-    """Eigenvalue/projection evaluations for one (spec, D), block by block.
+    """Eigenvalue/projection evaluations for one spec, block by block, at a
+    zero-field splitting D given per field.
 
-    H(B) = H0 + B * H_b is cut into the invariant blocks of
-    ``hamiltonian_terms(spec).blocks``: the M_z blocks, split into
+    H(B, D) = H_const + D * H_d + B * H_b is cut into the invariant blocks
+    of ``hamiltonian_terms(spec).blocks``: the M_z blocks, split into
     permutation-symmetry sectors where the system has identical units. Each
     block is diagonalized on its own, as B^T H B for its sparse orthonormal
     basis B, and the levels of all blocks are merged into one ascending
     order; a stable sort keeps exactly degenerate levels in block order.
 
     Blocks of one size are held as one (g, b, b) stack per term, with each
-    member block's probe map (``Block.probe_map``, built once here and
-    shared by ``at`` copies) and its columns of the block-ordered output.
-    Both solve kinds go through ``_fill`` on these stacks. The solver keeps
-    no state between calls: every call solves every field it is given.
+    member block's probe map (``Block.probe_map``, built once here) and its
+    columns of the block-ordered output. Both solve kinds go through
+    ``_fill`` on these stacks. The solver keeps no state between calls:
+    every call solves every (B, D) point it is given, so one call may mix
+    temperatures.
     """
 
-    def __init__(self, spec, d_zfs: float):
+    def __init__(self, spec):
         terms = hamiltonian_terms(spec)
         self.blocks = terms.blocks
         self.dim = terms[0].shape[0]
         self.v0, self.d_pre, self.d_post = probe_projector_vector(spec)
         starts = np.cumsum([0, *(blk.size for blk in self.blocks)])
-        self._stacks = []  # (member probe maps, their columns, H_const, H_d, H_b stacks) of each block size
+        self.groups = []  # (member probe maps, their columns, H_const, H_d, H_b stacks) of each block size
         for size in dict.fromkeys(blk.size for blk in self.blocks):
             members = [k for k, blk in enumerate(self.blocks) if blk.size == size]
             blocks = [self.blocks[k] for k in members]
             maps = [blk.probe_map(self.v0, self.d_pre, self.d_post) for blk in blocks]
             stacks = (np.array([blk.project(h) for blk in blocks]) for h in terms)
-            self._stacks.append((maps, starts[members, None] + np.arange(size), *stacks))
-        self._set_zfs(d_zfs)
+            self.groups.append((maps, starts[members, None] + np.arange(size), *stacks))
 
-    def _set_zfs(self, d_zfs: float) -> None:
-        """H0 = H_const + D * H_d on the gathered stacks, which is elementwise
-        the sum formed on the whole matrices before gathering."""
-        self.groups = [(maps, cols, h_const + d_zfs * h_d, h_b) for maps, cols, h_const, h_d, h_b in self._stacks]
-
-    def at(self, d_zfs: float) -> "_Solver":
-        """The same system's solver at ZFS ``d_zfs``: it shares the gathered
-        term stacks and the probe maps, and forms only its own H0."""
-        other = copy.copy(self)
-        other._set_zfs(d_zfs)
-        return other
-
-    def batch(self, fields: np.ndarray):
-        """Ascending eigenvalues (n, d) and their probe projections (n, d)."""
-        vals, projs = self._solve(fields, vectors=True)
+    def batch(self, fields: np.ndarray, zfs: float | np.ndarray):
+        """Ascending eigenvalues (n, d) and their probe projections (n, d)
+        at each field and ZFS ``zfs`` (MHz; one for all fields, or one
+        each)."""
+        vals, projs = self._solve(fields, zfs, vectors=True)
         order = np.argsort(vals, axis=1, kind="stable")
         return np.take_along_axis(vals, order, axis=1), np.take_along_axis(projs, order, axis=1)
 
-    def eigvals(self, fields: np.ndarray) -> np.ndarray:
-        """Ascending eigenvalues at every field, shape (n, d)."""
-        vals, _ = self._solve(fields, vectors=False)
+    def eigvals(self, fields: np.ndarray, zfs: float | np.ndarray) -> np.ndarray:
+        """Ascending eigenvalues at each field and ZFS ``zfs`` (one for all
+        fields, or one each), shape (n, d)."""
+        vals, _ = self._solve(fields, zfs, vectors=False)
         vals.sort(axis=1)
         return vals
 
-    def _per_field(self, h0: np.ndarray, vectors: bool) -> int:
-        """Entries one field adds to a kernel step of the (g, b, b) stack
-        ``h0``: d x b for a vector solve, g x b x b for an eigenvalue-only
-        one."""
-        g, b, _ = h0.shape
+    def _per_field(self, stack: np.ndarray, vectors: bool) -> int:
+        """Entries one field adds to a kernel step of the (g, b, b) term
+        stack ``stack``: d x b for a vector solve, g x b x b for an
+        eigenvalue-only one."""
+        g, b, _ = stack.shape
         return self.dim * b if vectors else g * b * b
 
-    def _solve(self, fields: np.ndarray, vectors: bool):
-        """Block-ordered eigenvalues (n, d) of ``fields``, and their probe
-        projections (n, d) if ``vectors``, else None.
+    def _solve(self, fields: np.ndarray, zfs: float | np.ndarray, vectors: bool):
+        """Block-ordered eigenvalues (n, d) at ``fields`` and ``zfs``, and
+        their probe projections (n, d) if ``vectors``, else None.
 
         The fields are cut into ``_split_count`` contiguous slices, each with
         an equal share of ``_STACK_ENTRIES`` as its budget: the calling thread
@@ -281,16 +271,17 @@ class _Solver:
         4.6 ms split).
         """
         n = len(fields)
+        zfs = np.broadcast_to(np.asarray(zfs, dtype=float), (n,))
         vals = np.empty((n, self.dim))
         projs = np.empty((n, self.dim)) if vectors else None
-        per_field = [self._per_field(h0, vectors) for *_, h0, _ in self.groups]
+        per_field = [self._per_field(h_b, vectors) for *_, h_b in self.groups]
         workers = _split_count(n, max(per_field))
         if n * sum(per_field) <= _STACK_ENTRIES // workers:
             workers = 1
         budget = _STACK_ENTRIES // workers
 
         def fill(sl: slice) -> None:
-            self._fill(fields[sl], vals[sl], None if projs is None else projs[sl], budget)
+            self._fill(fields[sl], zfs[sl], vals[sl], None if projs is None else projs[sl], budget)
 
         first, *rest = (slice(n * w // workers, n * (w + 1) // workers) for w in range(workers))
         # The pool starts a thread only per submitted slice: none when serial.
@@ -301,26 +292,31 @@ class _Solver:
                 helper.result()
         return vals, projs
 
-    def _fill(self, fields: np.ndarray, vals: np.ndarray, projs: np.ndarray | None, budget: int) -> None:
-        """Eigenvalues of ``fields`` into the (n, d) view ``vals``, and their
-        projections into ``projs`` unless it is None, every block in its own
-        columns.
+    def _fill(self, fields: np.ndarray, zfs: np.ndarray, vals: np.ndarray, projs: np.ndarray | None,
+              budget: int) -> None:
+        """Eigenvalues at ``fields`` and ``zfs`` into the (n, d) view
+        ``vals``, and their projections into ``projs`` unless it is None,
+        every block in its own columns.
 
         Each block size's (m, g, b, b) stack of fields is formed in steps of
         at most ``budget`` entries (``_per_field`` each), or of one field,
-        reusing one buffer per size. An eigenvalue-only step is one
-        ``eigvalsh`` call on the stack; a vector step is one kernel call per
-        member block.
+        reusing one buffer per size for H and one for H0 = H_const + D * H_d,
+        so each step is H0 + B * H_b with H0 rounded as if formed once per D.
+        An eigenvalue-only step is one ``eigvalsh`` call on the stack; a
+        vector step is one kernel call per member block.
         """
         n = len(fields)
-        for maps, cols, h0, h_b in self.groups:
-            step = max(1, min(n, budget // self._per_field(h0, projs is not None)))
-            hams = np.empty((step, *h0.shape), np.result_type(h0, h_b))
+        for maps, cols, h_const, h_d, h_b in self.groups:
+            step = max(1, min(n, budget // self._per_field(h_b, projs is not None)))
+            hams = np.empty((step, *h_b.shape), np.result_type(h_const, h_d, h_b))
+            h0 = np.empty_like(hams)
             for start in range(0, n, step):
                 sl = slice(start, start + step)
                 m = min(step, n - start)
+                np.multiply(zfs[sl, None, None, None], h_d, out=h0[:m])
+                h0[:m] += h_const
                 np.multiply(fields[sl, None, None, None], h_b, out=hams[:m])
-                hams[:m] += h0
+                hams[:m] += h0[:m]
                 if projs is None:
                     vals[sl, cols] = np.linalg.eigvalsh(hams[:m])
                     continue
@@ -328,7 +324,7 @@ class _Solver:
                     vals[sl, c], projs[sl, c] = batched_eigh_project(
                         hams[:m, j], self.v0, self.d_pre, self.d_post, probe_map
                     )
-            del hams  # before the next size allocates its own
+            del hams, h0  # before the next size allocates its own
 
 
 def sweep(
@@ -346,16 +342,16 @@ def sweep(
         raise ValueError("need at least 2 grid points")
     model = model or ThermalZfsModel()
     d_zfs = model.zfs_at(temperature)
-    solver = _Solver(spec, d_zfs)
+    solver = _Solver(spec)
 
     grid = np.linspace(b_min, b_max, n_points)
     # The positivity shift is fixed for the whole sweep by the lowest level.
     # That level is a minimum of functions affine in B, so it is concave and
     # its minimum over the range lies at one end.
-    low = float(solver.eigvals(np.array([b_min, b_max]))[:, 0].min())
+    low = float(solver.eigvals(np.array([b_min, b_max]), d_zfs)[:, 0].min())
     shift = abs(min(low, 0.0)) + 100.0
 
-    vals, projs = solver.batch(grid)
+    vals, projs = solver.batch(grid, d_zfs)
     return SweepResult(
         field=grid,
         eigenvalues=vals + shift,
@@ -536,12 +532,13 @@ def _gap_minima(solver: _Solver, searches: list, pick) -> list:
     """Refined gap minima of level pairs, every minimisation of a call in
     lock-step.
 
-    ``searches`` holds (sample, pair): ascending fields and the level pair
-    to minimise over them. ``pick(g)`` gives the indices k of the pair's gap
-    sample ``g`` whose neighbours bracket a minimum; each bracket is refined
-    by one ``_brent`` run. Round 0 solves the fields of every sample, and
-    each later round the next field of every live run, each distinct field
-    once in one call; only the pairs' gaps are kept, never the spectra.
+    ``searches`` holds (sample, pair, d_zfs): ascending fields, the level
+    pair to minimise over them and the ZFS (MHz) to solve them at.
+    ``pick(g)`` gives the indices k of the pair's gap sample ``g`` whose
+    neighbours bracket a minimum; each bracket is refined by one ``_brent``
+    run. Round 0 solves the points of every sample, and each later round the
+    next point of every live run, each distinct (B, D) point once in one
+    call; only the pairs' gaps are kept, never the spectra.
 
     Returns, for each search, the (field, gap) of every picked minimum in
     pick order.
@@ -549,32 +546,34 @@ def _gap_minima(solver: _Solver, searches: list, pick) -> list:
     if not searches:
         return []
 
-    def gaps(fields: np.ndarray, pairs: np.ndarray) -> np.ndarray:
-        """Gap of pair ``pairs[i]`` at ``fields[i]``; one call solves the distinct fields."""
-        distinct, row = np.unique(fields, return_inverse=True)
-        levels = solver.eigvals(distinct)
+    def gaps(points: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+        """Gap of pair ``pairs[i]`` at the (B, D) point ``points[i]``; one
+        call solves the distinct points."""
+        distinct, row = np.unique(points, axis=0, return_inverse=True)
+        row = row.reshape(-1)  # its shape differs across numpy versions
+        levels = solver.eigvals(distinct[:, 0], distinct[:, 1])
         return levels[row, pairs + 1] - levels[row, pairs]
 
     sampled = gaps(
-        np.concatenate([sample for sample, _ in searches]),
-        np.concatenate([np.full(len(sample), pair) for sample, pair in searches]),
+        np.concatenate([np.column_stack([sample, np.full(len(sample), d_zfs)]) for sample, _, d_zfs in searches]),
+        np.concatenate([np.full(len(sample), pair) for sample, pair, _ in searches]),
     )
     results, live = [], []
     start = 0
-    for sample, pair in searches:
+    for sample, pair, d_zfs in searches:
         ks = pick(sampled[start : start + len(sample)])
         start += len(sample)
         found = [None] * len(ks)
         results.append(found)
         for i, k in enumerate(ks):
             run = _brent(float(sample[max(k - 1, 0)]), float(sample[min(k + 1, len(sample) - 1)]))
-            live.append((run, pair, found, i, next(run)))
+            live.append((run, pair, d_zfs, found, i, next(run)))
     while live:
         asking = []
-        at = gaps(np.array([b for *_, b in live]), np.array([pair for _, pair, *_ in live]))
-        for (run, pair, found, i, _), gap in zip(live, at.tolist()):
+        at = gaps(np.array([(b, d_zfs) for _, _, d_zfs, *_, b in live]), np.array([pair for _, pair, *_ in live]))
+        for (run, pair, d_zfs, found, i, _), gap in zip(live, at.tolist()):
             try:
-                asking.append((run, pair, found, i, run.send(gap)))
+                asking.append((run, pair, d_zfs, found, i, run.send(gap)))
             except StopIteration as done:
                 found[i] = done.value
         live = asking
@@ -589,9 +588,10 @@ def _local_minima(g: np.ndarray) -> list:
 
 
 def _inner_argmin(g: np.ndarray) -> list:
-    """The argmin of a gap sample, or nothing when it sits at an edge."""
-    k = int(np.argmin(g))
-    return [] if k in (0, len(g) - 1) else [k]
+    """The argmin of a gap sample, or nothing when it sits at an edge or the
+    sample is empty."""
+    k = int(np.argmin(g)) if len(g) else 0
+    return [k] if 0 < k < len(g) - 1 else []
 
 
 def cluster_features(events: list[CrossingEvent], cluster_radius: float) -> list[CrossingFeature]:
@@ -631,8 +631,8 @@ def find_features(
     sr = sweep(spec, b_min, b_max, n_points, temperature, model)
     candidates = detect_events(sr, config)
     if refine:
-        searches = [(np.linspace(c.b_lo, c.b_hi, 17), c.pair) for c in candidates]
-        minima = _gap_minima(_Solver(spec, sr.d_zfs), searches, _local_minima)
+        searches = [(np.linspace(c.b_lo, c.b_hi, 17), c.pair, sr.d_zfs) for c in candidates]
+        minima = _gap_minima(_Solver(spec), searches, _local_minima)
     else:
         gaps = sr.gaps()
         minima = [[(float(sr.field[c.grid_index]), float(gaps[c.grid_index, c.pair]))] for c in candidates]
@@ -656,16 +656,6 @@ class TemperatureShift:
     lost: list = field(default_factory=list)  # temperatures where tracking failed
 
 
-def _track_center(solver: _Solver, d_zfs: float, pair: int, seed: float) -> float | None:
-    """The pair's gap minimum within _TRACK_WINDOW of seed at ZFS d_zfs, or
-    None when it ran off the window (feature lost). ``solver`` is the
-    system's solver at any D; only its H0 is formed again."""
-    coarse = np.linspace(seed - _TRACK_WINDOW, seed + _TRACK_WINDOW, 21)
-    coarse = coarse[coarse > 0]
-    [found] = _gap_minima(solver.at(d_zfs), [(coarse, pair)], _inner_argmin)
-    return found[0][0] if found else None
-
-
 def temperature_shift(
     spec,
     feature: CrossingFeature,
@@ -674,51 +664,56 @@ def temperature_shift(
 ) -> TemperatureShift:
     """Continue a feature center in temperature and report shifts from T_REF.
 
-    The tracked line is the feature's central line. Its center is tracked at
-    T_REF from the line's field, at T_REF again if the grid holds it, then in
-    two walks outward: the grid temperatures above T_REF upward, those below
-    downward, each seeded from the last center its walk tracked. Failed
-    grid temperatures go to `lost`; repeats are kept. A center lost at T_REF
-    or at T_REF +/- 5 K, the points of the slope, raises RuntimeError.
+    The tracked line is the feature's central line. A center is its level
+    pair's gap minimum within _TRACK_WINDOW of a seed, and each of three
+    stages tracks all its temperatures in one lock-step ``_gap_minima``
+    call through one solver:
+
+    1. T_REF, seeded from the line's field;
+    2. T_REF +/- 5 K, the points of the slope, seeded from the T_REF center;
+    3. every grid temperature, repeats included, seeded at
+       center(T_REF) + dB/dD * (D(T) - D(T_REF)), with dB/dD taken from the
+       two centers of stage 2.
+
+    Failed grid temperatures go to `lost`. A center lost at T_REF or at
+    T_REF +/- 5 K raises RuntimeError.
     """
     model = model or ThermalZfsModel()
     line = feature.central_line
     pair = line.levels[0]
-    solver = _Solver(spec, model.zfs_at(T_REF))
+    solver = _Solver(spec)
 
-    def center_at(t: float, seed: float) -> float | None:
-        return _track_center(solver, model.zfs_at(t), pair, seed)
+    def centers(points: list) -> list:
+        """The pair's gap minimum within _TRACK_WINDOW of each (seed, D), or
+        None where it ran off the window (feature lost)."""
+        searches = []
+        for seed, d_zfs in points:
+            window = np.linspace(seed - _TRACK_WINDOW, seed + _TRACK_WINDOW, 21)
+            searches.append((window[window > 0], pair, d_zfs))
+        return [found[0][0] if found else None for found in _gap_minima(solver, searches, _inner_argmin)]
 
-    ref_center = center_at(T_REF, line.field)
+    d_ref, d_lo, d_hi = (model.zfs_at(t) for t in (T_REF, T_REF - 5.0, T_REF + 5.0))
+    [ref_center] = centers([(line.field, d_ref)])
     if ref_center is None:
         raise RuntimeError(f"feature near {line.field:.2f} G lost at reference temperature")
-
-    temps = sorted(float(t) for t in t_grid)
-    centers: list[float | None] = [None] * len(temps)
-
-    def walk(indices, seed: float) -> float:
-        for i in indices:
-            centers[i] = center_at(temps[i], seed)
-            if centers[i] is not None:
-                seed = centers[i]
-        return seed
-
-    lo, hi = bisect.bisect_left(temps, T_REF), bisect.bisect_right(temps, T_REF)
-    seed = walk(range(lo, hi), ref_center)
-    walk(range(hi, len(temps)), seed)
-    walk(range(lo - 1, -1, -1), seed)
-
-    slope_lo, slope_hi = (center_at(T_REF + dt, ref_center) for dt in (-5.0, 5.0))
+    slope_lo, slope_hi = centers([(ref_center, d_lo), (ref_center, d_hi)])
     if slope_lo is None or slope_hi is None:
         raise RuntimeError(f"feature near {line.field:.2f} G lost within 5 K of the reference temperature")
 
-    kept = [(t, c) for t, c in zip(temps, centers) if c is not None]
+    # A model whose D does not change around T_REF gives no rate; its seeds
+    # are the T_REF center.
+    rate = (slope_hi - slope_lo) / (d_hi - d_lo) if d_hi != d_lo else 0.0
+    temps = sorted(float(t) for t in t_grid)
+    zfs = [model.zfs_at(t) for t in temps]
+    tracked = centers([(ref_center + rate * (d_zfs - d_ref), d_zfs) for d_zfs in zfs])
+
+    kept = [(t, c) for t, c in zip(temps, tracked) if c is not None]
     return TemperatureShift(
         temperatures=[t for t, _ in kept],
         centers=[c for _, c in kept],
         delta_b=[c - ref_center for _, c in kept],
         slope_at_ref=(slope_hi - slope_lo) / 10.0,
-        lost=[t for t, c in zip(temps, centers) if c is None],
+        lost=[t for t, c in zip(temps, tracked) if c is None],
     )
 
 

@@ -193,11 +193,11 @@ def _production_path_problem(spec, b_field, h, vals, vecs):
     out of its basis, must restore every term.
     """
     terms = hamiltonian_terms(spec)
-    solver = _Solver(spec, 2870.385)
+    solver = _Solver(spec)
     scale = max(np.abs(vals).max(), 1.0)
-    if np.abs(solver.eigvals(np.array([b_field]))[0] - vals).max() > 1e-9 * scale:
+    if np.abs(solver.eigvals(np.array([b_field]), 2870.385)[0] - vals).max() > 1e-9 * scale:
         return "solver eigenvalues"
-    _, projs = solver.batch(np.array([b_field]))
+    _, projs = solver.batch(np.array([b_field]), 2870.385)
     if abs(projs.sum() - spec.dimension / 3.0) > 1e-9:
         return "solver projection sum"
     dense = np.einsum("ai,ab,bi->i", vecs.conj(), dense_projector(*probe_projector_vector(spec)), vecs).real

@@ -2,8 +2,8 @@
 against dense ``np.linalg.eigh`` of the full matrix, the order of exactly
 degenerate levels, the kernel-call budget of ``_Solver.batch`` and
 ``_Solver.eigvals`` and their split of the fields across threads, the dtype
-of the cached terms, the grouped eigenvalue solves, and the lock-step rounds
-of refinement."""
+of the cached terms, the grouped eigenvalue solves, calls that mix D values,
+and the lock-step rounds of refinement."""
 
 import collections
 import itertools
@@ -21,7 +21,7 @@ from scipy.sparse.csgraph import connected_components
 
 import spin_atlas.sweep as sweep_mod
 from spin_atlas.catalog import get_system, list_systems
-from spin_atlas.hamiltonian import HamiltonianTerms, hamiltonian_terms
+from spin_atlas.hamiltonian import HamiltonianTerms, build_hamiltonian, hamiltonian_terms
 from spin_atlas.kernels import batched_eigh_project
 from spin_atlas.sweep import SweepConfig, _Solver, detect_events, find_features, sweep
 from spin_atlas.system import Coupling, Hyperfine, InteractionTensor, Site, SpinSystem
@@ -98,12 +98,12 @@ def assert_matches_dense(solver, hams, fields):
     all fields at once matches solves of one field each, and its gaps match
     the dense ones.
     """
-    vals, projs = solver.batch(fields)
+    vals, projs = solver.batch(fields, D300)
     ref_vals, ref_projs = dense_reference(hams, solver.v0, solver.d_pre, solver.d_post)
     assert_matches_reference(vals, projs, ref_vals, ref_projs, cluster_tol=1e-6, atol=1e-8)
     scale = max(np.abs(ref_vals).max(), 1.0)
-    stacked = solver.eigvals(fields)
-    per_field = np.concatenate([solver.eigvals(np.array([b])) for b in fields])
+    stacked = solver.eigvals(fields, D300)
+    per_field = np.concatenate([solver.eigvals(np.array([b]), D300) for b in fields])
     np.testing.assert_allclose(stacked, per_field, rtol=0.0, atol=1e-12 * scale)
     np.testing.assert_allclose(np.diff(stacked, axis=1), np.diff(ref_vals, axis=1), rtol=0.0, atol=2e-9 * scale)
 
@@ -121,11 +121,11 @@ def test_blocked_solver_matches_dense(complex_probe, data):
     terms = hamiltonian_terms(spec)
     h_const, h_d, h_b = terms
     hams = (h_const + D300 * h_d)[None] + fields[:, None, None] * h_b[None]
-    solver = _Solver(spec, D300)
+    solver = _Solver(spec)
     assert len(solver.blocks) >= 2
     if complex_probe:
         assert solver.d_pre > 1 and np.abs(solver.v0.imag).max() > 1e-6
-        assert all(np.iscomplexobj(h0) for *_, h0, _ in solver.groups) and np.abs(hams.imag).max() > 1e-6
+        assert all(np.iscomplexobj(h_const) for _, _, h_const, *_ in solver.groups) and np.abs(hams.imag).max() > 1e-6
         # H_b is real and diagonal here: realness is decided for the triple.
         assert all(np.iscomplexobj(h) for h in terms)
     else:
@@ -136,7 +136,7 @@ def test_blocked_solver_matches_dense(complex_probe, data):
 def test_x_axis_probe_matches_dense():
     """Blocks that lack some of the probe's rows where v0 is only roundoff:
     ``X_PROBE`` has four, {+1, -1} and {0} at the probe slot per 13C state."""
-    solver = _Solver(X_PROBE, D300)
+    solver = _Solver(X_PROBE)
     assert sorted(blk.size for blk in solver.blocks) == [1, 1, 2, 2]
     assert abs(solver.v0[1]) < 1e-12
     fields = np.array([0.0, 0.5, 340.0, 1024.0])
@@ -156,7 +156,7 @@ def test_exact_ties_keep_block_order():
     blocks in order and sorting stably, bit for bit.
     """
     spec = SpinSystem(sites=[Site(kind="c13"), Site(kind="nv_electron", axis=(1.0, 0.0, 0.0))], probe_site=1)
-    solver = _Solver(spec, D300)
+    solver = _Solver(spec)
     assert [blk.size for blk in solver.blocks] == [2, 1, 2, 1]
     fields = np.array([0.0, 0.5, 340.0, 0.0])
     h_const, h_d, h_b = hamiltonian_terms(spec)
@@ -178,7 +178,7 @@ def test_exact_ties_keep_block_order():
         if b == 0.0:  # some tie is between levels of unequal probe weight
             tied = np.flatnonzero(np.diff(vals[order]) == 0)
             assert any(projs[order][k] != projs[order][k + 1] for k in tied)
-    vals, projs = solver.batch(fields)
+    vals, projs = solver.batch(fields, D300)
     assert np.array_equal(vals, ref_vals) and np.array_equal(projs, ref_projs)
 
 
@@ -210,7 +210,7 @@ def test_blocked_solver_matches_dense_on_random_patterns(data):
     hams = (h_const + D300 * h_d)[None] + fields[:, None, None] * h_b[None]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sweep_mod, "hamiltonian_terms", lambda _: HamiltonianTerms(*terms))
-        solver = _Solver(spec, D300)
+        solver = _Solver(spec)
     assert_matches_dense(solver, hams, fields)
 
 
@@ -259,11 +259,11 @@ def test_catalog_partitions(sys_id, n_blocks, largest):
 def test_single_block_is_the_full_kernel_call():
     # An off-axis system is one block, solved exactly as the whole matrix.
     spec = get_system("nv-onv-p1").system
-    solver = _Solver(spec, D300)
+    solver = _Solver(spec)
     fields = np.linspace(0.5, 1100.0, 16)
     h_const, h_d, h_b = hamiltonian_terms(spec)
     hams = np.ascontiguousarray(((h_const + D300 * h_d)[None] + fields[:, None, None] * h_b[None]).real)
-    vals, projs = solver.batch(fields)
+    vals, projs = solver.batch(fields, D300)
     ref_vals, ref_projs = batched_eigh_project(hams, solver.v0, solver.d_pre, solver.d_post)
     assert np.array_equal(vals, ref_vals) and np.array_equal(projs, ref_projs)
 
@@ -283,20 +283,20 @@ def test_batch_steps_are_bit_identical(sys_id, monkeypatch):
     leave a ragged last step of one field out of ten.
     """
     spec = get_system(sys_id).system
-    solver = _Solver(spec, D300)
+    solver = _Solver(spec)
     fields = np.linspace(0.5, 1100.0, 10)
     monkeypatch.setattr(sweep_mod, "_STACK_ENTRIES", 1 << 40)
-    ref_vals, ref_projs = solver.batch(fields)
-    ref_eigvals = solver.eigvals(fields)
+    ref_vals, ref_projs = solver.batch(fields, D300)
+    ref_eigvals = solver.eigvals(fields, D300)
     largest = max(blk.size for blk in solver.blocks)
-    largest_stack = max(h0.size for *_, h0, _ in solver.groups)
+    largest_stack = max(h_b.size for *_, h_b in solver.groups)
     for budget in (1, 3 * solver.dim * largest):
         monkeypatch.setattr(sweep_mod, "_STACK_ENTRIES", budget)
-        vals, projs = solver.batch(fields)
+        vals, projs = solver.batch(fields, D300)
         assert np.array_equal(vals, ref_vals) and np.array_equal(projs, ref_projs)
     for budget in (1, 3 * largest_stack):
         monkeypatch.setattr(sweep_mod, "_STACK_ENTRIES", budget)
-        assert np.array_equal(solver.eigvals(fields), ref_eigvals)
+        assert np.array_equal(solver.eigvals(fields, D300), ref_eigvals)
 
 
 def record_eigvalsh_calls(mp):
@@ -340,14 +340,14 @@ def test_solve_calls_stay_within_budget(kind, sys_id, n_fields, split, monkeypat
     fields at nv-2p1). The split changes no bit.
     """
     spec = get_system(sys_id).system
-    solver = _Solver(spec, D300)
+    solver = _Solver(spec)
     solve = getattr(solver, kind)
     fields = np.linspace(0.5, 1100.0, n_fields)
     set_blas(monkeypatch, threads=2)
-    ref = solve(fields)
+    ref = solve(fields, D300)
     set_blas(monkeypatch, threads=1, cores=4)
     calls = record_kernel_calls(monkeypatch) if kind == "batch" else record_eigvalsh_calls(monkeypatch)
-    got = solve(fields)
+    got = solve(fields, D300)
     if kind == "batch":
         steps = [(ident, n, b) for ident, n, _, b in calls]
     else:
@@ -408,16 +408,16 @@ def test_split_batch_is_bit_identical(data):
     spec = data.draw(split_specs())
     fields = np.array(data.draw(st.lists(st.floats(min_value=0.0, max_value=1100.0), min_size=1, max_size=13)))
     cores = data.draw(st.integers(min_value=2, max_value=5))
-    solver = _Solver(spec, D300)
+    solver = _Solver(spec)
     largest = max(blk.size for blk in solver.blocks)
     budget = data.draw(st.sampled_from([sweep_mod._STACK_ENTRIES, cores * 2 * solver.dim * largest]))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sweep_mod, "_STACK_ENTRIES", budget)
         set_blas(mp, threads=2)
-        ref_vals, ref_projs = solver.batch(fields)
+        ref_vals, ref_projs = solver.batch(fields, D300)
         set_blas(mp, threads=1, cores=cores)
         calls = record_kernel_calls(mp)
-        vals, projs = solver.batch(fields)
+        vals, projs = solver.batch(fields, D300)
     workers = min(cores, len(fields))  # every budget drawn fits a matrix per core
     if len(fields) * solver.dim * sum({blk.size for blk in solver.blocks}) <= budget // workers:
         workers = 1  # one share holds the whole call
@@ -432,15 +432,15 @@ def test_split_survives_frequent_thread_switches(monkeypatch):
     """Eight slices on however many cores there are, with the interpreter
     switching threads every microsecond, still fill every row exactly as the
     serial path does."""
-    solver = _Solver(get_system("nv-2p1").system, D300)
+    solver = _Solver(get_system("nv-2p1").system)
     fields = np.linspace(0.5, 1100.0, 64)
     set_blas(monkeypatch, threads=2)
-    ref_vals, ref_projs = solver.batch(fields)
+    ref_vals, ref_projs = solver.batch(fields, D300)
     set_blas(monkeypatch, threads=1, cores=8)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        vals, projs = solver.batch(fields)
+        vals, projs = solver.batch(fields, D300)
     finally:
         sys.setswitchinterval(interval)
     assert np.array_equal(vals, ref_vals) and np.array_equal(projs, ref_projs)
@@ -453,9 +453,9 @@ def test_split_stays_off_unless_blas_runs_one_thread(threads, monkeypatch):
     set_blas(monkeypatch, threads=threads, cores=4)
     calls = record_kernel_calls(monkeypatch)
     spec = get_system("onv-2p1").system
-    solver = _Solver(spec, D300)
+    solver = _Solver(spec)
     assert sweep_mod._split_count(200, solver.dim * solver.dim) == 1
-    solver.batch(np.linspace(0.5, 1100.0, 200))
+    solver.batch(np.linspace(0.5, 1100.0, 200), D300)
     assert {ident for ident, *_ in calls} == {threading.get_ident()}
     for size in {blk.size for blk in solver.blocks}:
         steps = [n for _, n, _, b in calls if b == size]
@@ -512,28 +512,9 @@ def test_grouped_eigvals_are_bit_identical(data):
     base = data.draw(st.lists(st.floats(min_value=0.0, max_value=1100.0), min_size=1, max_size=3))
     pool = base + [b + 1e-3 for b in base]
     calls = data.draw(st.lists(st.lists(st.sampled_from(pool), min_size=1, max_size=6), min_size=1, max_size=4))
-    solver = _Solver(spec, D300)
+    solver = _Solver(spec)
     for fields in calls + calls[:1]:
-        assert np.array_equal(solver.eigvals(np.array(fields)), per_block_eigvals(spec, D300, fields))
-
-
-@settings(max_examples=30, deadline=None)
-@given(data=st.data())
-def test_solver_at_another_zfs_is_bit_identical(data):
-    """A solver moved to another D shares the gathered term stacks and the
-    probe maps, and forms only H0 on them; its spectra and projections equal
-    those of a solver built at that D."""
-    spec = data.draw(solver_specs())
-    d_zfs = data.draw(st.floats(min_value=2800.0, max_value=2900.0))
-    fields = np.array(data.draw(field_lists()))
-    origin = _Solver(spec, D300)
-    moved, built = origin.at(d_zfs), _Solver(spec, d_zfs)
-    assert moved._stacks is origin._stacks and moved.groups is not origin.groups
-    for (maps, *_, h_b), (moved_maps, *_, moved_h_b) in zip(origin.groups, moved.groups):
-        assert moved_h_b is h_b and moved_maps is maps
-    assert np.array_equal(moved.eigvals(fields), built.eigvals(fields))
-    for got, want in zip(moved.batch(fields), built.batch(fields)):
-        assert np.array_equal(got, want)
+        assert np.array_equal(solver.eigvals(np.array(fields), D300), per_block_eigvals(spec, D300, fields))
 
 
 # A P1 electron with a 13C, and a probe NV tilted out of the xz plane: the
@@ -549,23 +530,59 @@ COMPLEX_PROBE = SpinSystem(
 )
 
 
-def refine_per_bracket(solver, candidates, config):
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_mixed_zfs_call_is_bit_identical(data):
+    """One ``eigvals`` or ``batch`` call over (B, D) points of several D
+    equals one call per D bit for bit, and matches dense ``eigh`` of
+    ``build_hamiltonian(spec, B, D)``.
+
+    A budget of two fields of the largest step, with BLAS at one thread on
+    four cores, splits each mixed call across a helper thread.
+    """
+    spec = data.draw(st.one_of(solver_specs(), st.just(COMPLEX_PROBE)))
+    zfs_pool = data.draw(st.lists(st.floats(min_value=2800.0, max_value=2900.0), min_size=2, max_size=3, unique=True))
+    points = data.draw(st.lists(st.tuples(st.floats(min_value=0.0, max_value=1100.0), st.sampled_from(zfs_pool)),
+                                min_size=2, max_size=8))
+    fields, zfs = (np.array(column) for column in zip(*points))
+    solver = _Solver(spec)
+    mixed = {}
+    for kind, vectors in (("eigvals", False), ("batch", True)):
+        budget = 2 * max(solver._per_field(h_b, vectors) for *_, h_b in solver.groups)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sweep_mod, "_STACK_ENTRIES", budget)
+            set_blas(mp, threads=1, cores=4)
+            calls = record_kernel_calls(mp) if vectors else record_eigvalsh_calls(mp)
+            mixed[kind] = getattr(solver, kind)(fields, zfs)
+        assert len({ident for ident, *_ in calls}) > 1
+    for d_zfs in zfs_pool:
+        at = zfs == d_zfs
+        assert np.array_equal(mixed["eigvals"][at], solver.eigvals(fields[at], d_zfs))
+        for got, want in zip(mixed["batch"], solver.batch(fields[at], d_zfs)):
+            assert np.array_equal(got[at], want)
+    hams = np.array([build_hamiltonian(spec, b, d_zfs) for b, d_zfs in points])
+    ref_vals, ref_projs = dense_reference(hams, solver.v0, solver.d_pre, solver.d_post)
+    assert_matches_reference(*mixed["batch"], ref_vals, ref_projs, cluster_tol=1e-6, atol=1e-8)
+    np.testing.assert_allclose(mixed["eigvals"], ref_vals, rtol=0.0, atol=1e-9 * max(np.abs(ref_vals).max(), 1.0))
+
+
+def refine_per_bracket(solver, d_zfs, candidates, config):
     """The refinement oracle: each bracket of candidates on its own, its
-    17-point sample from one ``eigvals`` call, and every interior gap minimum
-    of each pair (the argmin if there is none) polished by scipy's bounded
-    Brent on single-field solves."""
+    17-point sample from one ``eigvals`` call at ``d_zfs``, and every
+    interior gap minimum of each pair (the argmin if there is none) polished
+    by scipy's bounded Brent on single-field solves."""
     events = []
     for _, group in itertools.groupby(candidates, key=lambda c: (c.b_lo, c.b_hi)):
         cands = list(group)
         sample = np.linspace(cands[0].b_lo, cands[0].b_hi, 17)
-        levels = solver.eigvals(sample)
+        levels = solver.eigvals(sample, d_zfs)
         for cand in cands:
             pair = cand.pair
             g = levels[:, pair + 1] - levels[:, pair]
             interior = np.where((g[1:-1] <= g[:-2]) & (g[1:-1] <= g[2:]))[0] + 1
             for k in interior if len(interior) else [int(np.argmin(g))]:
                 res = minimize_scalar(
-                    lambda b: float(np.diff(solver.eigvals(np.array([b]))[0, pair : pair + 2])[0]),
+                    lambda b: float(np.diff(solver.eigvals(np.array([b]), d_zfs)[0, pair : pair + 2])[0]),
                     bounds=(sample[max(k - 1, 0)], sample[min(k + 1, 16)]),
                     method="bounded",
                     options={"xatol": sweep_mod._FIELD_RESOLUTION},
@@ -587,14 +604,15 @@ def test_refinement_solves_each_field_once_per_round(spec, b_min, b_max, monkeyp
     config = SweepConfig()
     sr = sweep(spec, b_min, b_max, 256)
     candidates = detect_events(sr, config)
-    assert all(np.iscomplexobj(h0) == (spec is COMPLEX_PROBE) for *_, h0, _ in _Solver(spec, sr.d_zfs).groups)
-    oracle = refine_per_bracket(_Solver(spec, sr.d_zfs), candidates, config)
+    assert all(np.iscomplexobj(h_const) == (spec is COMPLEX_PROBE) for _, _, h_const, *_ in _Solver(spec).groups)
+    oracle = refine_per_bracket(_Solver(spec), sr.d_zfs, candidates, config)
     solved, lines, evaluations = [], [], []
     eigvals, line, brent = _Solver.eigvals, sweep_mod._line, sweep_mod._brent
 
-    def eigvals_recorder(self, fields):
+    def eigvals_recorder(self, fields, zfs):
+        assert np.all(zfs == sr.d_zfs)
         solved.append(fields.tolist())
-        return eigvals(self, fields)
+        return eigvals(self, fields, zfs)
 
     def line_recorder(*args):
         lines.append(line(*args))
@@ -631,12 +649,12 @@ def test_refinement_solves_each_field_once_per_round(spec, b_min, b_max, monkeyp
 
 
 def window_searches():
-    """The solver and one (17-point sample, pair) search per candidate of an
-    nv-2p1 window: 58 candidates in 30 brackets, 17 of them shared."""
+    """The solver and one (17-point sample, pair, D) search per candidate of
+    an nv-2p1 window: 58 candidates in 30 brackets, 17 of them shared."""
     spec = get_system("nv-2p1").system
     sr = sweep(spec, 330.0, 350.0, 256)
     candidates = detect_events(sr, SweepConfig())
-    return _Solver(spec, sr.d_zfs), [(np.linspace(c.b_lo, c.b_hi, 17), c.pair) for c in candidates]
+    return _Solver(spec), [(np.linspace(c.b_lo, c.b_hi, 17), c.pair, sr.d_zfs) for c in candidates]
 
 
 def record_eigvals_fields(mp):
@@ -644,9 +662,9 @@ def record_eigvals_fields(mp):
     returned list."""
     calls, eigvals = [], _Solver.eigvals
 
-    def recorder(self, fields):
+    def recorder(self, fields, zfs):
         calls.append(fields.tolist())
-        return eigvals(self, fields)
+        return eigvals(self, fields, zfs)
 
     mp.setattr(_Solver, "eigvals", recorder)
     return calls
@@ -657,17 +675,18 @@ def test_searches_over_one_sample_share_round_zero(monkeypatch):
     sample's 17 fields once, in one ``eigvals`` call, and each search finds
     what it finds alone."""
     solver, searches = window_searches()
-    sample, pair = searches[0]
-    twin = next(p for s, p in searches[1:] if np.array_equal(s, sample))
-    alone = [sweep_mod._gap_minima(solver, [(sample, p)], sweep_mod._local_minima)[0] for p in (pair, twin)]
+    sample, pair, d_zfs = searches[0]
+    twin = next(p for s, p, _ in searches[1:] if np.array_equal(s, sample))
+    alone = [sweep_mod._gap_minima(solver, [(sample, p, d_zfs)], sweep_mod._local_minima)[0] for p in (pair, twin)]
     calls = record_eigvals_fields(monkeypatch)
-    assert sweep_mod._gap_minima(solver, [(sample, pair), (sample, twin)], sweep_mod._local_minima) == alone
+    pair_searches = [(sample, pair, d_zfs), (sample, twin, d_zfs)]
+    assert sweep_mod._gap_minima(solver, pair_searches, sweep_mod._local_minima) == alone
     assert calls[0] == sample.tolist()
 
 
 def test_no_searches_solve_nothing(monkeypatch):
     calls = record_eigvals_fields(monkeypatch)
-    assert sweep_mod._gap_minima(_Solver(get_system("nv").system, D300), [], sweep_mod._local_minima) == []
+    assert sweep_mod._gap_minima(_Solver(get_system("nv").system), [], sweep_mod._local_minima) == []
     assert calls == []
 
 
@@ -680,8 +699,18 @@ def test_search_with_nothing_picked_finds_nothing():
         return [] if len(g) == 5 else sweep_mod._local_minima(g)
 
     want = sweep_mod._gap_minima(solver, searches[:3], pick)
-    got = sweep_mod._gap_minima(solver, [searches[0], (np.linspace(336.0, 337.0, 5), 30), *searches[1:3]], pick)
+    empty = (np.linspace(336.0, 337.0, 5), 30, searches[0][2])
+    got = sweep_mod._gap_minima(solver, [searches[0], empty, *searches[1:3]], pick)
     assert all(want) and got == [want[0], [], *want[1:]]
+
+
+def test_empty_tracking_window_finds_nothing():
+    """A tracking window wholly below 0 G keeps no field: its search finds
+    nothing, and the one beside it finds what it finds alone."""
+    solver, searches = window_searches()
+    empty = (np.array([]), 30, searches[0][2])
+    alone = sweep_mod._gap_minima(solver, searches[:1], sweep_mod._inner_argmin)
+    assert sweep_mod._gap_minima(solver, [empty, searches[0]], sweep_mod._inner_argmin) == [[], *alone]
 
 
 @pytest.mark.parametrize("pick", [sweep_mod._local_minima, sweep_mod._inner_argmin], ids=["refine", "track"])

@@ -112,7 +112,7 @@ def test_csv_matches_per_value_formatting():
         d_zfs=D300,
     )
     complex_sweep = sweep(TILTED_PROBE, 0.5, 1100.0, 64)
-    assert np.iscomplexobj(_Solver(TILTED_PROBE, D300).v0)
+    assert np.iscomplexobj(_Solver(TILTED_PROBE).v0)
     for sr in (ties, complex_sweep):
         buf = io.StringIO()
         sr.to_csv(buf)
@@ -169,59 +169,94 @@ def test_isolated_nv_shift_matches_zfs_closed_form(nv):
     assert abs(shift.slope_at_ref - model.zfs_slope(300.0) / c.GAMMA_E) < 5e-4
 
 
-def _stub_tracking(monkeypatch, lost_at=None):
-    """Replace the gap tracker by one that records (T, seed) and returns the
-    center 1000 + T, or None at ``lost_at``. The model's D is T itself, and
-    the solver the tracker is handed is a stand-in."""
+def _stub_tracking(monkeypatch, lost_at=None, zfs_at=lambda t: t * t / 100.0):
+    """Replace the lock-step gap search by one that records, per call, the
+    (seed, D) of each search, the seed read as its window's midpoint, and
+    finds the center 1000 + 2 D, or nothing at temperature ``lost_at``. The
+    model's D is ``zfs_at``, by default T^2 / 100, so the centers are not
+    linear in T; the solver the search is handed is a stand-in."""
     calls = []
+    lost_zfs = None if lost_at is None else zfs_at(lost_at)
 
-    def track(solver, d_zfs, pair, seed):
-        calls.append((d_zfs, seed))
-        return None if d_zfs == lost_at else 1000.0 + d_zfs
+    def gap_minima(solver, searches, pick):
+        assert pick is sweep_mod._inner_argmin
+        calls.append([((sample[0] + sample[-1]) / 2.0, d_zfs) for sample, _, d_zfs in searches])
+        return [[] if d_zfs == lost_zfs else [(1000.0 + 2.0 * d_zfs, 0.0)] for _, _, d_zfs in searches]
 
-    monkeypatch.setattr(sweep_mod, "_Solver", lambda spec, d_zfs: None)
-    monkeypatch.setattr(sweep_mod, "_track_center", track)
+    monkeypatch.setattr(sweep_mod, "_Solver", lambda spec: None)
+    monkeypatch.setattr(sweep_mod, "_gap_minima", gap_minima)
     line = CrossingEvent(field=500.0, levels=(0, 1), min_gap=0.0, kind="true", projection_jump=1.0)
     feature = CrossingFeature(lines=(line,))
-    return calls, feature, SimpleNamespace(zfs_at=lambda t: t)
+    return calls, feature, SimpleNamespace(zfs_at=zfs_at)
 
 
-def test_continuation_walks_outward_from_reference(monkeypatch):
+def assert_stage(call, points):
+    """One lock-step call searched exactly these (seed, D) points, in order."""
+    np.testing.assert_allclose(np.array(call).reshape(-1, 2), np.array(points).reshape(-1, 2), rtol=1e-12)
+
+
+def test_continuation_seeds_every_temperature_from_reference(monkeypatch):
+    """Three lock-step calls: T_ref from the line's field, T_ref +/- 5 K
+    from T_ref's center, then every grid temperature (a repeat too) at
+    center(T_ref) + dB/dD * (D(T) - D(T_ref)), with dB/dD from the second
+    call. A temperature whose search finds nothing goes to ``lost``."""
     calls, feature, model = _stub_tracking(monkeypatch, lost_at=180.0)
-    grid = [340.0, 60.0, 300.0, 240.0, 120.0, 320.0, 180.0]
+    grid = [340.0, 60.0, 300.0, 240.0, 120.0, 320.0, 180.0, 240.0]
     shift = temperature_shift(None, feature, grid, model=model)
-    ref = 1000.0 + T_REF
-    assert calls[0] == (T_REF, 500.0)  # T_ref from the line's own field
-    # Every grid temperature once, plus T_ref and T_ref +/- 5 K; each seeded
-    # from the last center tracked on its side of T_ref (180 K is lost).
-    assert sorted(calls[1:]) == sorted([
-        (300.0, ref), (320.0, ref), (340.0, 1320.0),
-        (240.0, ref), (180.0, 1240.0), (120.0, 1240.0), (60.0, 1120.0),
-        (T_REF - 5.0, ref), (T_REF + 5.0, ref),
-    ])
+    zfs = model.zfs_at
+    ref = 1000.0 + 2.0 * zfs(T_REF)
+    assert len(calls) == 3
+    assert calls[0] == [(500.0, zfs(T_REF))]
+    assert_stage(calls[1], [(ref, zfs(T_REF - 5.0)), (ref, zfs(T_REF + 5.0))])
+    # dB/dD = 2: each seed is the center its temperature has.
+    temps = sorted(grid)
+    assert_stage(calls[2], [(ref + 2.0 * (zfs(t) - zfs(T_REF)), zfs(t)) for t in temps])
     assert shift.lost == [180.0]
-    assert shift.temperatures == [60.0, 120.0, 240.0, 300.0, 320.0, 340.0]
-    assert shift.delta_b == [t - T_REF for t in shift.temperatures]
-    assert shift.slope_at_ref == 1.0
+    assert shift.temperatures == [60.0, 120.0, 240.0, 240.0, 300.0, 320.0, 340.0]
+    np.testing.assert_allclose(shift.centers, [1000.0 + 2.0 * zfs(t) for t in shift.temperatures], rtol=1e-15)
+    assert shift.delta_b == [c - ref for c in shift.centers]
+    assert shift.slope_at_ref == (2.0 * zfs(T_REF + 5.0) - 2.0 * zfs(T_REF - 5.0)) / 10.0
 
 
 def test_continuation_without_reference_in_grid(monkeypatch):
+    """T_ref outside the grid is tracked for the reference only; a repeated
+    temperature is searched, and reported, once per grid entry. A model
+    whose D is flat around T_ref gives no rate: every seed is the T_ref
+    center."""
     calls, feature, model = _stub_tracking(monkeypatch)
     shift = temperature_shift(None, feature, [400.0, 250.0, 200.0, 350.0, 250.0], model=model)
-    ref = 1000.0 + T_REF
-    # Both walks start from T_ref's center; a repeated temperature is
-    # tracked, and reported, once per grid entry.
-    assert sorted(calls[1:]) == sorted([
-        (250.0, ref), (250.0, 1250.0), (200.0, 1250.0), (350.0, ref), (400.0, 1350.0),
-        (T_REF - 5.0, ref), (T_REF + 5.0, ref),
-    ])
-    assert shift.temperatures == [200.0, 250.0, 250.0, 350.0, 400.0]
-    assert not shift.lost
+    ref = 1000.0 + 2.0 * model.zfs_at(T_REF)
+    temps = [200.0, 250.0, 250.0, 350.0, 400.0]
+    assert_stage(calls[2], [(ref + 2.0 * (model.zfs_at(t) - model.zfs_at(T_REF)), model.zfs_at(t)) for t in temps])
+    assert shift.temperatures == temps and not shift.lost
+
+    calls, feature, model = _stub_tracking(monkeypatch, zfs_at=lambda t: 2870.0)
+    shift = temperature_shift(None, feature, [100.0, 200.0], model=model)
+    assert calls[2] == [(1000.0 + 2.0 * 2870.0, 2870.0)] * 2
+    assert shift.delta_b == [0.0, 0.0] and shift.slope_at_ref == 0.0
+
+
+def test_tracking_follows_a_shift_wider_than_its_window(nv):
+    """Under a model four times as steep, the GSLAC at D(T) / gamma_e moves
+    about 10 G from 4 to 300 K, twice the search window, but only 0.5 G
+    over T_ref +/- 5 K. The seeds predicted from the reference put every
+    grid temperature in its window; seeding each from its neighbour's
+    center would lose 4 K and 150 K."""
+    model = ThermalZfsModel(c1=4.0 * c.ZFS_C1, c2=4.0 * c.ZFS_C2)
+    grid = [4.0, 150.0, 300.0]
+    gslac = [model.zfs_at(t) / c.GAMMA_E for t in grid]
+    assert gslac[1] - gslac[2] > sweep_mod._TRACK_WINDOW
+    assert (model.zfs_at(T_REF - 5.0) - model.zfs_at(T_REF + 5.0)) / c.GAMMA_E < sweep_mod._TRACK_WINDOW
+    feature = min(find_features(nv, 990.0, 1050.0, 256, model=model), key=lambda f: abs(f.center - gslac[2]))
+    shift = temperature_shift(nv, feature, grid, model=model)
+    assert shift.temperatures == grid and not shift.lost
+    for center, want in zip(shift.centers, gslac):
+        assert abs(center - want) < 0.02
 
 
 def test_tracking_builds_the_block_stacks_once(nv, monkeypatch):
-    """Every temperature of a walk reuses one solver's gathered stacks, and
-    forms only its own H0 on them."""
+    """Every temperature is solved by one solver, which gathers the block
+    stacks once."""
     feature = find_features(nv, 1000.0, 1050.0, 256)[0]
     inits = []
 
@@ -338,7 +373,7 @@ def test_lowest_level_is_lowest_at_a_range_end(data):
     sweep's shift lifts every level of its grid to 100 MHz or above."""
     spec = data.draw(random_systems(complex_probe=data.draw(st.booleans())))
     ends = np.sort(data.draw(st.lists(st.floats(0.0, 1100.0), min_size=2, max_size=2, unique=True)))
-    low = _Solver(spec, D300).eigvals(ends)[:, 0].min()
+    low = _Solver(spec).eigvals(ends, D300)[:, 0].min()
     h_const, h_d, h_b = hamiltonian_terms(spec)
     fields = np.linspace(ends[0], ends[1], 9)
     levels = np.linalg.eigvalsh((h_const + D300 * h_d)[None] + fields[:, None, None] * h_b[None])
@@ -352,7 +387,7 @@ def test_shift_matches_nine_point_prescan(sys_id):
     """The shift taken from the range's two ends equals, bit for bit, the
     one a 9-point pre-scan of the catalog range gives."""
     spec = get_system(sys_id).system
-    low = float(_Solver(spec, D300).eigvals(np.linspace(0.5, 1100.0, 9))[:, 0].min())
+    low = float(_Solver(spec).eigvals(np.linspace(0.5, 1100.0, 9), D300)[:, 0].min())
     assert low < 0.0  # so the shift depends on it
     assert sweep(spec, 0.5, 1100.0, 2).shift_applied == abs(low) + 100.0
 
