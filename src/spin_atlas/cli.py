@@ -364,10 +364,9 @@ def _add_range_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--temp", type=float, help="temperature, kelvin")
 
 
-def _add_detection_args(p: argparse.ArgumentParser, skip: str | None = None) -> None:
+def _add_detection_args(p: argparse.ArgumentParser) -> None:
     for f in dataclasses.fields(SweepConfig):
-        if f.name != skip:
-            p.add_argument("--" + f.name.replace("_", "-"), dest=f.name, type=float)
+        p.add_argument("--" + f.name.replace("_", "-"), dest=f.name, type=float)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -398,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tshift", help="temperature shift of one feature")
     _add_system_args(p)
-    _add_detection_args(p, skip="gap_true")  # it sets only a line's kind; tshift prints none
+    _add_detection_args(p)
     p.add_argument("--feature", type=float, required=True,
                    help="approximate feature center at 300 K, gauss")
     p.add_argument("--tmin", type=float)

@@ -51,8 +51,11 @@ __all__ = [
 _STACK_ENTRIES = 1 << 18
 
 _EXCHANGE_THRESHOLD = 0.25  # windowed p exchange for gap-minimum relevance
+_JUMP_THRESHOLD = 0.4       # adjacent-point p jump marking an event
+_GAP_TRUE = 0.05            # MHz, a line with a smaller gap is a true crossing
 _FIELD_RESOLUTION = 0.01    # G, refinement resolution of every gap minimum
 T_REF = 300.0               # K, reference temperature of continuation and slope
+_SLOPE_STEP = 5.0           # K, half-width of the central-difference slope at T_REF
 _TRACK_WINDOW = 5.0         # G, half-width of the search around a seed center
 
 
@@ -97,14 +100,10 @@ def _split_count(n: int, per_field: int) -> int:
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Detection settings a caller may tune, each finite and non-negative.
+    """Detection settings a caller may tune, each finite and non-negative;
+    the p thresholds, the true-crossing gap and the 0.01 G resolution are fixed."""
 
-    The p-exchange threshold and the 0.01 G refinement resolution are fixed.
-    """
-
-    jump_threshold: float = 0.4     # adjacent-point p jump marking an event
     gap_ceiling: float = 30.0       # MHz, ignore gap minima above this
-    gap_true: float = 0.05          # MHz, true-vs-avoided threshold
     cluster_radius: float = 15.0    # G, single-linkage clustering radius
 
     def __post_init__(self) -> None:
@@ -429,7 +428,7 @@ def detect_events(sr: SweepResult, config: SweepConfig | None = None) -> list[Ca
     # Direct p-jumps between adjacent grid points (true crossings can slip
     # between grid points without a resolved gap minimum).
     dp = np.abs(np.diff(projs, axis=0))
-    for k, i in zip(*np.where(dp > config.jump_threshold)):
+    for k, i in zip(*np.where(dp > _JUMP_THRESHOLD)):
         for pair in (int(i) - 1, int(i)):
             if not 0 <= pair < npairs:
                 continue
@@ -440,13 +439,13 @@ def detect_events(sr: SweepResult, config: SweepConfig | None = None) -> list[Ca
     return sorted(candidates.values(), key=lambda e: (e.b_lo, e.pair))
 
 
-def _line(cand: CandidateEvent, field: float, min_gap: float, config: SweepConfig) -> CrossingEvent:
-    """The candidate's line at ``field``: true if its gap is below ``gap_true``."""
+def _line(cand: CandidateEvent, field: float, min_gap: float) -> CrossingEvent:
+    """The candidate's line at ``field``: true if its gap is below ``_GAP_TRUE``."""
     return CrossingEvent(
         field=field,
         levels=(cand.pair, cand.pair + 1),
         min_gap=min_gap,
-        kind="true" if min_gap < config.gap_true else "avoided",
+        kind="true" if min_gap < _GAP_TRUE else "avoided",
         projection_jump=cand.projection_jump,
     )
 
@@ -636,7 +635,7 @@ def find_features(
     else:
         gaps = sr.gaps()
         minima = [[(float(sr.field[c.grid_index]), float(gaps[c.grid_index, c.pair]))] for c in candidates]
-    refined = [_line(c, x, gap, config) for c, found in zip(candidates, minima) for x, gap in found]
+    refined = [_line(c, x, gap) for c, found in zip(candidates, minima) for x, gap in found]
     # Candidates of one level pair can refine to the same field (a gap minimum
     # and a p jump at one crossing); keep the smallest gap per 0.05 G bin.
     unique: dict[tuple, CrossingEvent] = {}
@@ -670,13 +669,13 @@ def temperature_shift(
     call through one solver:
 
     1. T_REF, seeded from the line's field;
-    2. T_REF +/- 5 K, the points of the slope, seeded from the T_REF center;
+    2. T_REF +/- _SLOPE_STEP, the slope's points, seeded from the T_REF center;
     3. every grid temperature, repeats included, seeded at
        center(T_REF) + dB/dD * (D(T) - D(T_REF)), with dB/dD taken from the
        two centers of stage 2.
 
     Failed grid temperatures go to `lost`. A center lost at T_REF or at
-    T_REF +/- 5 K raises RuntimeError.
+    T_REF +/- _SLOPE_STEP raises RuntimeError.
     """
     model = model or ThermalZfsModel()
     line = feature.central_line
@@ -692,13 +691,13 @@ def temperature_shift(
             searches.append((window[window > 0], pair, d_zfs))
         return [found[0][0] if found else None for found in _gap_minima(solver, searches, _inner_argmin)]
 
-    d_ref, d_lo, d_hi = (model.zfs_at(t) for t in (T_REF, T_REF - 5.0, T_REF + 5.0))
+    d_ref, d_lo, d_hi = (model.zfs_at(t) for t in (T_REF, T_REF - _SLOPE_STEP, T_REF + _SLOPE_STEP))
     [ref_center] = centers([(line.field, d_ref)])
     if ref_center is None:
         raise RuntimeError(f"feature near {line.field:.2f} G lost at reference temperature")
     slope_lo, slope_hi = centers([(ref_center, d_lo), (ref_center, d_hi)])
     if slope_lo is None or slope_hi is None:
-        raise RuntimeError(f"feature near {line.field:.2f} G lost within 5 K of the reference temperature")
+        raise RuntimeError(f"feature near {line.field:.2f} G lost within {_SLOPE_STEP:g} K of the reference temperature")
 
     # A model whose D does not change around T_REF gives no rate; its seeds
     # are the T_REF center.
@@ -712,7 +711,7 @@ def temperature_shift(
         temperatures=[t for t, _ in kept],
         centers=[c for _, c in kept],
         delta_b=[c - ref_center for _, c in kept],
-        slope_at_ref=(slope_hi - slope_lo) / 10.0,
+        slope_at_ref=(slope_hi - slope_lo) / (2 * _SLOPE_STEP),
         lost=[t for t, c in zip(temps, tracked) if c is None],
     )
 

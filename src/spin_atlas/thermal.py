@@ -14,7 +14,7 @@ from . import constants as c
 __all__ = ["ThermalZfsModel", "occupation"]
 
 
-def occupation(delta_mev: float, temperature: float, k_b: float = c.K_B_MEV) -> float:
+def occupation(delta_mev: float, temperature: float) -> float:
     """Mean Bose occupation 1/(exp(delta/kT) - 1); 0 at T = 0 by continuity."""
     if delta_mev <= 0:
         raise ValueError("mode energy must be positive")
@@ -22,7 +22,7 @@ def occupation(delta_mev: float, temperature: float, k_b: float = c.K_B_MEV) -> 
         raise ValueError(f"temperature must be finite and non-negative, got {temperature}")
     if temperature == 0:
         return 0.0
-    x = delta_mev / (k_b * temperature)
+    x = delta_mev / (c.K_B_MEV * temperature)
     if x > 700.0:  # exp would overflow; occupation is indistinguishable from 0
         return 0.0
     return 1.0 / math.expm1(x)
@@ -35,20 +35,21 @@ class ThermalZfsModel:
     c2: float = c.ZFS_C2            # MHz
     delta1: float = c.ZFS_DELTA1    # meV
     delta2: float = c.ZFS_DELTA2    # meV
-    boltzmann: float = c.K_B_MEV    # meV/K
 
     def __post_init__(self) -> None:
         for f in fields(self):
             value = getattr(self, f.name)
             if not math.isfinite(value):
                 raise ValueError(f"{f.name} must be finite, got {value}")
+            if f.name in ("delta1", "delta2") and value <= 0:
+                raise ValueError(f"{f.name} must be positive, got {value}")
 
     def zfs_at(self, temperature: float) -> float:
         """D(T) in MHz; a D(T) that is not finite and positive is an error."""
         d = (
             self.d0
-            + self.c1 * occupation(self.delta1, temperature, self.boltzmann)
-            + self.c2 * occupation(self.delta2, temperature, self.boltzmann)
+            + self.c1 * occupation(self.delta1, temperature)
+            + self.c2 * occupation(self.delta2, temperature)
         )
         if not (math.isfinite(d) and d > 0):
             raise ValueError(f"zero-field splitting D({temperature:g} K) = {d:g} MHz is not finite and positive")
@@ -61,8 +62,8 @@ class ThermalZfsModel:
         total = 0.0
         for ci, di in ((self.c1, self.delta1), (self.c2, self.delta2)):
             # dn/dT = delta/(k T^2) * n (n + 1): 0 wherever n is, no overflow
-            n = occupation(di, temperature, self.boltzmann)
-            total += ci * (di / (self.boltzmann * temperature**2)) * n * (n + 1.0)
+            n = occupation(di, temperature)
+            total += ci * (di / (c.K_B_MEV * temperature**2)) * n * (n + 1.0)
         return total
 
     @classmethod

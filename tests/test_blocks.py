@@ -566,7 +566,7 @@ def test_mixed_zfs_call_is_bit_identical(data):
     np.testing.assert_allclose(mixed["eigvals"], ref_vals, rtol=0.0, atol=1e-9 * max(np.abs(ref_vals).max(), 1.0))
 
 
-def refine_per_bracket(solver, d_zfs, candidates, config):
+def refine_per_bracket(solver, d_zfs, candidates):
     """The refinement oracle: each bracket of candidates on its own, its
     17-point sample from one ``eigvals`` call at ``d_zfs``, and every
     interior gap minimum of each pair (the argmin if there is none) polished
@@ -587,7 +587,7 @@ def refine_per_bracket(solver, d_zfs, candidates, config):
                     method="bounded",
                     options={"xatol": sweep_mod._FIELD_RESOLUTION},
                 )
-                events.append(sweep_mod._line(cand, float(res.x), float(res.fun), config))
+                events.append(sweep_mod._line(cand, float(res.x), float(res.fun)))
     return events
 
 
@@ -605,7 +605,7 @@ def test_refinement_solves_each_field_once_per_round(spec, b_min, b_max, monkeyp
     sr = sweep(spec, b_min, b_max, 256)
     candidates = detect_events(sr, config)
     assert all(np.iscomplexobj(h_const) == (spec is COMPLEX_PROBE) for _, _, h_const, *_ in _Solver(spec).groups)
-    oracle = refine_per_bracket(_Solver(spec), sr.d_zfs, candidates, config)
+    oracle = refine_per_bracket(_Solver(spec), sr.d_zfs, candidates)
     solved, lines, evaluations = [], [], []
     eigvals, line, brent = _Solver.eigvals, sweep_mod._line, sweep_mod._brent
 

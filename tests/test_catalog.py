@@ -21,8 +21,7 @@ REQUIRED_IDS = [
 ]
 
 
-_DEFAULT_DETECTION = SweepConfig(jump_threshold=0.4, gap_ceiling=30.0, gap_true=0.05,
-                                 cluster_radius=15.0)
+_DEFAULT_DETECTION = SweepConfig(gap_ceiling=30.0, cluster_radius=15.0)
 _TUNED_DETECTION = {
     "onv-2p1": {"cluster_radius": 5.0},
     "2nv-13c": {"cluster_radius": 10.0},

@@ -1,6 +1,8 @@
 """Command-line interface: determinism, config precedence, exit codes."""
 
+import argparse
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -14,8 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spin_atlas.catalog import get_system, list_systems
-from spin_atlas.cli import main
-from spin_atlas.sweep import SweepResult
+from spin_atlas.cli import build_parser, main
+from spin_atlas.sweep import SweepConfig, SweepResult
 from spin_atlas.system import SpinSystem
 from spin_atlas.traces import Trace, auto_seeds, dip_model
 
@@ -104,17 +106,39 @@ def test_unknown_system_exits_1(capsys):
         # Each command takes only the options it reads.
         ["sweep", "--system", "nv", "--gap-true", "0.1"],
         ["sweep", "--system", "nv", "--cluster-radius", "3"],
-        ["tshift", "--system", "nv", "--feature", "1024", "--gap-true", "0.1"],
         ["catalog", "--config", "c.json"],
         ["fit-trace", "t.csv", "--seeds", "350", "--config", "c.json"],
     ],
     ids=["points-not-a-number", "unknown-command", "sweep-gap-true",
-         "sweep-cluster-radius", "tshift-gap-true", "catalog-config", "fit-trace-config"],
+         "sweep-cluster-radius", "catalog-config", "fit-trace-config"],
 )
 def test_malformed_flags_exit_2(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
+
+
+# The flags of features and tshift that are not detection settings.
+_OTHER_FLAGS = {"-h", "--help", "--system", "--spec", "--config", "--points", "--bmin", "--bmax",
+                "--temp", "--format", "--out", "--feature", "--tmin", "--tmax", "--tstep"}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["features", "--system", "nv"], ["tshift", "--system", "nv", "--feature", "1024"]],
+    ids=["features", "tshift"],
+)
+def test_detection_flags_are_the_sweep_config_fields(argv, capsys):
+    subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {s for a in subparsers.choices[argv[0]]._actions for s in a.option_strings}
+    fields = {"--" + f.name.replace("_", "-") for f in dataclasses.fields(SweepConfig)}
+    assert flags - _OTHER_FLAGS == fields == {"--gap-ceiling", "--cluster-radius"}
+    # The p-jump threshold and the true-crossing gap are fixed.
+    for flag in ("--jump-threshold", "--gap-true"):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [flag, "0.1"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flag", ["--bmin", "--bmax", "--temp", "--points"])
@@ -549,7 +573,7 @@ def test_detection_settings_precedence(tmp_path, monkeypatch, capsys):
 
     monkeypatch.setattr("spin_atlas.cli.find_features", fake_find_features)
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"cluster_radius": 7.0, "gap_true": 0.1}))
+    cfg.write_text(json.dumps({"cluster_radius": 7.0, "gap_ceiling": 45.0}))
     base = ["features", "--system", "2nv-13c"]
     assert main(base) == 0
     assert main(base + ["--config", str(cfg)]) == 0
@@ -558,16 +582,16 @@ def test_detection_settings_precedence(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
     (points, entry), (_, config), (_, flag), (_, other) = seen
     assert points == 4096
-    assert (entry.cluster_radius, entry.gap_true) == (10.0, 0.05)
-    assert (config.cluster_radius, config.gap_true) == (7.0, 0.1)
-    assert (flag.cluster_radius, flag.gap_true) == (3.0, 0.1)
+    assert (entry.cluster_radius, entry.gap_ceiling) == (10.0, 30.0)
+    assert (config.cluster_radius, config.gap_ceiling) == (7.0, 45.0)
+    assert (flag.cluster_radius, flag.gap_ceiling) == (3.0, 45.0)
     assert (other.cluster_radius, other.gap_ceiling) == (10.0, 60.0)
 
 
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["features", "--gap-true", "-1"], "gap_true"),
+        (["features", "--gap-ceiling", "-1"], "gap_ceiling"),
         (["features", "--cluster-radius", "nan"], "cluster_radius"),
         (["features", "--temp", "inf"], "temperature"),
         (["features", "--temp", "nan"], "temperature"),
@@ -644,6 +668,13 @@ def test_out_of_range_inputs_exit_1(argv, message, capsys, monkeypatch):
         ("sweep", {"bmin": 10**400}, "bmin"),
         ("sweep", {"thermal_model": {"d0": 10**400}}, "thermal_model"),
         ("sweep", {"thermal_model": 0}, "thermal_model"),
+        # k_B is a constant, not a model parameter.
+        ("sweep", {"thermal_model": {"boltzmann": 0}}, "'boltzmann'"),
+        ("sweep", {"thermal_model": {"boltzmann": -0.0862}}, "'boltzmann'"),
+        ("sweep", {"thermal_model": {"delta1": 0}}, "delta1 must be positive"),
+        ("tshift", {"thermal_model": {"delta2": -1}}, "delta2 must be positive"),
+        ("features", {"jump_threshold": 0.4}, "'jump_threshold'"),
+        ("tshift", {"gap_true": 0.05}, "'gap_true'"),
     ],
 )
 def test_malformed_config_values_exit_1(tmp_path, command, cfg, message, capsys):
