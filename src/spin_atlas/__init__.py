@@ -1,7 +1,6 @@
 """spin-atlas: cross-relaxation feature prediction and PL-trace fitting for
 NV-center multi-spin systems in diamond."""
 
-from .hamiltonian import build_hamiltonian, eigendecompose
 from .operators import embed, rotate_tensor, spin_operators
 from .sweep import (
     CrossingEvent,

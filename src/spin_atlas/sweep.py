@@ -80,22 +80,23 @@ def _usable_cores() -> int:
         return os.cpu_count() or 1
 
 
-def _split_count(n: int, per_field: int) -> int:
+def _split_count(n: int, entries: int) -> int:
     """Slices of an n-field solve that run concurrently (``_Solver._solve``).
 
-    ``per_field`` is what one field adds to the solve's largest kernel step
-    (``_Solver._per_field``). More than one slice only when BLAS runs one
-    thread, as it reports now: threads of our own on top of a threaded BLAS
-    are slower. Each slice's kernel steps take an equal share of
-    ``_STACK_ENTRIES``, so a slice must fit at least one field's step in its
-    share. So onv-3p1 (d = 648), whose 210-state sectors fill over half the
-    budget per field, sweeps serially; nv-3p1 (d = 648, largest sector 43)
-    splits its sweep up to nine ways.
+    ``entries`` is what one field adds to the solve's kernel steps, summed
+    over block sizes (``_Solver._per_field``). More than one slice only when
+    BLAS runs one thread, as it reports now: threads of our own on top of a
+    threaded BLAS are slower. A call whose steps one slice's share of
+    ``_STACK_ENTRIES`` holds whole stays serial: a smaller call loses more
+    to the helper thread than it gains (at nv-2p1, 21 eigenvalue-only fields
+    took 2.6 ms serial and 3.3 ms split, 64 fields 7.8 ms serial and 4.6 ms
+    split). A call with no fields is serial.
     """
     count = _openblas_thread_count()
     if count is None or count() != 1:
         return 1
-    return max(1, min(_usable_cores(), n, _STACK_ENTRIES // per_field))
+    workers = max(1, min(_usable_cores(), n))
+    return 1 if n * entries <= _STACK_ENTRIES // workers else workers
 
 
 @dataclass(frozen=True)
@@ -263,20 +264,13 @@ class _Solver:
         an equal share of ``_STACK_ENTRIES`` as its budget: the calling thread
         fills the first slice and one short-lived helper thread each of the
         others. LAPACK releases the GIL, and every field is solved alone, so
-        the result does not depend on the split. A call whose steps one
-        worker's share holds whole stays serial: a smaller call loses more to
-        the helper thread than it gains (at nv-2p1, 21 eigenvalue-only fields
-        took 2.6 ms serial and 3.3 ms split, 64 fields 7.8 ms serial and
-        4.6 ms split).
+        the result does not depend on the split.
         """
         n = len(fields)
         zfs = np.broadcast_to(np.asarray(zfs, dtype=float), (n,))
         vals = np.empty((n, self.dim))
         projs = np.empty((n, self.dim)) if vectors else None
-        per_field = [self._per_field(h_b, vectors) for *_, h_b in self.groups]
-        workers = _split_count(n, max(per_field))
-        if n * sum(per_field) <= _STACK_ENTRIES // workers:
-            workers = 1
+        workers = _split_count(n, sum(self._per_field(h_b, vectors) for *_, h_b in self.groups))
         budget = _STACK_ENTRIES // workers
 
         def fill(sl: slice) -> None:

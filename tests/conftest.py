@@ -5,7 +5,7 @@ windows around their expected features, without refinement. At 648
 dimensions, with symmetry sectors, refined windows take about 7 s (nv-3p1)
 and 90 s (onv-3p1), and a refined full-range nv-3p1 sweep about 2 minutes
 (2-core VM, 1 BLAS thread), while the unrefined windows verify the same
-expected-feature triples in about 1 s and 5 s.
+expected-feature triples in about 1 s and 3 s.
 """
 
 import pytest

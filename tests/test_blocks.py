@@ -318,7 +318,8 @@ def record_eigvalsh_calls(mp):
         ("batch", "nv-2p1", 200, True),
         ("batch", "onv-2p1", 200, True),
         ("batch", "nv-3p1", 6, True),
-        ("batch", "onv-3p1", 3, False),
+        ("batch", "onv-3p1", 3, True),
+        ("batch", "onv-3p1", 1, False),
         ("eigvals", "nv-2p1", 21, False),
         ("eigvals", "nv-2p1", 300, True),
         ("eigvals", "onv-2p1", 40, True),
@@ -333,11 +334,11 @@ def test_solve_calls_stay_within_budget(kind, sys_id, n_fields, split, monkeypat
     eigenvectors and probe amplitudes) and g x b x b to an
     eigenvalue-only step (the whole stack of the size's g blocks). Every
     step is as large as one worker's share of the budget allows, or one
-    field. The fields split across ``_split_count`` workers, whose share must
-    fit one field of the largest step: nv-3p1 (d = 648, largest block 131)
-    splits, onv-3p1 (one 648-state block) stays serial. A call whose steps
-    one share holds whole stays on the calling thread (21 eigenvalue-only
-    fields at nv-2p1). The split changes no bit.
+    field. The fields split across one worker per core, up to one per field,
+    unless one worker's share holds the whole call: 21 eigenvalue-only
+    fields at nv-2p1, or one field, stay on the calling thread. onv-3p1
+    (d = 648, sectors of up to 210 states) splits like every other system,
+    with one field per vector step. The split changes no bit.
     """
     spec = get_system(sys_id).system
     solver = _Solver(spec)
@@ -354,10 +355,10 @@ def test_solve_calls_stay_within_budget(kind, sys_id, n_fields, split, monkeypat
         steps = [(ident, m, b) for ident, (m, _, b, _) in calls]
     members = collections.Counter(blk.size for blk in solver.blocks)
     per_field = {b: spec.dimension * b if kind == "batch" else g * b * b for b, g in members.items()}
-    workers = sweep_mod._split_count(n_fields, max(per_field.values()))
-    assert workers == max(1, min(4, n_fields, sweep_mod._STACK_ENTRIES // max(per_field.values())))
-    if n_fields * sum(per_field.values()) <= sweep_mod._STACK_ENTRIES // workers:
-        workers = 1
+    entries = sum(per_field.values())
+    workers = sweep_mod._split_count(n_fields, entries)
+    most = max(1, min(4, n_fields))
+    assert workers == (1 if n_fields * entries <= sweep_mod._STACK_ENTRIES // most else most)
     assert (workers > 1) == split
     threads = {ident for ident, *_ in steps}
     assert threading.get_ident() in threads
@@ -379,13 +380,18 @@ def test_sweep_prescan_splits_onv_3p1_sectors_one_field_per_thread(monkeypatch):
     """No onv-3p1 sector is a 648-state matrix any more: one field of its
     largest size (two 210-state copies) fits half the budget, so the
     positivity pre-scan at the range's two ends solves one field per thread,
-    in one call per sector size each."""
+    in one call per sector size each. The grid solve of the same two fields
+    splits too: each thread makes one one-field kernel call per sector."""
     set_blas(monkeypatch, threads=1, cores=4)
     calls = record_eigvalsh_calls(monkeypatch)
+    kernel_calls = record_kernel_calls(monkeypatch)
     sweep(get_system("onv-3p1").system, 500.0, 508.0, 2)
     assert sorted(shape for _, shape in calls) == [(1, 1, 60, 60)] * 2 + [(1, 1, 168, 168)] * 2 + [(1, 2, 210, 210)] * 2
     threads = {ident for ident, _ in calls}
     assert threading.get_ident() in threads and len(threads) == 2
+    assert sorted((n, d, b) for _, n, d, b in kernel_calls) == [(1, 648, 60)] * 2 + [(1, 648, 168)] * 2 + [(1, 648, 210)] * 4
+    by_thread = collections.Counter(ident for ident, *_ in kernel_calls)
+    assert threading.get_ident() in by_thread and sorted(by_thread.values()) == [4, 4]
 
 
 @st.composite
@@ -403,14 +409,15 @@ def test_split_batch_is_bit_identical(data):
 
     The grids are ragged (any length against any worker count) and may hold
     fewer fields than there are cores; a small budget also makes each
-    slice's kernel steps ragged.
+    slice's kernel steps ragged, and a one-entry budget makes every step one
+    field.
     """
     spec = data.draw(split_specs())
     fields = np.array(data.draw(st.lists(st.floats(min_value=0.0, max_value=1100.0), min_size=1, max_size=13)))
     cores = data.draw(st.integers(min_value=2, max_value=5))
     solver = _Solver(spec)
     largest = max(blk.size for blk in solver.blocks)
-    budget = data.draw(st.sampled_from([sweep_mod._STACK_ENTRIES, cores * 2 * solver.dim * largest]))
+    budget = data.draw(st.sampled_from([sweep_mod._STACK_ENTRIES, cores * 2 * solver.dim * largest, 1]))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sweep_mod, "_STACK_ENTRIES", budget)
         set_blas(mp, threads=2)
@@ -418,7 +425,7 @@ def test_split_batch_is_bit_identical(data):
         set_blas(mp, threads=1, cores=cores)
         calls = record_kernel_calls(mp)
         vals, projs = solver.batch(fields, D300)
-    workers = min(cores, len(fields))  # every budget drawn fits a matrix per core
+    workers = min(cores, len(fields))
     if len(fields) * solver.dim * sum({blk.size for blk in solver.blocks}) <= budget // workers:
         workers = 1  # one share holds the whole call
     threads = {ident for ident, *_ in calls}
@@ -454,13 +461,36 @@ def test_split_stays_off_unless_blas_runs_one_thread(threads, monkeypatch):
     calls = record_kernel_calls(monkeypatch)
     spec = get_system("onv-2p1").system
     solver = _Solver(spec)
-    assert sweep_mod._split_count(200, solver.dim * solver.dim) == 1
+    entries = sum(solver._per_field(h_b, True) for *_, h_b in solver.groups)
+    assert sweep_mod._split_count(200, entries) == 1
     solver.batch(np.linspace(0.5, 1100.0, 200), D300)
     assert {ident for ident, *_ in calls} == {threading.get_ident()}
     for size in {blk.size for blk in solver.blocks}:
         steps = [n for _, n, _, b in calls if b == size]
         step = sweep_mod._STACK_ENTRIES // (solver.dim * size)
         assert steps[:-1] == [step] * (len(steps) - 1) and sum(steps) == 200
+
+
+@pytest.mark.parametrize("kind", ["eigvals", "batch"])
+def test_zero_field_call_stays_serial(kind, monkeypatch):
+    """A call with no fields, such as ``temperature_shift`` makes when every
+    seed lies at or below -5 G, returns (0, d) arrays from the calling
+    thread even where it would split a call with fields."""
+    set_blas(monkeypatch, threads=1, cores=4)
+    solver = _Solver(get_system("nv-2p1").system)
+    fill, threads = _Solver._fill, []
+
+    def recorder(self, *args):
+        threads.append(threading.get_ident())
+        fill(self, *args)
+
+    monkeypatch.setattr(_Solver, "_fill", recorder)
+    entries = sum(solver._per_field(h_b, kind == "batch") for *_, h_b in solver.groups)
+    assert sweep_mod._split_count(0, entries) == 1 and sweep_mod._split_count(200, entries) == 4
+    got = getattr(solver, kind)(np.empty(0), D300)
+    for arr in got if kind == "batch" else (got,):
+        assert arr.shape == (0, solver.dim)
+    assert threads == [threading.get_ident()]
 
 
 def test_blas_probe_finds_numpy_openblas(monkeypatch):
