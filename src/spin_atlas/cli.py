@@ -9,9 +9,9 @@ import dataclasses
 import json
 import math
 import os
+import secrets
 import stat
 import sys
-import tempfile
 
 from . import __version__
 from .catalog import get_system, list_systems
@@ -163,16 +163,6 @@ def _detection_config(entry, args, cfg) -> SweepConfig:
         raise DomainError(f"invalid detection settings: {exc}") from exc
 
 
-def _output_mode(path: str) -> int:
-    """The mode ``open(path, "w")`` leaves: the file's own, else 0o666 less the umask."""
-    try:
-        return stat.S_IMODE(os.stat(path).st_mode)
-    except FileNotFoundError:
-        umask = os.umask(0)  # reading the umask means setting it
-        os.umask(umask)
-        return 0o666 & ~umask
-
-
 def _write_atomic(path: str | None, write) -> None:
     """Write output atomically (temp file + rename); '-'/None means stdout.
 
@@ -188,10 +178,14 @@ def _write_atomic(path: str | None, write) -> None:
     directory = os.path.dirname(os.path.abspath(path))
     tmp = None
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".spin-atlas-")
+        # Created 0o666 as open() creates files, so the kernel applies the umask.
+        name = os.path.join(directory, f".spin-atlas-{secrets.token_hex(8)}")
+        fd = os.open(name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        tmp = name
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             write(fh)
-        os.chmod(tmp, _output_mode(path))  # mkstemp's is 0o600
+        with contextlib.suppress(FileNotFoundError):  # an overwritten file keeps its mode
+            os.chmod(tmp, stat.S_IMODE(os.stat(path).st_mode))
         os.replace(tmp, path)
     except BaseException as exc:
         if tmp is not None:

@@ -20,8 +20,6 @@ import itertools
 from functools import lru_cache
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.csgraph import connected_components
 
 from .operators import embed, kron_sites, rotation_to_axis, spin_operators
 from .system import SpeciesKind, SpinSystem
@@ -64,25 +62,52 @@ def _bilinear(tensor_lab: np.ndarray, slot_a: int, slot_b: int, dims: list[int])
     return out
 
 
+def _basis_sum(x: np.ndarray, at: np.ndarray, coefs: np.ndarray, axis: int) -> np.ndarray:
+    """B^T x (axis 0) or x B (axis 1) for the basis B whose column c has the
+    coefficients ``coefs[:, c]`` at the positions ``at[:, c]`` of x's axis.
+    Each output entry is summed from +0 over its column's entries in order,
+    as scipy's sparse products sum it, so for entries in ascending state
+    order the result is theirs bit for bit. A zero-coefficient padding entry
+    adds a signed zero, which leaves such a sum as it is."""
+    shape = list(x.shape)
+    shape[axis] = coefs.shape[1]
+    out = np.zeros(shape, np.result_type(x, coefs))
+    for where, coef in zip(at, coefs[:, :, None] if axis == 0 else coefs[:, None, :]):
+        part = x.take(where, axis)
+        part *= coef
+        out += part
+    return out
+
+
 @dataclasses.dataclass(frozen=True, eq=False)
 class Block:
-    """An invariant subspace of H(B, D): the orthonormal real columns of
-    ``basis``, a sparse (len(rows), size) array over the ascending basis
-    states ``rows``. A block of the nonzero pattern alone has the identity.
-    Each column of a symmetry sector lies in one orbit of basis states under
-    the exchanges of identical units, so it has at most k! entries for k
-    units."""
+    """An invariant subspace of H(B, D): ``size`` orthonormal real basis
+    columns over the ascending basis states ``rows``. Column c has the
+    coefficients ``coefs[:, c]`` at the basis states ``states[:, c]``, in
+    ascending order, padded with zero coefficients at ``rows[0]``. Each
+    column of a symmetry sector lies in one orbit of basis states under the
+    exchanges of identical units, so it has at most k! entries for k units;
+    a block of the nonzero pattern alone has one entry, 1.0, per column."""
 
     rows: np.ndarray
-    basis: sparse.csr_array
+    states: np.ndarray  # (m, size) int, m <= k!
+    coefs: np.ndarray   # (m, size) float
 
     @property
     def size(self) -> int:
-        return self.basis.shape[1]
+        return self.states.shape[1]
 
     def project(self, h: np.ndarray) -> np.ndarray:
-        """B^T h B of a full-space matrix h, through the sparse basis."""
-        return (self.basis.T @ h[np.ix_(self.rows, self.rows)]) @ self.basis
+        """B^T h B of a full-space matrix h, as (B^T h) B.
+
+        B^T h takes its columns over the block's rows where cutting h down to
+        them costs less than the columns it drops (an M_z sector of a larger
+        space), else over all of h's columns."""
+        at, n = self.states, len(self.rows)
+        if n * n < self.coefs.size * (len(h) - n):
+            at = np.searchsorted(self.rows, at)
+            h = h.take(self.rows, 0).take(self.rows, 1)
+        return _basis_sum(_basis_sum(h, at, self.coefs, 0), at, self.coefs, 1)
 
     def probe_map(self, v0: np.ndarray, d_pre: int, d_post: int) -> np.ndarray:
         """The rows of the full-space map I_pre (x) <v0| (x) I_post that reach
@@ -93,8 +118,30 @@ class Block:
         pre, slot, post = np.unravel_index(self.rows, (d_pre, 3, d_post))
         full = np.zeros((d_pre * d_post, len(self.rows)), np.result_type(v0))
         full[pre * d_post + post, np.arange(len(self.rows))] = np.conj(v0)[slot]
-        probe_map = full @ self.basis
+        probe_map = _basis_sum(full, np.searchsorted(self.rows, self.states), self.coefs, 1)
         return probe_map[probe_map.any(axis=1)]
+
+
+def _components(linked: np.ndarray) -> np.ndarray:
+    """Connected-component labels of the boolean matrix ``linked`` read as an
+    undirected graph, numbered by each component's lowest state, as scipy's
+    ``connected_components`` numbers them.
+
+    Each round, every state takes the lowest label among itself and its
+    neighbours, then the label of that label. Labels only fall and stay
+    within the component, so once a round changes nothing, every state holds
+    its component's lowest state.
+    """
+    head, tail = np.nonzero(linked | linked.T)  # head ascending
+    heads, starts = np.unique(head, return_index=True)
+    label = np.arange(len(linked))
+    while True:
+        new = label.copy()
+        new[heads] = np.minimum(label[heads], np.minimum.reduceat(label[tail], starts))
+        new = new[new]
+        if np.array_equal(new, label):
+            return np.unique(label, return_inverse=True)[1]
+        label = new
 
 
 def _commutes(terms, swap: np.ndarray) -> bool:
@@ -141,14 +188,15 @@ def _blocks(pattern: np.ndarray, sums: list) -> tuple:
     Blocks come in component order, sectors of a component in descending
     label order, columns in orbit order (by lowest state). Without sums every
     orbit is one state, so each component is one block with the identity.
+    Each orbit lists its states in ascending order, and so each column its
+    entries.
     """
     dim = len(pattern)
-    states = np.arange(dim)
     moves = np.zeros_like(pattern)
     for swap in itertools.chain.from_iterable(sums):
-        moves[states, swap] = True
-    _, component = connected_components(pattern | moves, directed=False)
-    _, orbit_of = connected_components(moves, directed=False)
+        moves[np.arange(dim), swap] = True
+    component = _components(pattern | moves)
+    orbit_of = _components(moves)
     by_orbit = np.argsort(orbit_of, kind="stable")
     counts = np.bincount(orbit_of)
     starts = np.cumsum(counts) - counts
@@ -171,11 +219,16 @@ def _blocks(pattern: np.ndarray, sums: list) -> tuple:
     blocks = []
     for key in sorted(sectors):
         columns = sorted(sectors[key], key=lambda col: col[0][0])  # stable: one orbit's columns keep their order
-        rows = np.unique(np.concatenate([orbit for orbit, _ in columns]))
-        r = np.concatenate([np.searchsorted(rows, orbit) for orbit, _ in columns])
-        c = np.repeat(np.arange(len(columns)), [len(orbit) for orbit, _ in columns])
-        data = np.concatenate([column for _, column in columns])
-        blocks.append(Block(rows, sparse.csr_array((data, (r, c)), shape=(len(rows), len(columns)))))
+        flat = np.concatenate([orbit for orbit, _ in columns])
+        rows = np.unique(flat)
+        lengths = np.array([len(orbit) for orbit, _ in columns])
+        c = np.repeat(np.arange(len(columns)), lengths)
+        t = np.arange(len(flat)) - np.repeat(np.cumsum(lengths) - lengths, lengths)  # place in its column
+        states = np.full((lengths.max(), len(columns)), rows[0])
+        coefs = np.zeros(states.shape)
+        states[t, c] = flat
+        coefs[t, c] = np.concatenate([column for _, column in columns])
+        blocks.append(Block(rows, states, coefs))
     return tuple(blocks)
 
 

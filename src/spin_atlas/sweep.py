@@ -208,8 +208,9 @@ class _Solver:
     H(B, D) = H_const + D * H_d + B * H_b is cut into the invariant blocks
     of ``hamiltonian_terms(spec).blocks``: the M_z blocks, split into
     permutation-symmetry sectors where the system has identical units. Each
-    block is diagonalized on its own, as B^T H B for its sparse orthonormal
-    basis B, and the levels of all blocks are merged into one ascending
+    block is diagonalized on its own, as B^T H B for its orthonormal basis
+    B (``Block.project``; a column has at most k! entries for k identical
+    units), and the levels of all blocks are merged into one ascending
     order; a stable sort keeps exactly degenerate levels in block order.
 
     Blocks of one size are held as one (g, b, b) stack per term, with each

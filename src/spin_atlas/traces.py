@@ -5,7 +5,8 @@ A trace is modeled as Lorentzian dips on a linear baseline::
     pl(B) = (a + b*B) * (1 - sum_j d_j * w_j**2 / ((B - c_j)**2 + w_j**2))
 
 Fitting is one ``scipy.optimize.least_squares`` call with MINPACK's
-Levenberg-Marquardt and the model's closed-form Jacobian.  Contrast is defined
+Levenberg-Marquardt and the model's closed-form Jacobian; :func:`fit_dips`
+imports scipy when it fits, not the package at import.  Contrast is defined
 as dip depth relative to the local baseline value at the dip center, in
 percent.
 """
@@ -19,7 +20,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import least_squares
 
 __all__ = [
     "Trace",
@@ -280,6 +280,9 @@ def fit_dips(trace: Trace, seeds: list[float] | None = None) -> DipFit:
     # can give.
     if not np.all(np.isfinite(_residuals(params, b, pl))):
         raise TraceError("initial model is not finite; check the trace values")
+    # Imported here: fits are the package's only use of scipy, so no other command pays for it.
+    from scipy.optimize import least_squares
+
     res = least_squares(_residuals, params, jac=_jacobian, method="lm",
                         args=(b, pl))
     params = res.x

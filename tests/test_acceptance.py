@@ -19,6 +19,7 @@ from spin_atlas.system import Site, SpinSystem
 from spin_atlas.thermal import ThermalZfsModel
 from spin_atlas.traces import Trace, dip_model, fit_dips, side_peak_separations
 
+from test_hamiltonian import dense_basis
 from test_kernels import degenerate_clusters, dense_projector
 
 
@@ -207,7 +208,7 @@ def _production_path_problem(spec, b_field, h, vals, vecs):
     for term in terms:
         rebuilt = np.zeros_like(term)
         for blk in terms.blocks:
-            basis = blk.basis.toarray()
+            basis = dense_basis(blk)
             rebuilt[np.ix_(blk.rows, blk.rows)] += basis @ blk.project(term) @ basis.T
         if np.abs(rebuilt - term).max() > 1e-12 * max(np.abs(term).max(), 1.0):
             return "block reconstruction"

@@ -718,6 +718,29 @@ def test_out_file_keeps_the_mode_open_would_leave(existing, tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == [out.name]
 
 
+@pytest.mark.parametrize("existing", [None, 0o604], ids=["new-file", "existing-0o604"])
+def test_out_file_mode_needs_no_umask_change(existing, tmp_path, monkeypatch):
+    """The umask is never set, not even for an instant (another thread's new
+    file would get that mode): the kernel applies it to the temp file."""
+    out = tmp_path / "cat.txt"
+    if existing is not None:
+        out.write_text("old\n")
+        out.chmod(existing)
+    umask = os.umask(0o027)
+
+    def no_umask(mask):
+        raise AssertionError(f"umask set to {mask:o}")
+
+    monkeypatch.setattr(os, "umask", no_umask)
+    try:
+        assert main(["catalog", "--out", str(out)]) == 0
+    finally:
+        monkeypatch.undo()
+        os.umask(umask)
+    assert stat.S_IMODE(out.stat().st_mode) == (0o640 if existing is None else existing)
+    assert [p.name for p in tmp_path.iterdir()] == [out.name]
+
+
 def test_failed_stream_leaves_no_temp_file(tmp_path, monkeypatch):
     """The CSV is streamed into the temp file; an error part-way through
     removes it and propagates."""

@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import sparse
 
 from spin_atlas.catalog import get_system
 from spin_atlas.hamiltonian import Block, hamiltonian_terms, probe_projector_vector
 from spin_atlas.kernels import batched_eigh_project
 
-from test_hamiltonian import D300, TILTED_PROBE, X_PROBE, random_systems
+from test_hamiltonian import D300, TILTED_PROBE, X_PROBE, dense_basis, random_systems
 
 
 def dense_projector(v0, d_pre, d_post):
@@ -24,7 +23,7 @@ def dense_reference(hams, v0, d_pre, d_post, block=None):
     columns on its rows (default: the whole space)."""
     proj = dense_projector(v0, d_pre, d_post)
     if block is not None:
-        basis = block.basis.toarray()
+        basis = dense_basis(block)
         proj = basis.T @ proj[np.ix_(block.rows, block.rows)] @ basis
     vals, vecs = np.linalg.eigh(hams)
     weights = np.einsum("nai,ab,nbi->ni", vecs.conj(), proj, vecs).real
@@ -80,7 +79,7 @@ def test_block_rows_match_dense_projector(name):
     """Weights through a block's probe map equal the dense projector's on the
     eigenvectors placed in its rows through its basis: for the whole space
     in order (bit for bit the kernel's default map), the whole space with
-    its rows reversed, and each invariant block.
+    its basis columns in reversed state order, and each invariant block.
 
     nv-2p1 has a z-axis probe and 16 symmetry sectors, onv-2p1 a real probe
     state with three nonzero entries and two sectors, ``TILTED_PROBE`` a
@@ -100,12 +99,12 @@ def test_block_rows_match_dense_projector(name):
     if name == "x-probe":
         assert all(len(w) for w in maps)
     d = hams.shape[1]
-    whole = Block(np.arange(d), sparse.identity(d, format="csr"))
+    whole = Block(np.arange(d), np.arange(d)[None], np.ones((1, d)))
     mapped = batched_eigh_project(hams, v0, d_pre, d_post, whole.probe_map(v0, d_pre, d_post))
     default = batched_eigh_project(hams, v0, d_pre, d_post)
     assert all(np.array_equal(a, b) for a, b in zip(mapped, default))
-    reversed_rows = Block(np.arange(d)[::-1], whole.basis)
-    for blk in [whole, reversed_rows, *terms.blocks]:
+    reversed_columns = Block(np.arange(d), np.arange(d)[::-1][None], whole.coefs)
+    for blk in [whole, reversed_columns, *terms.blocks]:
         block = np.array([blk.project(h) for h in hams])
         probe_map = blk.probe_map(v0, d_pre, d_post)
         vals, projs = batched_eigh_project(block, v0, d_pre, d_post, probe_map)
@@ -121,7 +120,7 @@ def assert_maps_match_projector(spec):
     maps = []
     for blk in hamiltonian_terms(spec).blocks:
         w = blk.probe_map(v0, d_pre, d_post)
-        basis = blk.basis.toarray()
+        basis = dense_basis(blk)
         assert w.shape[0] <= d_pre * d_post and w.shape[1] == blk.size and w.any(axis=1).all()
         np.testing.assert_allclose(
             w.conj().T @ w, basis.T @ proj[np.ix_(blk.rows, blk.rows)] @ basis, rtol=0.0, atol=1e-14

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import sparse
 
 from spin_atlas import hamiltonian
 from spin_atlas.catalog import get_system
@@ -19,6 +18,7 @@ from spin_atlas.sweep import _Solver, features_to_json, find_features, sweep
 from spin_atlas.system import InteractionTensor, SpinSystem
 from spin_atlas.thermal import ThermalZfsModel
 
+from test_hamiltonian import dense_basis
 from test_kernels import dense_reference, degenerate_clusters
 
 SYMMETRIC = ["nv-2p1", "nv-3p1", "onv-2p1", "onv-3p1"]
@@ -117,7 +117,7 @@ def test_unequal_couplings_give_no_sectors(tmp_path, capsys, monkeypatch):
     assert len(terms.blocks) == len(plain.blocks) == 9
     for blk, ref in zip(terms.blocks, plain.blocks):
         assert np.array_equal(blk.rows, ref.rows)
-        assert (blk.basis != sparse.identity(len(blk.rows), format="csr")).nnz == 0
+        assert np.array_equal(dense_basis(blk), np.eye(len(blk.rows)))
 
     path = tmp_path / "broken.json"
     path.write_text(broken.to_json())
