@@ -21,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .operators import embed, kron_sites, rotation_to_axis, spin_operators
+from .operators import place, rotation_to_axis, spin_operators
 from .system import SpeciesKind, SpinSystem
 
 __all__ = [
@@ -47,19 +47,25 @@ def _site_frame_ops(axis: np.ndarray):
 
 
 def _bilinear(tensor_lab: np.ndarray, slot_a: int, slot_b: int, dims: list[int]):
-    """sum_ij T_ij S^i_a S^j_b over the nonzero T_ij in row-major order, each
-    product placed by one Kronecker product (on one site, the 3x3 product).
-    An all-zero tensor gives the scalar 0.0."""
+    """sum_ij T_ij S^i_a S^j_b as a local operator and its ascending slots.
+
+    On two sites each nonzero T_ij, in row-major order, adds
+    T_ij kron(S^i_a, S^j_b) with the factors in slot order; on one site it
+    adds T_ij (S^i @ S^j). The sum starts from zero, so an all-zero tensor
+    gives a zero operator."""
     ops_a, ops_b = spin_operators(dims[slot_a]), spin_operators(dims[slot_b])
-    out = 0.0
+    slots = tuple(sorted({slot_a, slot_b}))
+    size = int(np.prod([dims[slot] for slot in slots]))
+    out = np.zeros((size, size), dtype=complex)
     for (i, j), t in np.ndenumerate(tensor_lab):
         if t != 0.0:
             if slot_a == slot_b:
-                factors = {slot_a: ops_a[i] @ ops_b[j]}
+                out = out + t * (ops_a[i] @ ops_b[j])
+            elif slot_a < slot_b:
+                out = out + t * np.kron(ops_a[i], ops_b[j])
             else:
-                factors = {slot_a: ops_a[i], slot_b: ops_b[j]}
-            out = out + t * kron_sites(factors, dims)
-    return out
+                out = out + t * np.kron(ops_b[j], ops_a[i])
+    return out, slots
 
 
 def _basis_sum(x: np.ndarray, at: np.ndarray, coefs: np.ndarray, axis: int) -> np.ndarray:
@@ -236,8 +242,10 @@ class HamiltonianTerms(tuple):
     """The triple ``(H_const, H_d, H_b)`` plus its invariant ``blocks``.
 
     All three terms are float64 when each has a negligible imaginary part,
-    else all complex, so every affine combination of them has one dtype. A
-    term that is not Hermitian raises ValueError.
+    else all complex, so every affine combination of them has one dtype.
+    Float64 input, which :func:`hamiltonian_terms` passes for every system
+    whose local operators are all real, is kept as it is. A term that is
+    not Hermitian raises ValueError.
 
     ``blocks`` holds the :class:`Block` objects that no term couples, so H(B, D)
     leaves each one invariant for all B and D. Their rows come from the
@@ -307,41 +315,49 @@ def hamiltonian_terms(spec: SpinSystem) -> HamiltonianTerms:
     H_b is the total Zeeman derivative dH/dB. The blocks, symmetry sectors
     included, are cached with the terms, so
     ``hamiltonian_terms.cache_clear()`` drops both.
+
+    Every contribution is first built as a small local operator on its own
+    sites, then added in place into one preallocated matrix per term
+    (:func:`operators.place`), in the order listed here. Since a Kronecker
+    product with identities only multiplies by an exact 1.0, each entry
+    gets the additions a full-space product would give it. The terms are
+    float64 when every local operator has a zero imaginary part (the real
+    part of a complex sum is the real sum), else complex.
     """
     dims = spec.dims
-    dim = spec.dimension
-    h_const = np.zeros((dim, dim), dtype=complex)
-    h_d = np.zeros((dim, dim), dtype=complex)
-    h_b = np.zeros((dim, dim), dtype=complex)
-
+    parts = []  # (term: 0 H_const, 1 H_d, 2 H_b; local operator; ascending slots)
     for idx, s in enumerate(spec.sites):
         _, _, sz = spin_operators(s.multiplicity)
         # Zeeman along lab z, +gamma B Sz for every site; nuclear species
         # carry their signed gyromagnetic ratio.
-        h_b += embed(s.gamma_value * sz, idx, dims)
+        parts.append((2, s.gamma_value * sz, (idx,)))
 
         if s.kind is SpeciesKind.NV_ELECTRON:
             spx, spy, spz = _site_frame_ops(np.asarray(s.axis))
-            h_d += embed(spz @ spz, idx, dims)
+            parts.append((1, spz @ spz, (idx,)))
             z = s.zfs
             strain = (
                 z.d_parallel * (spz @ spz)
                 + z.d_x * (spx @ spx - spy @ spy)
                 + z.d_y * (spx @ spy + spy @ spx)
             )
-            h_const += embed(strain, idx, dims)
+            parts.append((0, strain, (idx,)))
 
         if s.quadrupole is not None:
-            h_const += _bilinear(s.quadrupole.lab_matrix(), idx, idx, dims)
+            parts.append((0, *_bilinear(s.quadrupole.lab_matrix(), idx, idx, dims)))
 
         if s.hyperfine is not None:
             hf = s.hyperfine
-            h_const += _bilinear(hf.tensor.lab_matrix(), hf.to_site, idx, dims)
+            parts.append((0, *_bilinear(hf.tensor.lab_matrix(), hf.to_site, idx, dims)))
 
     for cp in spec.couplings:
-        h_const += _bilinear(cp.tensor.lab_matrix(), cp.site_a, cp.site_b, dims)
+        parts.append((0, *_bilinear(cp.tensor.lab_matrix(), cp.site_a, cp.site_b, dims)))
 
-    return HamiltonianTerms(h_const, h_d, h_b, _unit_swaps(spec))
+    real = not any(op.imag.any() for _, op, _ in parts)
+    terms = [np.zeros((spec.dimension,) * 2, float if real else complex) for _ in range(3)]
+    for term, op, slots in parts:
+        place(terms[term], op.real if real else op, slots, dims)
+    return HamiltonianTerms(*terms, _unit_swaps(spec))
 
 
 def build_hamiltonian(spec: SpinSystem, b_field: float, d_zfs: float) -> np.ndarray:

@@ -1,5 +1,5 @@
 """Spin operator algebra: angular-momentum matrices, frame rotations, and
-Kronecker-product embedding into a composite Hilbert space."""
+placement of site-local operators into a composite Hilbert space."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ __all__ = [
     "spin_operators",
     "rotation_to_axis",
     "rotate_tensor",
-    "kron_sites",
+    "place",
     "embed",
 ]
 
@@ -69,28 +69,33 @@ def rotate_tensor(matrix: np.ndarray, axis: np.ndarray) -> np.ndarray:
     return r @ m @ r.T
 
 
-def kron_sites(factors: dict[int, np.ndarray], dims: list[int]) -> np.ndarray:
-    """Kronecker product with ``factors[slot]`` at each listed slot and the
-    identity elsewhere; runs of identity sites merge into one factor."""
-    for slot, op in factors.items():
+def place(h: np.ndarray, op: np.ndarray, slots: tuple[int, ...], dims: list[int]) -> None:
+    """Add I x op x I to the product-space matrix ``h`` in place, with op
+    acting on the ascending ``slots`` (in their order) and the identity
+    elsewhere.
+
+    Only op's nonzero entries are added, each in one fancy-index ``+=``: the
+    (row, col) pairs it reaches are distinct, so every such entry of h gets
+    exactly one addition, the value a Kronecker product with identities
+    would hold there."""
+    if list(slots) != sorted(set(slots)):
+        raise ValueError(f"slots {slots} must be ascending and distinct")
+    for slot in slots:
         if not 0 <= slot < len(dims):
             raise IndexError(f"slot {slot} out of range for {len(dims)} sites")
-        if op.shape != (dims[slot], dims[slot]):
-            raise ValueError(
-                f"operator dimension {op.shape} does not match dims[{slot}] = {dims[slot]}"
-            )
-    out, run = np.ones((1, 1)), 1
-    for slot, d in enumerate(dims):
-        if slot in factors:
-            out, run = np.kron(np.kron(out, np.eye(run)), factors[slot]), 1
-        else:
-            run *= d
-    return np.kron(out, np.eye(run))
+    local = [dims[slot] for slot in slots]
+    if op.shape != (np.prod(local, dtype=int),) * 2:
+        raise ValueError(f"operator dimension {op.shape} does not match dims {local} at slots {slots}")
+    index = np.arange(np.prod(dims, dtype=int)).reshape(dims)
+    index = np.moveaxis(index, slots, range(-len(slots), 0)).reshape(-1, len(op))
+    row, col = np.nonzero(op)
+    h[index[:, row], index[:, col]] += op[row, col]
 
 
 def embed(op: np.ndarray, slot: int, dims: list[int]) -> np.ndarray:
-    """Kronecker-embed a single-site operator into the product space.
-
-    I_(d0) x ... x op x ... x I_(dn) with op at position `slot`.
-    """
-    return kron_sites({slot: op}, dims)
+    """Embed a single-site operator into the product space:
+    I_(d0) x ... x op x ... x I_(dn) with op at position `slot`."""
+    d = int(np.prod(dims, dtype=int))
+    out = np.zeros((d, d), np.result_type(op, float))
+    place(out, op, (slot,), dims)
+    return out

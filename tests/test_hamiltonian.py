@@ -1,6 +1,7 @@
 """Hamiltonian assembly: closed forms, hermiticity, and probe projections."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -317,3 +318,18 @@ def test_all_zero_tensor_adds_nothing(part):
     spec, without = _nv_p1_zeroed(part)
     assert_terms_identical(hamiltonian_terms(spec), hamiltonian_terms(without))
     assert_terms_identical(hamiltonian_terms(spec), _full_space_terms(spec))
+
+
+def test_term_build_peak_stays_within_twice_the_terms():
+    """Building nv-3p1's terms (d = 648) adds each local operator in place:
+    the traced peak stays within twice the bytes of the terms it returns,
+    with no d x d temporary per tensor entry."""
+    spec = get_system("nv-3p1").system
+    hamiltonian_terms.cache_clear()
+    tracemalloc.start()
+    try:
+        terms = hamiltonian_terms(spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * sum(h.nbytes for h in terms)

@@ -2,12 +2,12 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spin_atlas.operators import (
     embed,
-    kron_sites,
+    place,
     rotate_tensor,
     rotation_to_axis,
     spin_operators,
@@ -90,20 +90,49 @@ def test_embed_slots_commute():
     assert np.allclose(a @ b, b @ a)
 
 
-@pytest.mark.parametrize("slots", [(0, 2), (2, 0), (1, 3), (3, 4)])
-def test_kron_sites_places_a_product_of_embedded_operators(slots):
+def _site_op(data, d, complex_op):
+    """A random real or complex d x d operator with some exact zeros."""
+    real = data.draw(st.lists(st.sampled_from([0.0, 1.0, -0.5, 2.25, -3.0]), min_size=d * d, max_size=d * d))
+    op = np.array(real).reshape(d, d)
+    if complex_op:
+        imag = data.draw(st.lists(st.sampled_from([0.0, 1.0, -1.5]), min_size=d * d, max_size=d * d))
+        op = op + 1j * np.array(imag).reshape(d, d)
+    return op
+
+
+# Adjacent and non-adjacent pairs, and pairs whose first slot is the higher
+# one, as for a hyperfine nucleus listed before its electron.
+@pytest.mark.parametrize("slots", [(0, 2), (2, 0), (1, 3), (3, 4), (0, 1), (4, 1)])
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_place_adds_a_product_of_embedded_operators(slots, data):
     dims = [3, 2, 3, 2, 2]
-    a, b = spin_operators(dims[slots[0]])[0], spin_operators(dims[slots[1]])[1]
-    placed = kron_sites({slots[0]: a, slots[1]: b}, dims)
-    assert np.array_equal(placed, embed(a, slots[0], dims) @ embed(b, slots[1], dims))
+    s0, s1 = slots
+    complex_op = data.draw(st.booleans())
+    a = _site_op(data, dims[s0], complex_op)
+    b = _site_op(data, dims[s1], complex_op)
+    d = int(np.prod(dims))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    h = rng.normal(size=(d, d))
+    if complex_op:
+        h = h + 1j * rng.normal(size=(d, d))
+    expected = h + embed(a, s0, dims) @ embed(b, s1, dims)
+    op = np.kron(a, b) if s0 < s1 else np.kron(b, a)
+    place(h, op, tuple(sorted(slots)), dims)
+    assert np.array_equal(h, expected)
 
 
-def test_kron_sites_checks_slots_and_shapes():
+def test_place_checks_slots_and_shapes():
     sx3, _, _ = spin_operators(3)
+    h = np.zeros((6, 6))
     with pytest.raises(IndexError, match="out of range"):
         embed(sx3, 2, [3, 2])
+    with pytest.raises(IndexError, match="out of range"):
+        place(h, np.kron(sx3, sx3), (0, 2), [3, 2])
     with pytest.raises(ValueError, match="does not match"):
-        kron_sites({0: sx3, 1: sx3}, [3, 2])
+        place(h, np.kron(sx3, sx3), (0, 1), [3, 2])
+    with pytest.raises(ValueError, match="ascending"):
+        place(h, np.kron(sx3, sx3), (1, 0), [3, 2])
 
 
 @given(st.integers(min_value=2, max_value=3))

@@ -158,8 +158,8 @@ def test_skewed_terms_exit_1(monkeypatch, capsys):
     bilinear = hamiltonian._bilinear
 
     def skewed(tensor_lab, slot_a, slot_b, dims):
-        out = bilinear(tensor_lab, slot_a, slot_b, dims)
-        return out + 1e-3 * np.triu(np.ones_like(out), 1)
+        op, slots = bilinear(tensor_lab, slot_a, slot_b, dims)
+        return op + 1e-3 * np.triu(np.ones_like(op), 1), slots
 
     hamiltonian_terms.cache_clear()
     monkeypatch.setattr(hamiltonian, "_bilinear", skewed)
