@@ -4,11 +4,12 @@ A trace is modeled as Lorentzian dips on a linear baseline::
 
     pl(B) = (a + b*B) * (1 - sum_j d_j * w_j**2 / ((B - c_j)**2 + w_j**2))
 
-Fitting is one ``scipy.optimize.least_squares`` call with MINPACK's
-Levenberg-Marquardt and the model's closed-form Jacobian; :func:`fit_dips`
-imports scipy when it fits, not the package at import.  Contrast is defined
-as dip depth relative to the local baseline value at the dip center, in
-percent.
+Fitting is a numpy port of MINPACK's ``lmder``, Moré's scaled trust-region
+Levenberg-Marquardt, with the model's closed-form Jacobian: variables scaled
+by the Jacobian's column norms, ftol = xtol = gtol = 1e-8 and a budget of
+100 residual evaluations per parameter, the settings of scipy's
+``least_squares(method="lm")`` since scipy 1.16.  Contrast is defined as dip
+depth relative to the local baseline value at the dip center, in percent.
 """
 
 from __future__ import annotations
@@ -223,20 +224,211 @@ def auto_seeds(trace: Trace) -> list[float]:
     return seeds
 
 
+# MINPACK's lmder at the settings scipy's least_squares(method="lm") passes
+# it since scipy 1.16: ftol = xtol = gtol = 1e-8, an initial step bound of
+# 100 times the scaled start norm, and variables scaled by the Jacobian's
+# column norms (mode 1, x_scale="jac").
+_TOL = 1e-8
+_FACTOR = 100.0
+_DWARF = float(np.finfo(float).tiny)
+
+
+def _enorm(a: np.ndarray):
+    """Euclidean norm of a vector, or of each column of a matrix, as MINPACK's
+    ``enorm`` gives it: no overflow or underflow in the squares, NaN for a NaN
+    or for two infinite components, inf for one."""
+    if a.ndim == 1:
+        sumsq = a @ a
+        if 1e-280 < sumsq < np.inf:
+            return np.sqrt(sumsq)
+    else:
+        sumsq = np.einsum("ij,ij->j", a, a)
+    norm = np.sqrt(sumsq)
+    bad = ~((sumsq > 1e-280) & (sumsq < np.inf))
+    if np.any(bad):
+        scale = np.max(np.abs(a), axis=0)
+        scaled = a / np.where(scale > 0, scale, 1.0)
+        norm = np.where(bad, scale * np.sqrt(np.einsum("i...,i...->...", scaled, scaled)), norm)
+        one_inf = (np.count_nonzero(np.isinf(a), axis=0) == 1) & ~np.any(np.isnan(a), axis=0)
+        norm = np.where(one_inf, np.inf, norm)[()]
+    return norm
+
+
+def _solve_upper(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Solve ``u @ z = v`` for upper-triangular ``u``; from the first zero on
+    the diagonal on, ``z`` is zero, MINPACK's least-squares solution of a
+    singular system."""
+    # LU of a triangular matrix pivots no row: this is back substitution.
+    k = np.argmin(np.diagonal(u) != 0)
+    if u[k, k] != 0:
+        return np.linalg.solve(u, v)
+    z = np.zeros(len(v))
+    if k:
+        z[:k] = np.linalg.solve(u[:k, :k], v[:k])
+    return z
+
+
+def _solve_lower_t(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Solve ``u.T @ z = v`` for upper-triangular ``u`` with a nonzero diagonal."""
+    return _solve_upper(u.T[::-1, ::-1], v[::-1])[::-1]
+
+
+def _lmpar(r: np.ndarray, diag: np.ndarray, qtf: np.ndarray, delta: float, par: float):
+    """MINPACK's ``lmpar``: the Levenberg-Marquardt parameter ``par`` and the
+    step ``x`` minimising ||R x - Qᵀf||² + par ||D x||² with ||D x|| within 10 %
+    of ``delta``, or the Gauss-Newton step (par = 0) if that is shorter.
+
+    A safeguarded Newton iteration on ||D x(par)|| - delta, at most 10 steps,
+    each solving [R; sqrt(par) D] x = [Qᵀf; 0] by one QR factorisation.
+    """
+    n = len(qtf)
+    x = _solve_upper(r, qtf)
+    dxnorm = _enorm(diag * x)
+    fp = dxnorm - delta
+    if fp <= 0.1 * delta:
+        return x, 0.0
+    # The Gauss-Newton step bounds par from below unless R is singular.
+    parl = 0.0
+    if np.all(np.diagonal(r) != 0):
+        temp = _enorm(_solve_lower_t(r, diag * (diag * x / dxnorm)))
+        parl = fp / delta / temp / temp
+    gnorm = _enorm(r.T @ qtf / diag)
+    paru = gnorm / delta
+    if paru == 0:
+        paru = _DWARF / min(delta, 0.1)
+    par = min(max(par, parl), paru)
+    if par == 0:
+        par = gnorm / dxnorm
+    aug = np.zeros((2 * n, n + 1))
+    aug[:n, :n] = r
+    aug[:n, n] = qtf
+    for iteration in range(1, 11):
+        if par == 0:
+            par = max(_DWARF, 0.001 * paru)
+        aug[n:, :n] = np.diag(np.sqrt(par) * diag)
+        s = np.linalg.qr(aug, mode="r")
+        x = _solve_upper(s[:n, :n], s[:n, n])
+        dxnorm = _enorm(diag * x)
+        temp, fp = fp, dxnorm - delta
+        if abs(fp) <= 0.1 * delta or parl == 0 and fp <= temp < 0 or iteration == 10:
+            break
+        # Newton correction.
+        temp = _enorm(_solve_lower_t(s[:n, :n], diag * (diag * x / dxnorm)))
+        parc = fp / delta / temp / temp
+        if fp > 0:
+            parl = max(parl, par)
+        if fp < 0:
+            paru = min(paru, par)
+        par = max(parl, par + parc)
+    return x, par
+
+
+@np.errstate(all="ignore")
+def _lmder(x: np.ndarray, f: np.ndarray, b: np.ndarray, pl: np.ndarray):
+    """Minimise ||_residuals(x, b, pl)|| from ``x``, whose residual ``f`` the
+    caller has evaluated, by MINPACK's ``lmder``.
+
+    Moré's scaled trust-region Levenberg-Marquardt at the settings above, with
+    a budget of 100 residual evaluations per parameter.  The Jacobian is
+    :func:`_jacobian`, factored with the residual as ``[J | f] = Q R`` once per
+    evaluation; a zero column of J is moved last, where MINPACK's pivoting
+    puts it.  Returns (x, f, nfev, info): the last accepted point and its
+    residual, MINPACK's count of residual evaluations (``f`` is the first)
+    and its ``info``: 1-4 a tolerance was met, 5 the budget ran out.
+    """
+    n = len(x)
+    max_nfev = 100 * n
+    nfev = 1
+    fnorm = _enorm(f)
+    par = 0.0
+    accepted = False  # MINPACK's iter > 1
+    while True:
+        jac = _jacobian(x, b, pl)
+        colnorm = _enorm(jac)
+        zero = colnorm == 0
+        # A slice when no column is zero saves copying J.
+        perm = np.argsort(zero, kind="stable") if zero.any() else slice(None)
+        rank = n - np.count_nonzero(zero)
+        # [J | f] in Fortran order, the layout LAPACK factors without a copy.
+        jf = np.empty((n + 1, len(f)))
+        jf[:n] = jac.T[perm]
+        jf[n] = f
+        r = np.linalg.qr(jf.T, mode="r")
+        qtf = r[:n, n]
+        r = r[:n, :n]
+        if not accepted:
+            diag = np.where(zero, 1.0, colnorm)
+            xnorm = _enorm(diag * x)
+            delta = _FACTOR * xnorm if xnorm else _FACTOR
+        # The scaled gradient's largest component; zero columns have none.
+        gnorm = 0.0
+        if fnorm != 0:
+            g = (r.T @ (qtf / fnorm))[:rank] / colnorm[perm][:rank]
+            gnorm = np.max(np.abs(g), initial=0.0)
+        if gnorm <= _TOL:
+            return x, f, nfev, 4
+        diag = np.maximum(diag, colnorm)
+        while True:
+            step_p, par = _lmpar(r, diag[perm], qtf, delta, par)
+            step = np.empty(n)
+            step[perm] = -step_p
+            trial = x + step
+            pnorm = _enorm(diag * step)
+            if not accepted:
+                delta = min(delta, pnorm)
+            f_trial = _residuals(trial, b, pl)
+            nfev += 1
+            fnorm1 = _enorm(f_trial)
+            actred = -1.0
+            if 0.1 * fnorm1 < fnorm:
+                actred = 1.0 - (fnorm1 / fnorm) * (fnorm1 / fnorm)
+            temp1 = _enorm(r @ step_p) / fnorm
+            temp2 = np.sqrt(par) * pnorm / fnorm
+            prered = temp1 * temp1 + temp2 * temp2 / 0.5
+            dirder = -(temp1 * temp1 + temp2 * temp2)
+            ratio = actred / prered if prered != 0 else 0.0
+            # Update the step bound.
+            if ratio > 0.25:
+                if par == 0 or ratio >= 0.75:
+                    delta = pnorm / 0.5
+                    par = 0.5 * par
+            else:
+                temp = 0.5 if actred >= 0 else 0.5 * dirder / (dirder + 0.5 * actred)
+                if 0.1 * fnorm1 >= fnorm or temp < 0.1:
+                    temp = 0.1
+                delta = temp * min(delta, pnorm / 0.1)
+                par = par / temp
+            if ratio >= 1e-4:
+                x, f, fnorm = trial, f_trial, fnorm1
+                xnorm = _enorm(diag * x)
+                accepted = True
+            ftol_met = abs(actred) <= _TOL and prered <= _TOL and 0.5 * ratio <= 1
+            xtol_met = delta <= _TOL * xnorm
+            if ftol_met or xtol_met:
+                return x, f, nfev, 3 if ftol_met and xtol_met else 2 if xtol_met else 1
+            # MINPACK's further stops (info 6-8) need a tolerance below machine
+            # epsilon; at these tolerances tests 1, 2 and 4 stop first.
+            if nfev >= max_nfev:
+                return x, f, nfev, 5
+            if ratio >= 1e-4:
+                break
+
+
 @np.errstate(all="ignore")
 def fit_dips(trace: Trace, seeds: list[float] | None = None) -> DipFit:
     """Fit the multi-dip model; seeds default to automatic minima detection.
 
-    The fit is one ``scipy.optimize.least_squares(method="lm")`` call (MINPACK
-    Levenberg-Marquardt) at scipy's default tolerances, with the analytic
-    Jacobian of :func:`_jacobian`, so each step costs one model evaluation.
-    Raises :class:`TraceError` for non-finite, out-of-range or duplicated
-    seeds, for more parameters (2 + 3 per dip) than trace points, and for a
-    model or fit that is not finite.  A fit that exhausts MINPACK's evaluation
-    budget is returned flagged ``converged=False``; ``iterations`` reports
-    scipy's ``nfev``, the number of residual evaluations.  NumPy
-    floating-point warnings are off: an overflow surfaces only through those
-    checks.
+    The fit is :func:`_lmder`, MINPACK's Levenberg-Marquardt scaled by the
+    Jacobian's column norms, at ftol = xtol = gtol = 1e-8 with a budget of
+    100 residual evaluations per parameter, and with the analytic Jacobian of
+    :func:`_jacobian`, so each step costs one model evaluation.  Raises
+    :class:`TraceError` for non-finite, out-of-range or duplicated seeds, for
+    more parameters (2 + 3 per dip) than trace points, and for a model or fit
+    that is not finite.  A fit that exhausts the budget is returned flagged
+    ``converged=False``; ``iterations`` reports MINPACK's ``nfev``, the number
+    of residual evaluations, the first being the start's residual that the
+    finiteness check evaluates.  NumPy floating-point warnings are off: an
+    overflow surfaces only through those checks.
     """
     b = np.asarray(trace.field)
     pl = np.asarray(trace.pl)
@@ -275,18 +467,14 @@ def fit_dips(trace: Trace, seeds: list[float] | None = None) -> DipFit:
         params.extend([s, 3.0 * trace.grid_spacing, depth0])
     params = np.array(params)
 
-    # least_squares raises a bare ValueError on a non-finite starting point,
-    # which extreme trace values (a baseline overflowing, or zero at a dip)
-    # can give.
-    if not np.all(np.isfinite(_residuals(params, b, pl))):
+    # Extreme trace values (a baseline overflowing, or zero at a dip) can make
+    # the start's residual non-finite.  Checked, it is the fit's first
+    # evaluation.
+    f = _residuals(params, b, pl)
+    if not np.all(np.isfinite(f)):
         raise TraceError("initial model is not finite; check the trace values")
-    # Imported here: fits are the package's only use of scipy, so no other command pays for it.
-    from scipy.optimize import least_squares
-
-    res = least_squares(_residuals, params, jac=_jacobian, method="lm",
-                        args=(b, pl))
-    params = res.x
-    rms = float(math.sqrt(np.mean(res.fun**2)))
+    params, f, nfev, info = _lmder(params, f, b, pl)
+    rms = float(math.sqrt(np.mean(f**2)))
     if not (np.all(np.isfinite(params)) and math.isfinite(rms)):
         raise TraceError("fit diverged: parameters or residual not finite; "
                          "try fewer dips")
@@ -304,8 +492,8 @@ def fit_dips(trace: Trace, seeds: list[float] | None = None) -> DipFit:
         dips=tuple(dips),
         baseline=(float(params[0]), float(params[1])),
         residual_rms=rms,
-        converged=res.status > 0,
-        iterations=res.nfev,
+        converged=info <= 4,
+        iterations=nfev,
     )
 
 
