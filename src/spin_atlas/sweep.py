@@ -57,6 +57,11 @@ _FIELD_RESOLUTION = 0.01    # G, refinement resolution of every gap minimum
 T_REF = 300.0               # K, reference temperature of continuation and slope
 _SLOPE_STEP = 5.0           # K, half-width of the central-difference slope at T_REF
 _TRACK_WINDOW = 5.0         # G, half-width of the search around a seed center
+# Relative rounding margin of a gap search's block bound (``_gap_minima``):
+# assembling H and solving it with ``eigvalsh`` are each off by O(d * eps)
+# times a bound on ||H||, about 1e-13 at d = 648, so a margin of 1e-9 of that
+# bound covers the four levels each test compares with room to spare.
+_ROUNDING = 1e-9
 
 
 @functools.cache
@@ -84,7 +89,8 @@ def _split_count(n: int, entries: int) -> int:
     """Slices of an n-field solve that run concurrently (``_Solver._solve``).
 
     ``entries`` is what one field adds to the solve's kernel steps, summed
-    over block sizes (``_Solver._per_field``). More than one slice only when
+    over block sizes: d x b per size for ``_Solver.batch``, b x b per
+    needed block on average for ``_Solver.eigvals``. More than one slice only when
     BLAS runs one thread, as it reports now: threads of our own on top of a
     threaded BLAS are slower. A call whose steps one slice's share of
     ``_STACK_ENTRIES`` holds whole stays serial: a smaller call loses more
@@ -215,10 +221,17 @@ class _Solver:
 
     Blocks of one size are held as one (g, b, b) stack per term, with each
     member block's probe map (``Block.probe_map``, built once here) and its
-    columns of the block-ordered output. Both solve kinds go through
-    ``_fill`` on these stacks. The solver keeps no state between calls:
-    every call solves every (B, D) point it is given, so one call may mix
-    temperatures.
+    columns of the block-ordered output; ``members`` holds each size's block
+    indices. ``batch`` solves every block at every point, with vectors,
+    through ``_fill``; ``eigvals`` solves, through ``_fill_levels``, only the
+    (field, block) cells its need mask names. The solver keeps no state
+    between calls, so one call may mix temperatures.
+
+    ``reach`` holds, for each block-ordered column, an upper bound on the
+    spectral norm of H_b on its block (the largest absolute row sum; exact
+    for the diagonal H_b of M_z blocks), and ``term_norms`` the Frobenius
+    norms of H_const, H_d and H_b: by Weyl's inequality a level of that block
+    moves by at most |dB| * reach along B at fixed D (see ``_gap_minima``).
     """
 
     def __init__(self, spec):
@@ -227,39 +240,61 @@ class _Solver:
         self.dim = terms[0].shape[0]
         self.v0, self.d_pre, self.d_post = probe_projector_vector(spec)
         starts = np.cumsum([0, *(blk.size for blk in self.blocks)])
+        self.starts = starts[:-1]  # each block's first column
         self.groups = []  # (member probe maps, their columns, H_const, H_d, H_b stacks) of each block size
+        self.members = []
+        self.reach = np.empty(self.dim)
+        squares = np.zeros(3)
         for size in dict.fromkeys(blk.size for blk in self.blocks):
             members = [k for k, blk in enumerate(self.blocks) if blk.size == size]
             blocks = [self.blocks[k] for k in members]
             maps = [blk.probe_map(self.v0, self.d_pre, self.d_post) for blk in blocks]
-            stacks = (np.array([blk.project(h) for blk in blocks]) for h in terms)
-            self.groups.append((maps, starts[members, None] + np.arange(size), *stacks))
+            stacks = [np.array([blk.project(h) for blk in blocks]) for h in terms]
+            cols = starts[members, None] + np.arange(size)
+            self.reach[cols] = np.abs(stacks[2]).sum(axis=2).max(axis=1)[:, None]
+            squares += [np.linalg.norm(h) ** 2 for h in stacks]
+            self.groups.append((maps, cols, *stacks))
+            self.members.append(np.array(members))
+        self.term_norms = np.sqrt(squares)
 
     def batch(self, fields: np.ndarray, zfs: float | np.ndarray):
         """Ascending eigenvalues (n, d) and their probe projections (n, d)
         at each field and ZFS ``zfs`` (MHz; one for all fields, or one
         each)."""
-        vals, projs = self._solve(fields, zfs, vectors=True)
+        n = len(fields)
+        zfs = np.broadcast_to(np.asarray(zfs, dtype=float), (n,))
+        vals, projs = np.empty((n, self.dim)), np.empty((n, self.dim))
+
+        def fill(sl: slice, budget: int) -> None:
+            self._fill(fields[sl], zfs[sl], vals[sl], projs[sl], budget)
+
+        self._solve(n, sum(self.dim * h_b.shape[1] for *_, h_b in self.groups), fill)
         order = np.argsort(vals, axis=1, kind="stable")
         return np.take_along_axis(vals, order, axis=1), np.take_along_axis(projs, order, axis=1)
 
-    def eigvals(self, fields: np.ndarray, zfs: float | np.ndarray) -> np.ndarray:
-        """Ascending eigenvalues at each field and ZFS ``zfs`` (one for all
-        fields, or one each), shape (n, d)."""
-        vals, _ = self._solve(fields, zfs, vectors=False)
-        vals.sort(axis=1)
+    def eigvals(self, fields: np.ndarray, zfs: float | np.ndarray, need: np.ndarray) -> np.ndarray:
+        """Block-ordered eigenvalues (n, d) at each field and ZFS ``zfs``
+        (one for all fields, or one each): block k's ascending levels in its
+        columns at field i where the (n, blocks) mask ``need[i, k]`` is set,
+        +inf elsewhere.
+
+        Each needed block is assembled as ``batch`` assembles it and solved
+        by one ``np.linalg.eigvalsh`` per step, so its levels do not depend
+        on the mask."""
+        n = len(fields)
+        zfs = np.broadcast_to(np.asarray(zfs, dtype=float), (n,))
+        vals = np.full((n, self.dim), np.inf)
+        total = int(np.count_nonzero(need, axis=0) @ np.array([blk.size ** 2 for blk in self.blocks]))
+
+        def fill(sl: slice, budget: int) -> None:
+            self._fill_levels(fields[sl], zfs[sl], need[sl], vals[sl], budget)
+
+        self._solve(n, -(-total // n) if n else 0, fill)
         return vals
 
-    def _per_field(self, stack: np.ndarray, vectors: bool) -> int:
-        """Entries one field adds to a kernel step of the (g, b, b) term
-        stack ``stack``: d x b for a vector solve, g x b x b for an
-        eigenvalue-only one."""
-        g, b, _ = stack.shape
-        return self.dim * b if vectors else g * b * b
-
-    def _solve(self, fields: np.ndarray, zfs: float | np.ndarray, vectors: bool):
-        """Block-ordered eigenvalues (n, d) at ``fields`` and ``zfs``, and
-        their probe projections (n, d) if ``vectors``, else None.
+    def _solve(self, n: int, entries: int, fill) -> None:
+        """Run ``fill(slice, budget)`` over the n fields of a call whose
+        kernel steps one field adds ``entries`` to.
 
         The fields are cut into ``_split_count`` contiguous slices, each with
         an equal share of ``_STACK_ENTRIES`` as its budget: the calling thread
@@ -267,41 +302,30 @@ class _Solver:
         others. LAPACK releases the GIL, and every field is solved alone, so
         the result does not depend on the split.
         """
-        n = len(fields)
-        zfs = np.broadcast_to(np.asarray(zfs, dtype=float), (n,))
-        vals = np.empty((n, self.dim))
-        projs = np.empty((n, self.dim)) if vectors else None
-        workers = _split_count(n, sum(self._per_field(h_b, vectors) for *_, h_b in self.groups))
+        workers = _split_count(n, entries)
         budget = _STACK_ENTRIES // workers
-
-        def fill(sl: slice) -> None:
-            self._fill(fields[sl], zfs[sl], vals[sl], None if projs is None else projs[sl], budget)
-
         first, *rest = (slice(n * w // workers, n * (w + 1) // workers) for w in range(workers))
         # The pool starts a thread only per submitted slice: none when serial.
         with ThreadPoolExecutor(workers) as pool:
-            helpers = [pool.submit(fill, sl) for sl in rest]
-            fill(first)
+            helpers = [pool.submit(fill, sl, budget) for sl in rest]
+            fill(first, budget)
             for helper in helpers:
                 helper.result()
-        return vals, projs
 
-    def _fill(self, fields: np.ndarray, zfs: np.ndarray, vals: np.ndarray, projs: np.ndarray | None,
+    def _fill(self, fields: np.ndarray, zfs: np.ndarray, vals: np.ndarray, projs: np.ndarray,
               budget: int) -> None:
-        """Eigenvalues at ``fields`` and ``zfs`` into the (n, d) view
-        ``vals``, and their projections into ``projs`` unless it is None,
-        every block in its own columns.
+        """Eigenvalues and projections at ``fields`` and ``zfs`` into the
+        (n, d) views ``vals`` and ``projs``, every block in its own columns.
 
         Each block size's (m, g, b, b) stack of fields is formed in steps of
-        at most ``budget`` entries (``_per_field`` each), or of one field,
+        at most ``budget`` entries (d x b per field), or of one field,
         reusing one buffer per size for H and one for H0 = H_const + D * H_d,
         so each step is H0 + B * H_b with H0 rounded as if formed once per D.
-        An eigenvalue-only step is one ``eigvalsh`` call on the stack; a
-        vector step is one kernel call per member block.
+        A step is one kernel call per member block.
         """
         n = len(fields)
         for maps, cols, h_const, h_d, h_b in self.groups:
-            step = max(1, min(n, budget // self._per_field(h_b, projs is not None)))
+            step = max(1, min(n, budget // (self.dim * h_b.shape[1])))
             hams = np.empty((step, *h_b.shape), np.result_type(h_const, h_d, h_b))
             h0 = np.empty_like(hams)
             for start in range(0, n, step):
@@ -311,14 +335,48 @@ class _Solver:
                 h0[:m] += h_const
                 np.multiply(fields[sl, None, None, None], h_b, out=hams[:m])
                 hams[:m] += h0[:m]
-                if projs is None:
-                    vals[sl, cols] = np.linalg.eigvalsh(hams[:m])
-                    continue
                 for j, (probe_map, c) in enumerate(zip(maps, cols)):
                     vals[sl, c], projs[sl, c] = batched_eigh_project(
                         hams[:m, j], self.v0, self.d_pre, self.d_post, probe_map
                     )
             del hams, h0  # before the next size allocates its own
+
+    def _fill_levels(self, fields: np.ndarray, zfs: np.ndarray, need: np.ndarray, vals: np.ndarray,
+                     budget: int) -> None:
+        """Eigenvalues of the (field, block) cells ``need`` names into the
+        (n, d) view ``vals``.
+
+        Each block size's needed cells, block by block, form (m, b, b)
+        stacks of at most ``budget`` entries (b x b per cell), or of one
+        cell, with the elementwise operations of ``_fill``: H0 = H_const +
+        D * H_d, then B * H_b + H0, each block's terms broadcast over its
+        fields. A step is one ``eigvalsh`` call.
+        """
+        for members, (_, cols, h_const, h_d, h_b) in zip(self.members, self.groups):
+            fields_of = [np.flatnonzero(need[:, k]) for k in members]
+            first = np.cumsum([0, *map(len, fields_of)])  # each member's first cell
+            if not first[-1]:
+                continue
+            size = h_b.shape[1]
+            step = max(1, min(first[-1], budget // (size * size)))
+            hams = np.empty((step, size, size), np.result_type(h_const, h_d, h_b))
+            h0 = np.empty_like(hams)
+            for start in range(0, first[-1], step):
+                stop = min(start + step, first[-1])
+                runs = []
+                for j, at in enumerate(fields_of):
+                    lo, hi = max(first[j], start), min(first[j + 1], stop)
+                    if lo < hi:
+                        f, rows = at[lo - first[j] : hi - first[j]], slice(lo - start, hi - start)
+                        np.multiply(zfs[f, None, None], h_d[j], out=h0[rows])
+                        h0[rows] += h_const[j]
+                        np.multiply(fields[f, None, None], h_b[j], out=hams[rows])
+                        hams[rows] += h0[rows]
+                        runs.append((f, cols[j], rows))
+                levels = np.linalg.eigvalsh(hams[: stop - start])
+                for f, c, rows in runs:
+                    vals[f[:, None], c] = levels[rows]
+            del hams, h0
 
 
 def sweep(
@@ -342,7 +400,7 @@ def sweep(
     # The positivity shift is fixed for the whole sweep by the lowest level.
     # That level is a minimum of functions affine in B, so it is concave and
     # its minimum over the range lies at one end.
-    low = float(solver.eigvals(np.array([b_min, b_max]), d_zfs)[:, 0].min())
+    low = float(solver.eigvals(np.array([b_min, b_max]), d_zfs, np.ones((2, len(solver.blocks)), bool)).min())
     shift = abs(min(low, 0.0)) + 100.0
 
     vals, projs = solver.batch(grid, d_zfs)
@@ -530,9 +588,22 @@ def _gap_minima(solver: _Solver, searches: list, pick) -> list:
     pair to minimise over them and the ZFS (MHz) to solve them at.
     ``pick(g)`` gives the indices k of the pair's gap sample ``g`` whose
     neighbours bracket a minimum; each bracket is refined by one ``_brent``
-    run. Round 0 solves the points of every sample, and each later round the
-    next point of every live run, each distinct (B, D) point once in one
-    call; only the pairs' gaps are kept, never the spectra.
+    run. Round 0 solves every sample's middle point, then the other points
+    of every sample, and each later round the next point of every live run;
+    only the pairs' gaps are kept, never the spectra.
+
+    Only the middle point is solved with every block. Every other point a
+    search asks for lies within h, the largest distance from the middle to
+    a sample end, at the same D, so by Weyl's inequality each global level
+    moves by at most h * ||H_b|| from its value there, and each level of
+    block k by at most h * ``solver.reach`` of k. A block none of whose
+    levels can reach the pair's interval [e_i - h ||H_b||, e_i+1 + h ||H_b||],
+    widened by ``_ROUNDING`` times a bound on ||H||, stays unsolved there:
+    each of its levels is counted below or above the pair, on the side it
+    provably stays on. A point several queries share is solved once, for
+    the union of their blocks. Each solved block is assembled and solved as
+    in an every-block solve, so the sorted levels at the pair, and the gap,
+    are the same float64 values.
 
     Returns, for each search, the (field, gap) of every picked minimum in
     pick order.
@@ -540,34 +611,74 @@ def _gap_minima(solver: _Solver, searches: list, pick) -> list:
     if not searches:
         return []
 
-    def gaps(points: np.ndarray, pairs: np.ndarray) -> np.ndarray:
-        """Gap of pair ``pairs[i]`` at the (B, D) point ``points[i]``; one
-        call solves the distinct points."""
+    def gaps(points: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """Gap of search ``j[i]``'s pair at the (B, D) point ``points[i]``.
+        One call solves each distinct point once, for the union of the
+        blocks its queries' searches need; in the sorted levels there, a
+        query's pair sits as many places lower as its search counts levels
+        below it in the blocks left unsolved."""
         distinct, row = np.unique(points, axis=0, return_inverse=True)
         row = row.reshape(-1)  # its shape differs across numpy versions
-        levels = solver.eigvals(distinct[:, 0], distinct[:, 1])
-        return levels[row, pairs + 1] - levels[row, pairs]
+        union = np.zeros((len(distinct), len(solver.blocks)), bool)
+        np.logical_or.at(union, row, need[j])
+        at = pair[j] - np.einsum("qk,qk->q", below[j], ~union[row])
+        levels = solver.eigvals(distinct[:, 0], distinct[:, 1], union)
+        levels.sort(axis=1)
+        return levels[row, at + 1] - levels[row, at]
 
-    sampled = gaps(
-        np.concatenate([np.column_stack([sample, np.full(len(sample), d_zfs)]) for sample, _, d_zfs in searches]),
-        np.concatenate([np.full(len(sample), pair) for sample, pair, _ in searches]),
-    )
+    # Round 0: each sample's middle point with every block, which bounds the
+    # blocks its search needs, then the sample's other points.
+    kept = [s for s, (sample, *_) in enumerate(searches) if len(sample)]
+    samples = [np.asarray(searches[s][0], dtype=float) for s in kept]
+    lengths = np.array([len(sample) for sample in samples], dtype=int)
+    first = np.cumsum(lengths) - lengths
+    last, middle = first + lengths - 1, first + lengths // 2
+    fields = np.concatenate([np.empty(0), *samples])
+    owner = np.repeat(np.arange(len(kept)), lengths)
+    pair = np.array([searches[s][1] for s in kept], dtype=int)
+    zfs = np.array([searches[s][2] for s in kept], dtype=float)
+    width = np.maximum(fields[middle] - fields[first], fields[last] - fields[middle])
+    top = np.maximum(np.abs(fields[first]), np.abs(fields[last]))
+
+    distinct, row = np.unique(np.column_stack([fields[middle], zfs]), axis=0, return_inverse=True)
+    levels = solver.eigvals(distinct[:, 0], distinct[:, 1], np.ones((len(distinct), len(solver.blocks)), bool))
+    levels = levels[row.reshape(-1)]
+    ordered = np.sort(levels, axis=1)
+    lo, hi = (ordered[np.arange(len(kept)), pair + i] for i in (0, 1))
+    # A level is under (over) the pair at every point of its search when,
+    # moved up (down) by its block's reach, it stays below (above) the
+    # pair's interval widened by ||H_b|| and the rounding margin.
+    norm_const, norm_d, norm_b = solver.term_norms
+    slack = width * solver.reach.max() + _ROUNDING * (norm_const + np.abs(zfs) * norm_d + top * norm_b)
+    move = width[:, None] * solver.reach
+    under = levels + move < (lo - slack)[:, None]
+    outside = under | (levels - move > (hi + slack)[:, None])
+    need = ~np.logical_and.reduceat(outside, solver.starts, axis=1)
+    below = np.add.reduceat(under, solver.starts, axis=1, dtype=np.min_scalar_type(solver.dim))
+    del levels, ordered, move, under, outside
+
+    sampled = np.empty(len(fields))
+    sampled[middle] = hi - lo
+    rest = np.ones(len(fields), bool)
+    rest[middle] = False
+    sampled[rest] = gaps(np.column_stack([fields[rest], zfs[owner[rest]]]), owner[rest])
+    slot = dict(zip(kept, range(len(kept))))
     results, live = [], []
-    start = 0
-    for sample, pair, d_zfs in searches:
-        ks = pick(sampled[start : start + len(sample)])
-        start += len(sample)
+    for s, (sample, _, _) in enumerate(searches):
+        j = slot.get(s)
+        ks = pick(sampled[first[j] : last[j] + 1] if j is not None else sampled[:0])
         found = [None] * len(ks)
         results.append(found)
         for i, k in enumerate(ks):
             run = _brent(float(sample[max(k - 1, 0)]), float(sample[min(k + 1, len(sample) - 1)]))
-            live.append((run, pair, d_zfs, found, i, next(run)))
+            live.append((run, j, found, i, next(run)))
     while live:
         asking = []
-        at = gaps(np.array([(b, d_zfs) for _, _, d_zfs, *_, b in live]), np.array([pair for _, pair, *_ in live]))
-        for (run, pair, d_zfs, found, i, _), gap in zip(live, at.tolist()):
+        js = np.array([j for _, j, *_ in live])
+        at = gaps(np.column_stack([[b for *_, b in live], zfs[js]]), js)
+        for (run, j, found, i, _), gap in zip(live, at.tolist()):
             try:
-                asking.append((run, pair, d_zfs, found, i, run.send(gap)))
+                asking.append((run, j, found, i, run.send(gap)))
             except StopIteration as done:
                 found[i] = done.value
         live = asking

@@ -474,7 +474,7 @@ def fit_dips(trace: Trace, seeds: list[float] | None = None) -> DipFit:
     if not np.all(np.isfinite(f)):
         raise TraceError("initial model is not finite; check the trace values")
     params, f, nfev, info = _lmder(params, f, b, pl)
-    rms = float(math.sqrt(np.mean(f**2)))
+    rms = float(_enorm(f)) / math.sqrt(len(f))
     if not (np.all(np.isfinite(params)) and math.isfinite(rms)):
         raise TraceError("fit diverged: parameters or residual not finite; "
                          "try fewer dips")

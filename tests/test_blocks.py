@@ -2,8 +2,8 @@
 against dense ``np.linalg.eigh`` of the full matrix, the order of exactly
 degenerate levels, the kernel-call budget of ``_Solver.batch`` and
 ``_Solver.eigvals`` and their split of the fields across threads, the dtype
-of the cached terms, the grouped eigenvalue solves, calls that mix D values,
-and the lock-step rounds of refinement."""
+of the cached terms, the grouped and masked eigenvalue solves, calls that
+mix D values, and the lock-step rounds of refinement."""
 
 import collections
 import itertools
@@ -30,6 +30,17 @@ from test_hamiltonian import D300, X_PROBE, random_systems
 from test_kernels import assert_matches_reference, dense_reference
 
 AXIAL = st.floats(min_value=-100.0, max_value=100.0)
+
+
+def every_block(solver, n):
+    """The need mask of an n-field ``_Solver.eigvals`` call that solves
+    every block."""
+    return np.ones((n, len(solver.blocks)), bool)
+
+
+def sorted_levels(solver, fields, zfs):
+    """Ascending eigenvalues (n, d) of every block at each field."""
+    return np.sort(solver.eigvals(fields, zfs, every_block(solver, len(fields))), axis=1)
 
 
 def set_blas(mp, threads, cores=4):
@@ -102,8 +113,8 @@ def assert_matches_dense(solver, hams, fields):
     ref_vals, ref_projs = dense_reference(hams, solver.v0, solver.d_pre, solver.d_post)
     assert_matches_reference(vals, projs, ref_vals, ref_projs, cluster_tol=1e-6, atol=1e-8)
     scale = max(np.abs(ref_vals).max(), 1.0)
-    stacked = solver.eigvals(fields, D300)
-    per_field = np.concatenate([solver.eigvals(np.array([b]), D300) for b in fields])
+    stacked = sorted_levels(solver, fields, D300)
+    per_field = np.concatenate([sorted_levels(solver, np.array([b]), D300) for b in fields])
     np.testing.assert_allclose(stacked, per_field, rtol=0.0, atol=1e-12 * scale)
     np.testing.assert_allclose(np.diff(stacked, axis=1), np.diff(ref_vals, axis=1), rtol=0.0, atol=2e-9 * scale)
 
@@ -287,7 +298,7 @@ def test_batch_steps_are_bit_identical(sys_id, monkeypatch):
     fields = np.linspace(0.5, 1100.0, 10)
     monkeypatch.setattr(sweep_mod, "_STACK_ENTRIES", 1 << 40)
     ref_vals, ref_projs = solver.batch(fields, D300)
-    ref_eigvals = solver.eigvals(fields, D300)
+    ref_eigvals = solver.eigvals(fields, D300, every_block(solver, 10))
     largest = max(blk.size for blk in solver.blocks)
     largest_stack = max(h_b.size for *_, h_b in solver.groups)
     for budget in (1, 3 * solver.dim * largest):
@@ -296,7 +307,7 @@ def test_batch_steps_are_bit_identical(sys_id, monkeypatch):
         assert np.array_equal(vals, ref_vals) and np.array_equal(projs, ref_projs)
     for budget in (1, 3 * largest_stack):
         monkeypatch.setattr(sweep_mod, "_STACK_ENTRIES", budget)
-        assert np.array_equal(solver.eigvals(fields, D300), ref_eigvals)
+        assert np.array_equal(solver.eigvals(fields, D300, every_block(solver, 10)), ref_eigvals)
 
 
 def record_eigvalsh_calls(mp):
@@ -331,18 +342,23 @@ def test_solve_calls_stay_within_budget(kind, sys_id, n_fields, split, monkeypat
     """Both solve kinds step, split and stay serial by one rule.
 
     One field adds d x b entries to a vector step of block size b (its
-    eigenvectors and probe amplitudes) and g x b x b to an
-    eigenvalue-only step (the whole stack of the size's g blocks). Every
+    eigenvectors and probe amplitudes). Each of its size's g blocks adds
+    b x b to an eigenvalue-only step, which stacks (field, block) cells
+    block by block: g x b x b per field when every block is needed. Every
     step is as large as one worker's share of the budget allows, or one
-    field. The fields split across one worker per core, up to one per field,
-    unless one worker's share holds the whole call: 21 eigenvalue-only
+    field or cell. The fields split across one worker per core, up to one
+    per field, unless one worker's share holds the whole call: 21 eigenvalue-only
     fields at nv-2p1, or one field, stay on the calling thread. onv-3p1
     (d = 648, sectors of up to 210 states) splits like every other system,
     with one field per vector step. The split changes no bit.
     """
     spec = get_system(sys_id).system
     solver = _Solver(spec)
-    solve = getattr(solver, kind)
+    def solve(fields, zfs):
+        if kind == "batch":
+            return solver.batch(fields, zfs)
+        return solver.eigvals(fields, zfs, every_block(solver, len(fields)))
+
     fields = np.linspace(0.5, 1100.0, n_fields)
     set_blas(monkeypatch, threads=2)
     ref = solve(fields, D300)
@@ -352,10 +368,13 @@ def test_solve_calls_stay_within_budget(kind, sys_id, n_fields, split, monkeypat
     if kind == "batch":
         steps = [(ident, n, b) for ident, n, _, b in calls]
     else:
-        steps = [(ident, m, b) for ident, (m, _, b, _) in calls]
+        steps = [(ident, m, b) for ident, (m, b, _) in calls]
     members = collections.Counter(blk.size for blk in solver.blocks)
-    per_field = {b: spec.dimension * b if kind == "batch" else g * b * b for b, g in members.items()}
-    entries = sum(per_field.values())
+    # Entries of one field (vector step) or one cell (eigenvalue-only step),
+    # and how many of them one field brings.
+    per_unit = {b: spec.dimension * b if kind == "batch" else b * b for b in members}
+    units = {b: 1 if kind == "batch" else g for b, g in members.items()}
+    entries = sum(per_unit[b] * units[b] for b in members)
     workers = sweep_mod._split_count(n_fields, entries)
     most = max(1, min(4, n_fields))
     assert workers == (1 if n_fields * entries <= sweep_mod._STACK_ENTRIES // most else most)
@@ -364,14 +383,15 @@ def test_solve_calls_stay_within_budget(kind, sys_id, n_fields, split, monkeypat
     assert threading.get_ident() in threads
     assert (len(threads) > 1) == split and len(threads) <= workers
     for _, m, b in steps:
-        assert m * per_field[b] * workers <= sweep_mod._STACK_ENTRIES or m == 1
+        assert m * per_unit[b] * workers <= sweep_mod._STACK_ENTRIES or m == 1
     share, expected = sweep_mod._STACK_ENTRIES // workers, collections.Counter()
     for w in range(workers):
         n = n_fields * (w + 1) // workers - n_fields * w // workers
         for b, g in members.items():
-            step = max(1, min(n, share // per_field[b]))
-            for start in range(0, n, step):
-                expected[min(step, n - start), b] += g if kind == "batch" else 1
+            stack = n * units[b]
+            step = max(1, min(stack, share // per_unit[b]))
+            for start in range(0, stack, step):
+                expected[min(step, stack - start), b] += g if kind == "batch" else 1
     assert collections.Counter((m, b) for _, m, b in steps) == expected
     assert np.array_equal(got, ref)  # a (vals, projs) pair compares as one array
 
@@ -380,13 +400,14 @@ def test_sweep_prescan_splits_onv_3p1_sectors_one_field_per_thread(monkeypatch):
     """No onv-3p1 sector is a 648-state matrix any more: one field of its
     largest size (two 210-state copies) fits half the budget, so the
     positivity pre-scan at the range's two ends solves one field per thread,
-    in one call per sector size each. The grid solve of the same two fields
+    in one call per sector size each, the two 210-state copies stacked. The
+    grid solve of the same two fields
     splits too: each thread makes one one-field kernel call per sector."""
     set_blas(monkeypatch, threads=1, cores=4)
     calls = record_eigvalsh_calls(monkeypatch)
     kernel_calls = record_kernel_calls(monkeypatch)
     sweep(get_system("onv-3p1").system, 500.0, 508.0, 2)
-    assert sorted(shape for _, shape in calls) == [(1, 1, 60, 60)] * 2 + [(1, 1, 168, 168)] * 2 + [(1, 2, 210, 210)] * 2
+    assert sorted(shape for _, shape in calls) == [(1, 60, 60)] * 2 + [(1, 168, 168)] * 2 + [(2, 210, 210)] * 2
     threads = {ident for ident, _ in calls}
     assert threading.get_ident() in threads and len(threads) == 2
     assert sorted((n, d, b) for _, n, d, b in kernel_calls) == [(1, 648, 60)] * 2 + [(1, 648, 168)] * 2 + [(1, 648, 210)] * 4
@@ -438,19 +459,25 @@ def test_split_batch_is_bit_identical(data):
 def test_split_survives_frequent_thread_switches(monkeypatch):
     """Eight slices on however many cores there are, with the interpreter
     switching threads every microsecond, still fill every row exactly as the
-    serial path does."""
+    serial path does: 64 fields of ``batch``, and 256 fields of ``eigvals``
+    with about half their (field, block) cells needed."""
     solver = _Solver(get_system("nv-2p1").system)
     fields = np.linspace(0.5, 1100.0, 64)
+    levels_at = np.linspace(0.5, 1100.0, 256)
+    need = np.random.default_rng(0).random((256, len(solver.blocks))) < 0.5
     set_blas(monkeypatch, threads=2)
     ref_vals, ref_projs = solver.batch(fields, D300)
+    ref_levels = solver.eigvals(levels_at, D300, need)
     set_blas(monkeypatch, threads=1, cores=8)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         vals, projs = solver.batch(fields, D300)
+        levels = solver.eigvals(levels_at, D300, need)
     finally:
         sys.setswitchinterval(interval)
     assert np.array_equal(vals, ref_vals) and np.array_equal(projs, ref_projs)
+    assert np.array_equal(levels, ref_levels)
 
 
 @pytest.mark.parametrize("threads", [2, 8, None])
@@ -461,7 +488,7 @@ def test_split_stays_off_unless_blas_runs_one_thread(threads, monkeypatch):
     calls = record_kernel_calls(monkeypatch)
     spec = get_system("onv-2p1").system
     solver = _Solver(spec)
-    entries = sum(solver._per_field(h_b, True) for *_, h_b in solver.groups)
+    entries = solver.dim * sum(h_b.shape[1] for *_, h_b in solver.groups)
     assert sweep_mod._split_count(200, entries) == 1
     solver.batch(np.linspace(0.5, 1100.0, 200), D300)
     assert {ident for ident, *_ in calls} == {threading.get_ident()}
@@ -478,16 +505,23 @@ def test_zero_field_call_stays_serial(kind, monkeypatch):
     thread even where it would split a call with fields."""
     set_blas(monkeypatch, threads=1, cores=4)
     solver = _Solver(get_system("nv-2p1").system)
-    fill, threads = _Solver._fill, []
+    name = "_fill" if kind == "batch" else "_fill_levels"
+    fill, threads = getattr(_Solver, name), []
 
     def recorder(self, *args):
         threads.append(threading.get_ident())
         fill(self, *args)
 
-    monkeypatch.setattr(_Solver, "_fill", recorder)
-    entries = sum(solver._per_field(h_b, kind == "batch") for *_, h_b in solver.groups)
+    monkeypatch.setattr(_Solver, name, recorder)
+    if kind == "batch":
+        entries = solver.dim * sum(h_b.shape[1] for *_, h_b in solver.groups)
+    else:
+        entries = sum(blk.size ** 2 for blk in solver.blocks)
     assert sweep_mod._split_count(0, entries) == 1 and sweep_mod._split_count(200, entries) == 4
-    got = getattr(solver, kind)(np.empty(0), D300)
+    if kind == "batch":
+        got = solver.batch(np.empty(0), D300)
+    else:
+        got = solver.eigvals(np.empty(0), D300, every_block(solver, 0))
     for arr in got if kind == "batch" else (got,):
         assert arr.shape == (0, solver.dim)
     assert threads == [threading.get_ident()]
@@ -544,7 +578,31 @@ def test_grouped_eigvals_are_bit_identical(data):
     calls = data.draw(st.lists(st.lists(st.sampled_from(pool), min_size=1, max_size=6), min_size=1, max_size=4))
     solver = _Solver(spec)
     for fields in calls + calls[:1]:
-        assert np.array_equal(solver.eigvals(np.array(fields), D300), per_block_eigvals(spec, D300, fields))
+        assert np.array_equal(sorted_levels(solver, np.array(fields), D300), per_block_eigvals(spec, D300, fields))
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_masked_eigvals_are_bit_identical(data):
+    """A block's levels do not depend on which other (field, block) cells a
+    call solves: every needed cell holds the every-block solve's levels bit
+    for bit, every other cell +inf. Budgets of one cell and of a few cells
+    make the steps cut across fields and blocks, and BLAS at one thread on
+    three cores splits the fields."""
+    spec = data.draw(solver_specs())
+    fields = np.array(data.draw(st.lists(st.floats(min_value=0.0, max_value=1100.0), min_size=1, max_size=6)))
+    solver = _Solver(spec)
+    need = np.array(data.draw(st.lists(st.lists(st.booleans(), min_size=len(solver.blocks), max_size=len(solver.blocks)),
+                                       min_size=len(fields), max_size=len(fields))), bool)
+    want = solver.eigvals(fields, D300, every_block(solver, len(fields)))
+    columns = np.repeat(need, [blk.size for blk in solver.blocks], axis=1)
+    largest = max(blk.size for blk in solver.blocks)
+    for budget in (1, 3 * largest * largest, sweep_mod._STACK_ENTRIES):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sweep_mod, "_STACK_ENTRIES", budget)
+            set_blas(mp, threads=1, cores=3)
+            got = solver.eigvals(fields, D300, need)
+        assert np.array_equal(got, np.where(columns, want, np.inf))
 
 
 # A P1 electron with a 13C, and a probe NV tilted out of the xz plane: the
@@ -578,16 +636,16 @@ def test_mixed_zfs_call_is_bit_identical(data):
     solver = _Solver(spec)
     mixed = {}
     for kind, vectors in (("eigvals", False), ("batch", True)):
-        budget = 2 * max(solver._per_field(h_b, vectors) for *_, h_b in solver.groups)
+        budget = 2 * max(solver.dim * h_b.shape[1] if vectors else h_b.size for *_, h_b in solver.groups)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(sweep_mod, "_STACK_ENTRIES", budget)
             set_blas(mp, threads=1, cores=4)
             calls = record_kernel_calls(mp) if vectors else record_eigvalsh_calls(mp)
-            mixed[kind] = getattr(solver, kind)(fields, zfs)
+            mixed[kind] = solver.batch(fields, zfs) if vectors else sorted_levels(solver, fields, zfs)
         assert len({ident for ident, *_ in calls}) > 1
     for d_zfs in zfs_pool:
         at = zfs == d_zfs
-        assert np.array_equal(mixed["eigvals"][at], solver.eigvals(fields[at], d_zfs))
+        assert np.array_equal(mixed["eigvals"][at], sorted_levels(solver, fields[at], d_zfs))
         for got, want in zip(mixed["batch"], solver.batch(fields[at], d_zfs)):
             assert np.array_equal(got[at], want)
     hams = np.array([build_hamiltonian(spec, b, d_zfs) for b, d_zfs in points])
@@ -605,14 +663,14 @@ def refine_per_bracket(solver, d_zfs, candidates):
     for _, group in itertools.groupby(candidates, key=lambda c: (c.b_lo, c.b_hi)):
         cands = list(group)
         sample = np.linspace(cands[0].b_lo, cands[0].b_hi, 17)
-        levels = solver.eigvals(sample, d_zfs)
+        levels = sorted_levels(solver, sample, d_zfs)
         for cand in cands:
             pair = cand.pair
             g = levels[:, pair + 1] - levels[:, pair]
             interior = np.where((g[1:-1] <= g[:-2]) & (g[1:-1] <= g[2:]))[0] + 1
             for k in interior if len(interior) else [int(np.argmin(g))]:
                 res = minimize_scalar(
-                    lambda b: float(np.diff(solver.eigvals(np.array([b]), d_zfs)[0, pair : pair + 2])[0]),
+                    lambda b: float(np.diff(sorted_levels(solver, np.array([b]), d_zfs)[0, pair : pair + 2])[0]),
                     bounds=(sample[max(k - 1, 0)], sample[min(k + 1, 16)]),
                     method="bounded",
                     options={"xatol": sweep_mod._FIELD_RESOLUTION},
@@ -628,21 +686,24 @@ def refine_per_bracket(solver, d_zfs, candidates):
 )
 def test_refinement_solves_each_field_once_per_round(spec, b_min, b_max, monkeypatch):
     """All candidates refine in lock-step: one ``eigvals`` call for every
-    bracket's sample, then one per Brent round. Each solved field lies inside
-    some candidate's bracket, no call solves a field twice, and the lines
-    equal those of refining bracket by bracket with scipy, bit for bit."""
+    bracket's middle field, with every block, one for the samples' other
+    fields, then one per Brent round, those with fewer blocks. Each solved
+    field lies inside some candidate's bracket, no call solves a field
+    twice, and the lines equal those of refining bracket by bracket with
+    scipy, bit for bit."""
     config = SweepConfig()
     sr = sweep(spec, b_min, b_max, 256)
     candidates = detect_events(sr, config)
     assert all(np.iscomplexobj(h_const) == (spec is COMPLEX_PROBE) for _, _, h_const, *_ in _Solver(spec).groups)
     oracle = refine_per_bracket(_Solver(spec), sr.d_zfs, candidates)
-    solved, lines, evaluations = [], [], []
+    solved, needs, lines, evaluations = [], [], [], []
     eigvals, line, brent = _Solver.eigvals, sweep_mod._line, sweep_mod._brent
 
-    def eigvals_recorder(self, fields, zfs):
+    def eigvals_recorder(self, fields, zfs, need):
         assert np.all(zfs == sr.d_zfs)
         solved.append(fields.tolist())
-        return eigvals(self, fields, zfs)
+        needs.append(need)
+        return eigvals(self, fields, zfs, need)
 
     def line_recorder(*args):
         lines.append(line(*args))
@@ -667,7 +728,8 @@ def test_refinement_solves_each_field_once_per_round(spec, b_min, b_max, monkeyp
     rounds = solved[1:]
     assert len({(c.b_lo, c.b_hi) for c in candidates}) < len(candidates)  # shared brackets
     assert len(evaluations) >= len(candidates) and max(evaluations) > 1
-    assert len(rounds) == 1 + max(evaluations)
+    assert len(rounds) == 2 + max(evaluations)
+    assert needs[0].all() and needs[1].all() and not all(need.all() for need in needs[2:])
     assert max(len(r) for r in rounds[1:]) > 1  # Brent runs of several brackets together
     for fields in rounds:
         assert len(fields) == len(set(fields))
@@ -692,9 +754,9 @@ def record_eigvals_fields(mp):
     returned list."""
     calls, eigvals = [], _Solver.eigvals
 
-    def recorder(self, fields, zfs):
+    def recorder(self, fields, zfs, need):
         calls.append(fields.tolist())
-        return eigvals(self, fields, zfs)
+        return eigvals(self, fields, zfs, need)
 
     mp.setattr(_Solver, "eigvals", recorder)
     return calls
@@ -702,8 +764,8 @@ def record_eigvals_fields(mp):
 
 def test_searches_over_one_sample_share_round_zero(monkeypatch):
     """Two searches over one sample with different pairs: round 0 solves the
-    sample's 17 fields once, in one ``eigvals`` call, and each search finds
-    what it finds alone."""
+    sample's middle field once, then its 16 other fields once, in one
+    ``eigvals`` call, and each search finds what it finds alone."""
     solver, searches = window_searches()
     sample, pair, d_zfs = searches[0]
     twin = next(p for s, p, _ in searches[1:] if np.array_equal(s, sample))
@@ -711,7 +773,7 @@ def test_searches_over_one_sample_share_round_zero(monkeypatch):
     calls = record_eigvals_fields(monkeypatch)
     pair_searches = [(sample, pair, d_zfs), (sample, twin, d_zfs)]
     assert sweep_mod._gap_minima(solver, pair_searches, sweep_mod._local_minima) == alone
-    assert calls[0] == sample.tolist()
+    assert calls[0] == [sample[8]] and calls[1] == np.delete(sample, 8).tolist()
 
 
 def test_no_searches_solve_nothing(monkeypatch):

@@ -29,6 +29,10 @@ COMMANDS = {
     "sweep-nv-json": ["sweep", "--system", "nv", "--format", "json"],
     "tshift-nv": ["tshift", "--system", "nv", "--feature", "1024", "--tmin", "200",
                   "--tmax", "300", "--tstep", "25"],
+    # Temperature continuation of a system with M_z blocks, and of one with
+    # symmetry sectors.
+    "tshift-nv-2p1": ["tshift", "--system", "nv-2p1", "--feature", "340.6", "--tstep", "8"],
+    "tshift-onv-2p1": ["tshift", "--system", "onv-2p1", "--feature", "590.2", "--tstep", "8"],
     # trace-3dip.csv: 3 Lorentzian dips (500/512/526 G) on a sloped baseline,
     # 400 points over 480-560 G, Gaussian noise of 1e-3 from default_rng(7).
     "fit-trace-3dip": ["fit-trace", str(GOLDEN / "trace-3dip.csv"),

@@ -18,6 +18,7 @@ from spin_atlas.sweep import _Solver, features_to_json, find_features, sweep
 from spin_atlas.system import InteractionTensor, SpinSystem
 from spin_atlas.thermal import ThermalZfsModel
 
+from test_blocks import sorted_levels
 from test_hamiltonian import dense_basis
 from test_kernels import dense_reference, degenerate_clusters
 
@@ -35,7 +36,7 @@ def assert_matches_dense(spec, d_zfs, fields):
     ref_vals, ref_projs = dense_reference(hams, solver.v0, solver.d_pre, solver.d_post)
     scale = max(np.abs(ref_vals).max(), 1.0)
     np.testing.assert_allclose(vals, ref_vals, rtol=0.0, atol=1e-9 * scale)
-    np.testing.assert_allclose(solver.eigvals(fields, d_zfs), ref_vals, rtol=0.0, atol=1e-9 * scale)
+    np.testing.assert_allclose(sorted_levels(solver, fields, d_zfs), ref_vals, rtol=0.0, atol=1e-9 * scale)
     for k in range(len(fields)):
         for run in degenerate_clusters(ref_vals[k], 1e-6):
             assert abs(projs[k, run].sum() - ref_projs[k, run].sum()) < 1e-6

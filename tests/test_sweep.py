@@ -32,6 +32,7 @@ from spin_atlas.sweep import (
 from spin_atlas.system import Site, SpinSystem
 from spin_atlas.thermal import ThermalZfsModel
 
+from test_blocks import sorted_levels
 from test_hamiltonian import TILTED_PROBE, random_systems
 
 D300 = ThermalZfsModel().zfs_at(300.0)
@@ -373,7 +374,7 @@ def test_lowest_level_is_lowest_at_a_range_end(data):
     sweep's shift lifts every level of its grid to 100 MHz or above."""
     spec = data.draw(random_systems(complex_probe=data.draw(st.booleans())))
     ends = np.sort(data.draw(st.lists(st.floats(0.0, 1100.0), min_size=2, max_size=2, unique=True)))
-    low = _Solver(spec).eigvals(ends, D300)[:, 0].min()
+    low = sorted_levels(_Solver(spec), ends, D300)[:, 0].min()
     h_const, h_d, h_b = hamiltonian_terms(spec)
     fields = np.linspace(ends[0], ends[1], 9)
     levels = np.linalg.eigvalsh((h_const + D300 * h_d)[None] + fields[:, None, None] * h_b[None])
@@ -387,7 +388,7 @@ def test_shift_matches_nine_point_prescan(sys_id):
     """The shift taken from the range's two ends equals, bit for bit, the
     one a 9-point pre-scan of the catalog range gives."""
     spec = get_system(sys_id).system
-    low = float(_Solver(spec).eigvals(np.linspace(0.5, 1100.0, 9), D300)[:, 0].min())
+    low = float(sorted_levels(_Solver(spec), np.linspace(0.5, 1100.0, 9), D300)[:, 0].min())
     assert low < 0.0  # so the shift depends on it
     assert sweep(spec, 0.5, 1100.0, 2).shift_applied == abs(low) + 100.0
 

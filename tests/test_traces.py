@@ -307,6 +307,20 @@ def test_scale_invariance_of_depth():
     assert abs(d1.center - d2.center) < 1e-6
 
 
+def test_huge_trace_fits_as_the_unscaled_one():
+    """PL scaled by 1e200 squares past the float range, but the fit and its
+    residual norm do not: the same centers, and the RMS scaled by 1e200."""
+    trace = make_trace([500.0, 512.0, 524.0], [3.0, 2.5, 3.5], [0.02, 0.03, 0.015],
+                       baseline=(1.0, -1e-5), noise=0.001, seed=42)
+    huge = Trace(trace.field, tuple(np.asarray(trace.pl) * 1e200))
+    seeds = [499.0, 511.5, 525.0]
+    fit, huge_fit = fit_dips(trace, seeds=seeds), fit_dips(huge, seeds=seeds)
+    assert huge_fit.converged
+    for have, want in zip(huge_fit.dips, fit.dips):
+        assert abs(have.center - want.center) < 1e-9
+    assert huge_fit.residual_rms == pytest.approx(1e200 * fit.residual_rms, rel=1e-12)
+
+
 def test_auto_seeds_find_prominent_dips():
     trace = make_trace([490.0, 530.0], [3.0, 3.0], [0.03, 0.04])
     seeds = auto_seeds(trace)
