@@ -42,12 +42,12 @@ __all__ = [
     "T_REF",
 ]
 
-# Bound on the entries of one kernel step (~4 MB complex). A vector step
-# holds fields x d x block size: its eigenvectors fit in that, and so do one
-# block's probe amplitudes, at most d / 3 (pre, post) pairs per eigenvector.
-# An eigenvalue-only step holds its fields' whole (g, b, b) stack of one
-# block size. A vector step of onv-3p1 (d = 648, sectors of up to 210
-# states) is one field.
+# Bound on the entries of one kernel step (~4 MB complex), the one rule of
+# both solve kinds: a (field, block) cell of a b-state block counts b x b,
+# its H, plus, in a vector step, its eigenvectors' probe amplitudes, pairs x
+# b. A step's H0 buffer and eigenvectors each hold as many entries as its H.
+# A vector cell of one of onv-3p1's 210-state sectors (d = 648) counts
+# 88 200 entries.
 _STACK_ENTRIES = 1 << 18
 
 _EXCHANGE_THRESHOLD = 0.25  # windowed p exchange for gap-minimum relevance
@@ -88,15 +88,15 @@ def _usable_cores() -> int:
 def _split_count(n: int, entries: int) -> int:
     """Slices of an n-field solve that run concurrently (``_Solver._solve``).
 
-    ``entries`` is what one field adds to the solve's kernel steps, summed
-    over block sizes: d x b per size for ``_Solver.batch``, b x b per
-    needed block on average for ``_Solver.eigvals``. More than one slice only when
-    BLAS runs one thread, as it reports now: threads of our own on top of a
-    threaded BLAS are slower. A call whose steps one slice's share of
-    ``_STACK_ENTRIES`` holds whole stays serial: a smaller call loses more
-    to the helper thread than it gains (at nv-2p1, 21 eigenvalue-only fields
-    took 2.6 ms serial and 3.3 ms split, 64 fields 7.8 ms serial and 4.6 ms
-    split). A call with no fields is serial.
+    ``entries`` is what one field adds to the solve's kernel steps: the
+    ``_STACK_ENTRIES`` count of the call's needed (field, block) cells, per
+    field, rounded up. More than one slice only when BLAS runs one thread,
+    as it reports now: threads of our own on top of a threaded BLAS are
+    slower. A call whose steps one slice's share of ``_STACK_ENTRIES``
+    holds whole stays serial: a smaller call loses more to the helper
+    thread than it gains (at nv-2p1, 21 eigenvalue-only fields took 2.6 ms
+    serial and 3.3 ms split, 64 fields 7.8 ms serial and 4.6 ms split). A
+    call with no fields is serial.
     """
     count = _openblas_thread_count()
     if count is None or count() != 1:
@@ -219,13 +219,13 @@ class _Solver:
     units), and the levels of all blocks are merged into one ascending
     order; a stable sort keeps exactly degenerate levels in block order.
 
-    Blocks of one size are held as one (g, b, b) stack per term, with each
-    member block's probe map (``Block.probe_map``, built once here) and its
-    columns of the block-ordered output; ``members`` holds each size's block
-    indices. ``batch`` solves every block at every point, with vectors,
-    through ``_fill``; ``eigvals`` solves, through ``_fill_levels``, only the
-    (field, block) cells its need mask names. The solver keeps no state
-    between calls, so one call may mix temperatures.
+    ``groups`` holds one tuple per block size: its block indices, each
+    block's probe map (``Block.probe_map``, built once here) and columns of
+    the block-ordered output, and one (g, b, b) stack per term. ``batch``
+    and ``eigvals`` fill (field, block) cells through the one loop
+    ``_fill_cells``: ``batch`` every cell, with probe projections, and
+    ``eigvals`` only the cells its need mask names. The solver keeps no
+    state between calls, so one call may mix temperatures.
 
     ``reach`` holds, for each block-ordered column, an upper bound on the
     spectral norm of H_b on its block (the largest absolute row sum; exact
@@ -239,22 +239,22 @@ class _Solver:
         self.blocks = terms.blocks
         self.dim = terms[0].shape[0]
         self.v0, self.d_pre, self.d_post = probe_projector_vector(spec)
-        starts = np.cumsum([0, *(blk.size for blk in self.blocks)])
-        self.starts = starts[:-1]  # each block's first column
-        self.groups = []  # (member probe maps, their columns, H_const, H_d, H_b stacks) of each block size
-        self.members = []
+        self.sizes = np.array([blk.size for blk in self.blocks])
+        self.starts = np.cumsum(self.sizes) - self.sizes  # each block's first column
+        self.pairs = np.empty(len(self.blocks), int)  # each block's probe amplitudes per eigenvector
+        self.groups = []  # (block indices, probe maps, columns, H_const, H_d, H_b stacks) of each size
         self.reach = np.empty(self.dim)
         squares = np.zeros(3)
-        for size in dict.fromkeys(blk.size for blk in self.blocks):
-            members = [k for k, blk in enumerate(self.blocks) if blk.size == size]
+        for size in dict.fromkeys(self.sizes.tolist()):
+            members = np.flatnonzero(self.sizes == size)
             blocks = [self.blocks[k] for k in members]
             maps = [blk.probe_map(self.v0, self.d_pre, self.d_post) for blk in blocks]
             stacks = [np.array([blk.project(h) for blk in blocks]) for h in terms]
-            cols = starts[members, None] + np.arange(size)
+            cols = self.starts[members, None] + np.arange(size)
+            self.pairs[members] = [len(probe_map) for probe_map in maps]
             self.reach[cols] = np.abs(stacks[2]).sum(axis=2).max(axis=1)[:, None]
             squares += [np.linalg.norm(h) ** 2 for h in stacks]
-            self.groups.append((maps, cols, *stacks))
-            self.members.append(np.array(members))
+            self.groups.append((members, maps, cols, *stacks))
         self.term_norms = np.sqrt(squares)
 
     def batch(self, fields: np.ndarray, zfs: float | np.ndarray):
@@ -262,13 +262,8 @@ class _Solver:
         at each field and ZFS ``zfs`` (MHz; one for all fields, or one
         each)."""
         n = len(fields)
-        zfs = np.broadcast_to(np.asarray(zfs, dtype=float), (n,))
         vals, projs = np.empty((n, self.dim)), np.empty((n, self.dim))
-
-        def fill(sl: slice, budget: int) -> None:
-            self._fill(fields[sl], zfs[sl], vals[sl], projs[sl], budget)
-
-        self._solve(n, sum(self.dim * h_b.shape[1] for *_, h_b in self.groups), fill)
+        self._solve(fields, zfs, np.ones((n, len(self.blocks)), bool), vals, projs)
         order = np.argsort(vals, axis=1, kind="stable")
         return np.take_along_axis(vals, order, axis=1), np.take_along_axis(projs, order, axis=1)
 
@@ -276,90 +271,65 @@ class _Solver:
         """Block-ordered eigenvalues (n, d) at each field and ZFS ``zfs``
         (one for all fields, or one each): block k's ascending levels in its
         columns at field i where the (n, blocks) mask ``need[i, k]`` is set,
-        +inf elsewhere.
-
-        Each needed block is assembled as ``batch`` assembles it and solved
-        by one ``np.linalg.eigvalsh`` per step, so its levels do not depend
-        on the mask."""
-        n = len(fields)
-        zfs = np.broadcast_to(np.asarray(zfs, dtype=float), (n,))
-        vals = np.full((n, self.dim), np.inf)
-        total = int(np.count_nonzero(need, axis=0) @ np.array([blk.size ** 2 for blk in self.blocks]))
-
-        def fill(sl: slice, budget: int) -> None:
-            self._fill_levels(fields[sl], zfs[sl], need[sl], vals[sl], budget)
-
-        self._solve(n, -(-total // n) if n else 0, fill)
+        +inf elsewhere. Each cell is assembled and solved alone, so its
+        levels do not depend on the mask."""
+        vals = np.full((len(fields), self.dim), np.inf)
+        self._solve(fields, zfs, need, vals)
         return vals
 
-    def _solve(self, n: int, entries: int, fill) -> None:
-        """Run ``fill(slice, budget)`` over the n fields of a call whose
-        kernel steps one field adds ``entries`` to.
+    def _solve(self, fields: np.ndarray, zfs: float | np.ndarray, need: np.ndarray, vals: np.ndarray,
+               projs: np.ndarray | None = None) -> None:
+        """Fill the (field, block) cells that ``need`` names into ``vals``,
+        and their probe projections into ``projs`` unless it is None.
 
-        The fields are cut into ``_split_count`` contiguous slices, each with
-        an equal share of ``_STACK_ENTRIES`` as its budget: the calling thread
-        fills the first slice and one short-lived helper thread each of the
-        others. LAPACK releases the GIL, and every field is solved alone, so
-        the result does not depend on the split.
+        A cell counts the entries ``_STACK_ENTRIES`` bounds: b x b for a
+        block of b states, plus pairs x b (``pairs``) with projections. The
+        needed cells' entries per field, rounded up, go to ``_split_count``,
+        which cuts the fields into contiguous slices, each with an equal
+        share of ``_STACK_ENTRIES``: the calling thread fills the first
+        slice and one short-lived helper thread each of the others. A block
+        size's steps hold as many cells as the share holds of its largest
+        cell, or one. LAPACK releases the GIL, and every cell is solved
+        alone, so the result does not depend on the split.
         """
-        workers = _split_count(n, entries)
-        budget = _STACK_ENTRIES // workers
+        n = len(fields)
+        zfs = np.broadcast_to(np.asarray(zfs, dtype=float), (n,))
+        cell = self.sizes * (self.sizes if projs is None else self.sizes + self.pairs)
+        workers = _split_count(n, -(-int(np.count_nonzero(need, axis=0) @ cell) // n) if n else 0)
+        steps = [max(1, _STACK_ENTRIES // workers // int(cell[members].max())) for members, *_ in self.groups]
+
+        def fill(sl: slice) -> None:
+            self._fill_cells(fields[sl], zfs[sl], need[sl], steps, vals[sl], None if projs is None else projs[sl])
+
         first, *rest = (slice(n * w // workers, n * (w + 1) // workers) for w in range(workers))
         # The pool starts a thread only per submitted slice: none when serial.
         with ThreadPoolExecutor(workers) as pool:
-            helpers = [pool.submit(fill, sl, budget) for sl in rest]
-            fill(first, budget)
+            helpers = [pool.submit(fill, sl) for sl in rest]
+            fill(first)
             for helper in helpers:
                 helper.result()
 
-    def _fill(self, fields: np.ndarray, zfs: np.ndarray, vals: np.ndarray, projs: np.ndarray,
-              budget: int) -> None:
-        """Eigenvalues and projections at ``fields`` and ``zfs`` into the
-        (n, d) views ``vals`` and ``projs``, every block in its own columns.
-
-        Each block size's (m, g, b, b) stack of fields is formed in steps of
-        at most ``budget`` entries (d x b per field), or of one field,
-        reusing one buffer per size for H and one for H0 = H_const + D * H_d,
-        so each step is H0 + B * H_b with H0 rounded as if formed once per D.
-        A step is one kernel call per member block.
-        """
-        n = len(fields)
-        for maps, cols, h_const, h_d, h_b in self.groups:
-            step = max(1, min(n, budget // (self.dim * h_b.shape[1])))
-            hams = np.empty((step, *h_b.shape), np.result_type(h_const, h_d, h_b))
-            h0 = np.empty_like(hams)
-            for start in range(0, n, step):
-                sl = slice(start, start + step)
-                m = min(step, n - start)
-                np.multiply(zfs[sl, None, None, None], h_d, out=h0[:m])
-                h0[:m] += h_const
-                np.multiply(fields[sl, None, None, None], h_b, out=hams[:m])
-                hams[:m] += h0[:m]
-                for j, (probe_map, c) in enumerate(zip(maps, cols)):
-                    vals[sl, c], projs[sl, c] = batched_eigh_project(
-                        hams[:m, j], self.v0, self.d_pre, self.d_post, probe_map
-                    )
-            del hams, h0  # before the next size allocates its own
-
-    def _fill_levels(self, fields: np.ndarray, zfs: np.ndarray, need: np.ndarray, vals: np.ndarray,
-                     budget: int) -> None:
-        """Eigenvalues of the (field, block) cells ``need`` names into the
-        (n, d) view ``vals``.
+    def _fill_cells(self, fields: np.ndarray, zfs: np.ndarray, need: np.ndarray, steps: list,
+                    vals: np.ndarray, projs: np.ndarray | None) -> None:
+        """The one assembly loop: eigenvalues of the (field, block) cells
+        ``need`` names into the (n, d) view ``vals``, and their probe
+        projections into ``projs`` unless it is None.
 
         Each block size's needed cells, block by block, form (m, b, b)
-        stacks of at most ``budget`` entries (b x b per cell), or of one
-        cell, with the elementwise operations of ``_fill``: H0 = H_const +
-        D * H_d, then B * H_b + H0, each block's terms broadcast over its
-        fields. A step is one ``eigvalsh`` call.
+        stacks of at most its ``steps`` cells, reusing one buffer for H and
+        one for H0 = H_const + D * H_d, each block's terms broadcast over its
+        fields: H0 + B * H_b rounds H0 as if formed once per D. An
+        eigenvalue-only step is one ``np.linalg.eigvalsh`` call; a vector
+        step is one kernel call per block run in it, with that block's
+        probe map.
         """
-        for members, (_, cols, h_const, h_d, h_b) in zip(self.members, self.groups):
+        for (members, maps, cols, h_const, h_d, h_b), cap in zip(self.groups, steps):
             fields_of = [np.flatnonzero(need[:, k]) for k in members]
             first = np.cumsum([0, *map(len, fields_of)])  # each member's first cell
             if not first[-1]:
                 continue
-            size = h_b.shape[1]
-            step = max(1, min(first[-1], budget // (size * size)))
-            hams = np.empty((step, size, size), np.result_type(h_const, h_d, h_b))
+            step = min(first[-1], cap)
+            hams = np.empty((step, *h_b.shape[1:]), np.result_type(h_const, h_d, h_b))
             h0 = np.empty_like(hams)
             for start in range(0, first[-1], step):
                 stop = min(start + step, first[-1])
@@ -367,16 +337,22 @@ class _Solver:
                 for j, at in enumerate(fields_of):
                     lo, hi = max(first[j], start), min(first[j + 1], stop)
                     if lo < hi:
-                        f, rows = at[lo - first[j] : hi - first[j]], slice(lo - start, hi - start)
-                        np.multiply(zfs[f, None, None], h_d[j], out=h0[rows])
+                        f, rows = at[lo - first[j] : hi - first[j], None], slice(lo - start, hi - start)
+                        np.multiply(zfs[f, None], h_d[j], out=h0[rows])
                         h0[rows] += h_const[j]
-                        np.multiply(fields[f, None, None], h_b[j], out=hams[rows])
+                        np.multiply(fields[f, None], h_b[j], out=hams[rows])
                         hams[rows] += h0[rows]
-                        runs.append((f, cols[j], rows))
-                levels = np.linalg.eigvalsh(hams[: stop - start])
-                for f, c, rows in runs:
-                    vals[f[:, None], c] = levels[rows]
-            del hams, h0
+                        runs.append((f, cols[j], rows, maps[j]))
+                if projs is None:
+                    levels = np.linalg.eigvalsh(hams[: stop - start])
+                    for f, c, rows, _ in runs:
+                        vals[f, c] = levels[rows]
+                else:
+                    for f, c, rows, probe_map in runs:
+                        vals[f, c], projs[f, c] = batched_eigh_project(
+                            hams[rows], self.v0, self.d_pre, self.d_post, probe_map
+                        )
+            del hams, h0  # before the next size allocates its own
 
 
 def sweep(

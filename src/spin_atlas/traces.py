@@ -65,6 +65,8 @@ class Trace:
         diffs = np.diff(self.field)
         if not np.all(diffs > 0):
             raise TraceError("field values must be strictly increasing")
+        if self.temperature is not None and not (math.isfinite(self.temperature) and self.temperature >= 0):
+            raise TraceError(f"temperature must be finite and non-negative, got {self.temperature}")
 
     @property
     def grid_spacing(self) -> float:

@@ -43,6 +43,35 @@ def sorted_levels(solver, fields, zfs):
     return np.sort(solver.eigvals(fields, zfs, every_block(solver, len(fields))), axis=1)
 
 
+def cell_entries(solver, vectors):
+    """Each block's count against ``_STACK_ENTRIES`` for one (field, block)
+    cell: b x b, plus its probe amplitudes, pairs x b, in a vector solve."""
+    pairs = [len(blk.probe_map(solver.v0, solver.d_pre, solver.d_post)) if vectors else 0 for blk in solver.blocks]
+    return np.array([blk.size * (blk.size + p) for blk, p in zip(solver.blocks, pairs)])
+
+
+def expected_calls(solver, n_fields, workers, vectors):
+    """(cells, b) of each kernel (``vectors``) or ``eigvalsh`` call of an
+    every-block n-field call cut into ``workers`` slices, counted.
+
+    A slice stacks each block size's cells block by block, in steps of as
+    many cells as its share of ``_STACK_ENTRIES`` holds of the size's
+    largest cell, or one. An eigenvalue-only step is one call; a vector step
+    is one call per block run in it."""
+    cell, calls = cell_entries(solver, vectors), collections.Counter()
+    for w in range(workers):
+        n = n_fields * (w + 1) // workers - n_fields * w // workers
+        for size in dict.fromkeys(blk.size for blk in solver.blocks):
+            members = [k for k, blk in enumerate(solver.blocks) if blk.size == size]
+            cells = n * len(members)
+            step = max(1, min(cells, sweep_mod._STACK_ENTRIES // workers // cell[members].max()))
+            for start in range(0, cells, step):
+                stop = min(start + step, cells)
+                runs = [min(stop, (j + 1) * n) - max(start, j * n) for j in range(len(members))] if vectors else [stop - start]
+                calls.update((m, size) for m in runs if m > 0)
+    return calls
+
+
 def set_blas(mp, threads, cores=4):
     """Make the BLAS probe report ``threads`` (None: no symbol) and the
     process see ``cores`` usable cores."""
@@ -136,7 +165,7 @@ def test_blocked_solver_matches_dense(complex_probe, data):
     assert len(solver.blocks) >= 2
     if complex_probe:
         assert solver.d_pre > 1 and np.abs(solver.v0.imag).max() > 1e-6
-        assert all(np.iscomplexobj(h_const) for _, _, h_const, *_ in solver.groups) and np.abs(hams.imag).max() > 1e-6
+        assert all(np.iscomplexobj(h_const) for _, _, _, h_const, _, _ in solver.groups) and np.abs(hams.imag).max() > 1e-6
         # H_b is real and diagonal here: realness is decided for the triple.
         assert all(np.iscomplexobj(h) for h in terms)
     else:
@@ -284,14 +313,15 @@ def test_catalog_terms_are_real(sys_id):
     assert all(h.dtype == np.float64 for h in hamiltonian_terms(get_system(sys_id).system))
 
 
-@pytest.mark.parametrize("sys_id", ["nv-2p1", "onv-2p1"])
+@pytest.mark.parametrize("sys_id", ["nv-2p1", "onv-2p1", "nv-3p1"])
 def test_batch_steps_are_bit_identical(sys_id, monkeypatch):
-    """Splitting a block size's field stack into steps changes no bit, for
-    either solve kind.
+    """Cutting a block size's cells into steps changes no bit, for either
+    solve kind.
 
-    nv-2p1 has 16 sectors in 9 sizes, onv-2p1 two.  A budget of one entry
-    forces one field per step; three fields of the largest step per step
-    leave a ragged last step of one field out of ten.
+    nv-2p1 has 16 sectors in 9 sizes, onv-2p1 two, nv-3p1 40 in 13 sizes
+    with 2-6 blocks per size. A budget of one entry forces one cell per
+    step; three of the largest cells per step leave ragged steps, which
+    cut the ten fields of a size's blocks within and across blocks.
     """
     spec = get_system(sys_id).system
     solver = _Solver(spec)
@@ -299,13 +329,11 @@ def test_batch_steps_are_bit_identical(sys_id, monkeypatch):
     monkeypatch.setattr(sweep_mod, "_STACK_ENTRIES", 1 << 40)
     ref_vals, ref_projs = solver.batch(fields, D300)
     ref_eigvals = solver.eigvals(fields, D300, every_block(solver, 10))
-    largest = max(blk.size for blk in solver.blocks)
-    largest_stack = max(h_b.size for *_, h_b in solver.groups)
-    for budget in (1, 3 * solver.dim * largest):
+    for budget in (1, 3 * cell_entries(solver, True).max()):
         monkeypatch.setattr(sweep_mod, "_STACK_ENTRIES", budget)
         vals, projs = solver.batch(fields, D300)
         assert np.array_equal(vals, ref_vals) and np.array_equal(projs, ref_projs)
-    for budget in (1, 3 * largest_stack):
+    for budget in (1, 3 * cell_entries(solver, False).max()):
         monkeypatch.setattr(sweep_mod, "_STACK_ENTRIES", budget)
         assert np.array_equal(solver.eigvals(fields, D300, every_block(solver, 10)), ref_eigvals)
 
@@ -341,16 +369,16 @@ def record_eigvalsh_calls(mp):
 def test_solve_calls_stay_within_budget(kind, sys_id, n_fields, split, monkeypatch):
     """Both solve kinds step, split and stay serial by one rule.
 
-    One field adds d x b entries to a vector step of block size b (its
-    eigenvectors and probe amplitudes). Each of its size's g blocks adds
-    b x b to an eigenvalue-only step, which stacks (field, block) cells
-    block by block: g x b x b per field when every block is needed. Every
-    step is as large as one worker's share of the budget allows, or one
-    field or cell. The fields split across one worker per core, up to one
-    per field, unless one worker's share holds the whole call: 21 eigenvalue-only
+    A (field, block) cell of a b-state block counts b x b entries, plus its
+    probe amplitudes (pairs x b) in a vector solve; one field brings one
+    cell per block. Each size's cells stack block by block, in steps as
+    large as one worker's share of the budget allows for the size's largest
+    cell, or one cell; a vector step makes one kernel call per block run in
+    it. The fields split across one worker per core, up to one per field,
+    unless one worker's share holds the whole call: 21 eigenvalue-only
     fields at nv-2p1, or one field, stay on the calling thread. onv-3p1
-    (d = 648, sectors of up to 210 states) splits like every other system,
-    with one field per vector step. The split changes no bit.
+    (d = 648, sectors of up to 210 states) splits like every other system.
+    The split changes no bit.
     """
     spec = get_system(sys_id).system
     solver = _Solver(spec)
@@ -369,12 +397,10 @@ def test_solve_calls_stay_within_budget(kind, sys_id, n_fields, split, monkeypat
         steps = [(ident, n, b) for ident, n, _, b in calls]
     else:
         steps = [(ident, m, b) for ident, (m, b, _) in calls]
-    members = collections.Counter(blk.size for blk in solver.blocks)
-    # Entries of one field (vector step) or one cell (eigenvalue-only step),
-    # and how many of them one field brings.
-    per_unit = {b: spec.dimension * b if kind == "batch" else b * b for b in members}
-    units = {b: 1 if kind == "batch" else g for b, g in members.items()}
-    entries = sum(per_unit[b] * units[b] for b in members)
+    cell = cell_entries(solver, kind == "batch")
+    largest = {blk.size: cell[[k for k, other in enumerate(solver.blocks) if other.size == blk.size]].max()
+               for blk in solver.blocks}
+    entries = int(cell.sum())
     workers = sweep_mod._split_count(n_fields, entries)
     most = max(1, min(4, n_fields))
     assert workers == (1 if n_fields * entries <= sweep_mod._STACK_ENTRIES // most else most)
@@ -383,16 +409,8 @@ def test_solve_calls_stay_within_budget(kind, sys_id, n_fields, split, monkeypat
     assert threading.get_ident() in threads
     assert (len(threads) > 1) == split and len(threads) <= workers
     for _, m, b in steps:
-        assert m * per_unit[b] * workers <= sweep_mod._STACK_ENTRIES or m == 1
-    share, expected = sweep_mod._STACK_ENTRIES // workers, collections.Counter()
-    for w in range(workers):
-        n = n_fields * (w + 1) // workers - n_fields * w // workers
-        for b, g in members.items():
-            stack = n * units[b]
-            step = max(1, min(stack, share // per_unit[b]))
-            for start in range(0, stack, step):
-                expected[min(step, stack - start), b] += g if kind == "batch" else 1
-    assert collections.Counter((m, b) for _, m, b in steps) == expected
+        assert m * largest[b] * workers <= sweep_mod._STACK_ENTRIES or m == 1
+    assert collections.Counter((m, b) for _, m, b in steps) == expected_calls(solver, n_fields, workers, kind == "batch")
     assert np.array_equal(got, ref)  # a (vals, projs) pair compares as one array
 
 
@@ -437,8 +455,8 @@ def test_split_batch_is_bit_identical(data):
     fields = np.array(data.draw(st.lists(st.floats(min_value=0.0, max_value=1100.0), min_size=1, max_size=13)))
     cores = data.draw(st.integers(min_value=2, max_value=5))
     solver = _Solver(spec)
-    largest = max(blk.size for blk in solver.blocks)
-    budget = data.draw(st.sampled_from([sweep_mod._STACK_ENTRIES, cores * 2 * solver.dim * largest, 1]))
+    cell = cell_entries(solver, True)
+    budget = data.draw(st.sampled_from([sweep_mod._STACK_ENTRIES, cores * 2 * int(cell.max()), 1]))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sweep_mod, "_STACK_ENTRIES", budget)
         set_blas(mp, threads=2)
@@ -447,7 +465,7 @@ def test_split_batch_is_bit_identical(data):
         calls = record_kernel_calls(mp)
         vals, projs = solver.batch(fields, D300)
     workers = min(cores, len(fields))
-    if len(fields) * solver.dim * sum({blk.size for blk in solver.blocks}) <= budget // workers:
+    if len(fields) * cell.sum() <= budget // workers:
         workers = 1  # one share holds the whole call
     threads = {ident for ident, *_ in calls}
     assert threading.get_ident() in threads
@@ -483,40 +501,38 @@ def test_split_survives_frequent_thread_switches(monkeypatch):
 @pytest.mark.parametrize("threads", [2, 8, None])
 def test_split_stays_off_unless_blas_runs_one_thread(threads, monkeypatch):
     """With a threaded BLAS, or none whose thread count can be read, every
-    kernel step runs on the calling thread within the whole budget."""
+    kernel step runs on the calling thread within the whole budget: onv-2p1
+    has one block of each size, so each step holds as many fields as the
+    budget holds of its vector cell, b x (b + pairs) entries."""
     set_blas(monkeypatch, threads=threads, cores=4)
     calls = record_kernel_calls(monkeypatch)
     spec = get_system("onv-2p1").system
     solver = _Solver(spec)
-    entries = solver.dim * sum(h_b.shape[1] for *_, h_b in solver.groups)
-    assert sweep_mod._split_count(200, entries) == 1
+    assert sorted((blk.size, len(blk.probe_map(solver.v0, solver.d_pre, solver.d_post))) for blk in solver.blocks) == [
+        (45, 30), (63, 36)]
+    assert sweep_mod._split_count(200, 45 * (45 + 30) + 63 * (63 + 36)) == 1
     solver.batch(np.linspace(0.5, 1100.0, 200), D300)
     assert {ident for ident, *_ in calls} == {threading.get_ident()}
-    for size in {blk.size for blk in solver.blocks}:
-        steps = [n for _, n, _, b in calls if b == size]
-        step = sweep_mod._STACK_ENTRIES // (solver.dim * size)
-        assert steps[:-1] == [step] * (len(steps) - 1) and sum(steps) == 200
+    for size, pairs, step in ((45, 30, 77), (63, 36, 42)):
+        assert step == sweep_mod._STACK_ENTRIES // (size * (size + pairs))
+        assert [n for _, n, _, b in calls if b == size] == [step] * (200 // step) + [200 % step]
 
 
 @pytest.mark.parametrize("kind", ["eigvals", "batch"])
 def test_zero_field_call_stays_serial(kind, monkeypatch):
     """A call with no fields, such as ``temperature_shift`` makes when every
-    seed lies at or below -5 G, returns (0, d) arrays from the calling
-    thread even where it would split a call with fields."""
+    seed lies at or below -5 G, returns (0, d) arrays from one fill on the
+    calling thread even where it would split a call with fields."""
     set_blas(monkeypatch, threads=1, cores=4)
     solver = _Solver(get_system("nv-2p1").system)
-    name = "_fill" if kind == "batch" else "_fill_levels"
-    fill, threads = getattr(_Solver, name), []
+    fill, threads = _Solver._fill_cells, []
 
     def recorder(self, *args):
         threads.append(threading.get_ident())
         fill(self, *args)
 
-    monkeypatch.setattr(_Solver, name, recorder)
-    if kind == "batch":
-        entries = solver.dim * sum(h_b.shape[1] for *_, h_b in solver.groups)
-    else:
-        entries = sum(blk.size ** 2 for blk in solver.blocks)
+    monkeypatch.setattr(_Solver, "_fill_cells", recorder)
+    entries = int(cell_entries(solver, kind == "batch").sum())
     assert sweep_mod._split_count(0, entries) == 1 and sweep_mod._split_count(200, entries) == 4
     if kind == "batch":
         got = solver.batch(np.empty(0), D300)
@@ -625,8 +641,8 @@ def test_mixed_zfs_call_is_bit_identical(data):
     equals one call per D bit for bit, and matches dense ``eigh`` of
     ``build_hamiltonian(spec, B, D)``.
 
-    A budget of two fields of the largest step, with BLAS at one thread on
-    four cores, splits each mixed call across a helper thread.
+    A budget of two of the largest cells, with BLAS at one thread on four
+    cores, splits each mixed call across a helper thread.
     """
     spec = data.draw(st.one_of(solver_specs(), st.just(COMPLEX_PROBE)))
     zfs_pool = data.draw(st.lists(st.floats(min_value=2800.0, max_value=2900.0), min_size=2, max_size=3, unique=True))
@@ -636,7 +652,7 @@ def test_mixed_zfs_call_is_bit_identical(data):
     solver = _Solver(spec)
     mixed = {}
     for kind, vectors in (("eigvals", False), ("batch", True)):
-        budget = 2 * max(solver.dim * h_b.shape[1] if vectors else h_b.size for *_, h_b in solver.groups)
+        budget = 2 * int(cell_entries(solver, vectors).max())
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(sweep_mod, "_STACK_ENTRIES", budget)
             set_blas(mp, threads=1, cores=4)
@@ -694,7 +710,7 @@ def test_refinement_solves_each_field_once_per_round(spec, b_min, b_max, monkeyp
     config = SweepConfig()
     sr = sweep(spec, b_min, b_max, 256)
     candidates = detect_events(sr, config)
-    assert all(np.iscomplexobj(h_const) == (spec is COMPLEX_PROBE) for _, _, h_const, *_ in _Solver(spec).groups)
+    assert all(np.iscomplexobj(h_const) == (spec is COMPLEX_PROBE) for _, _, _, h_const, _, _ in _Solver(spec).groups)
     oracle = refine_per_bracket(_Solver(spec), sr.d_zfs, candidates)
     solved, needs, lines, evaluations = [], [], [], []
     eigvals, line, brent = _Solver.eigvals, sweep_mod._line, sweep_mod._brent

@@ -27,6 +27,10 @@ COMMANDS = {
     "sweep-nv-2p1": ["sweep", "--system", "nv-2p1", "--bmin", "330", "--bmax", "350",
                      "--points", "16"],
     "sweep-nv-json": ["sweep", "--system", "nv", "--format", "json"],
+    # d = 648: its two 210-state sectors share one size, so a vector step
+    # holds cells of two blocks.
+    "sweep-onv-3p1-window": ["sweep", "--system", "onv-3p1", "--bmin", "400", "--bmax", "408",
+                             "--points", "4"],
     "tshift-nv": ["tshift", "--system", "nv", "--feature", "1024", "--tmin", "200",
                   "--tmax", "300", "--tstep", "25"],
     # Temperature continuation of a system with M_z blocks, and of one with

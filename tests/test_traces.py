@@ -408,6 +408,16 @@ def test_load_trace_errors(tmp_path):
     with pytest.raises(TraceError, match="increasing"):
         load_trace(not_sorted)
 
+    # A temperature row must carry a finite, non-negative value.
+    for value in ("nan", "inf", "-inf", "-5"):
+        bad_temperature = tmp_path / f"temperature_{value}.csv"
+        bad_temperature.write_text(good.read_text().replace("295", value, 1))
+        with pytest.raises(TraceError, match="temperature must be finite and non-negative"):
+            load_trace(bad_temperature)
+    zero = tmp_path / "temperature_0.csv"
+    zero.write_text(good.read_text().replace("295", "0", 1))
+    assert load_trace(zero).temperature == 0.0
+
 
 @pytest.mark.parametrize("column", ["field", "pl"])
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
