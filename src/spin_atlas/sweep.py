@@ -11,12 +11,14 @@ threshold at 0.01 G resolution) or an avoided one.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import dataclasses
 import functools
 import json
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -65,17 +67,47 @@ _ROUNDING = 1e-9
 
 
 @functools.cache
-def _openblas_thread_count():
-    """numpy's bundled OpenBLAS ``get_num_threads`` as a ctypes function, or
-    None where that library or its symbol is missing (another BLAS)."""
+def _openblas_threads():
+    """numpy's bundled OpenBLAS thread-count getter and setter, as ctypes
+    functions, or None where that library or either symbol is missing
+    (another BLAS)."""
     for lib in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas*")):
         try:
-            fn = ctypes.CDLL(str(lib)).scipy_openblas_get_num_threads64_
+            blas = ctypes.CDLL(str(lib))
+            get, put = blas.scipy_openblas_get_num_threads64_, blas.scipy_openblas_set_num_threads64_
         except (OSError, AttributeError):
             continue
-        fn.restype, fn.argtypes = ctypes.c_int, []
-        return fn
+        get.restype, get.argtypes = ctypes.c_int, []
+        put.restype, put.argtypes = None, [ctypes.c_int]
+        return get, put
     return None
+
+
+# Held by a solve for as long as it keeps OpenBLAS at one thread: the count
+# is process-wide, so two solves at once must not restore it under each other.
+_BLAS_LOCK = threading.Lock()
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block with numpy's OpenBLAS at one thread, under
+    ``_BLAS_LOCK``, then set back the count it found if it changed it.
+    Yields False, and holds nothing, where ``_openblas_threads`` finds no
+    getter and setter."""
+    blas = _openblas_threads()
+    if blas is None:
+        yield False
+        return
+    get, put = blas
+    with _BLAS_LOCK:
+        count = get()
+        if count != 1:
+            put(1)
+        try:
+            yield True
+        finally:
+            if count != 1:
+                put(count)
 
 
 def _usable_cores() -> int:
@@ -90,17 +122,12 @@ def _split_count(n: int, entries: int) -> int:
 
     ``entries`` is what one field adds to the solve's kernel steps: the
     ``_STACK_ENTRIES`` count of the call's needed (field, block) cells, per
-    field, rounded up. More than one slice only when BLAS runs one thread,
-    as it reports now: threads of our own on top of a threaded BLAS are
-    slower. A call whose steps one slice's share of ``_STACK_ENTRIES``
-    holds whole stays serial: a smaller call loses more to the helper
-    thread than it gains (at nv-2p1, 21 eigenvalue-only fields took 2.6 ms
-    serial and 3.3 ms split, 64 fields 7.8 ms serial and 4.6 ms split). A
-    call with no fields is serial.
+    field, rounded up. A call whose steps one slice's share of
+    ``_STACK_ENTRIES`` holds whole stays serial: a smaller call loses more
+    to the helper thread than it gains (at nv-2p1, 21 eigenvalue-only fields
+    took 2.6 ms serial and 3.3 ms split, 64 fields 7.8 ms serial and 4.6 ms
+    split). A call with no fields is serial.
     """
-    count = _openblas_thread_count()
-    if count is None or count() != 1:
-        return 1
     workers = max(1, min(_usable_cores(), n))
     return 1 if n * entries <= _STACK_ENTRIES // workers else workers
 
@@ -282,6 +309,11 @@ class _Solver:
         """Fill the (field, block) cells that ``need`` names into ``vals``,
         and their probe projections into ``projs`` unless it is None.
 
+        The solve runs numpy's OpenBLAS at one thread and then restores the
+        caller's count (``_one_blas_thread``), so neither BLAS threads nor
+        the caller's setting change a bit of the result; a BLAS whose count
+        cannot be set leaves the solve serial.
+
         A cell counts the entries ``_STACK_ENTRIES`` bounds: b x b for a
         block of b states, plus pairs x b (``pairs``) with projections. The
         needed cells' entries per field, rounded up, go to ``_split_count``,
@@ -295,19 +327,21 @@ class _Solver:
         n = len(fields)
         zfs = np.broadcast_to(np.asarray(zfs, dtype=float), (n,))
         cell = self.sizes * (self.sizes if projs is None else self.sizes + self.pairs)
-        workers = _split_count(n, -(-int(np.count_nonzero(need, axis=0) @ cell) // n) if n else 0)
-        steps = [max(1, _STACK_ENTRIES // workers // int(cell[members].max())) for members, *_ in self.groups]
+        entries = -(-int(np.count_nonzero(need, axis=0) @ cell) // n) if n else 0
+        with _one_blas_thread() as pinned:
+            workers = _split_count(n, entries) if pinned else 1
+            steps = [max(1, _STACK_ENTRIES // workers // int(cell[members].max())) for members, *_ in self.groups]
 
-        def fill(sl: slice) -> None:
-            self._fill_cells(fields[sl], zfs[sl], need[sl], steps, vals[sl], None if projs is None else projs[sl])
+            def fill(sl: slice) -> None:
+                self._fill_cells(fields[sl], zfs[sl], need[sl], steps, vals[sl], None if projs is None else projs[sl])
 
-        first, *rest = (slice(n * w // workers, n * (w + 1) // workers) for w in range(workers))
-        # The pool starts a thread only per submitted slice: none when serial.
-        with ThreadPoolExecutor(workers) as pool:
-            helpers = [pool.submit(fill, sl) for sl in rest]
-            fill(first)
-            for helper in helpers:
-                helper.result()
+            first, *rest = (slice(n * w // workers, n * (w + 1) // workers) for w in range(workers))
+            # The pool starts a thread only per submitted slice: none when serial.
+            with ThreadPoolExecutor(workers) as pool:
+                helpers = [pool.submit(fill, sl) for sl in rest]
+                fill(first)
+                for helper in helpers:
+                    helper.result()
 
     def _fill_cells(self, fields: np.ndarray, zfs: np.ndarray, need: np.ndarray, steps: list,
                     vals: np.ndarray, projs: np.ndarray | None) -> None:

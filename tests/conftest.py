@@ -2,10 +2,10 @@
 
 Large systems (composite dimension above the threshold) are swept only inside
 windows around their expected features, without refinement. At 648
-dimensions, with symmetry sectors, refined windows take about 7 s (nv-3p1)
-and 90 s (onv-3p1), and a refined full-range nv-3p1 sweep about 2 minutes
-(2-core VM, 1 BLAS thread), while the unrefined windows verify the same
-expected-feature triples in about 1 s and 3 s.
+dimensions, with symmetry sectors, refined windows take about 2 s (nv-3p1)
+and 75 s (onv-3p1), while the unrefined windows verify the same
+expected-feature triples in about 0.5 s and 3 s (2-core VM; solves run BLAS
+at one thread whatever OPENBLAS_NUM_THREADS says).
 """
 
 import pytest

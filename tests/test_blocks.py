@@ -1,15 +1,17 @@
 """Invariant blocks: the partition of H(B, D) and block-by-block solves
 against dense ``np.linalg.eigh`` of the full matrix, the order of exactly
 degenerate levels, the kernel-call budget of ``_Solver.batch`` and
-``_Solver.eigvals`` and their split of the fields across threads, the dtype
-of the cached terms, the grouped and masked eigenvalue solves, calls that
-mix D values, and the lock-step rounds of refinement."""
+``_Solver.eigvals``, their split of the fields across threads and their
+one-thread BLAS pin, the dtype of the cached terms, the grouped and masked
+eigenvalue solves, calls that mix D values, and the lock-step rounds of
+refinement."""
 
 import collections
 import itertools
 import os
 import sys
 import threading
+import types
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +25,7 @@ import spin_atlas.sweep as sweep_mod
 from spin_atlas.catalog import get_system, list_systems
 from spin_atlas.hamiltonian import HamiltonianTerms, build_hamiltonian, hamiltonian_terms
 from spin_atlas.kernels import batched_eigh_project
-from spin_atlas.sweep import SweepConfig, _Solver, detect_events, find_features, sweep
+from spin_atlas.sweep import SweepConfig, _Solver, detect_events, find_features, sweep, temperature_shift
 from spin_atlas.system import Coupling, Hyperfine, InteractionTensor, Site, SpinSystem
 
 from test_hamiltonian import D300, X_PROBE, random_systems
@@ -72,11 +74,14 @@ def expected_calls(solver, n_fields, workers, vectors):
     return calls
 
 
-def set_blas(mp, threads, cores=4):
-    """Make the BLAS probe report ``threads`` (None: no symbol) and the
-    process see ``cores`` usable cores."""
-    mp.setattr(sweep_mod, "_openblas_thread_count", lambda: None if threads is None else (lambda: threads))
+def set_blas(mp, cores=4, symbols=True):
+    """Make the process see ``cores`` usable cores, and with
+    ``symbols=False`` a BLAS whose thread count cannot be read or set.
+    Otherwise solves pin numpy's own OpenBLAS, which a split needs;
+    ``cores=1`` gives the serial path."""
     mp.setattr(sweep_mod, "_usable_cores", lambda: cores)
+    if not symbols:
+        mp.setattr(sweep_mod, "_openblas_threads", lambda: None)
 
 
 def record_kernel_calls(mp):
@@ -388,9 +393,9 @@ def test_solve_calls_stay_within_budget(kind, sys_id, n_fields, split, monkeypat
         return solver.eigvals(fields, zfs, every_block(solver, len(fields)))
 
     fields = np.linspace(0.5, 1100.0, n_fields)
-    set_blas(monkeypatch, threads=2)
+    set_blas(monkeypatch, cores=1)
     ref = solve(fields, D300)
-    set_blas(monkeypatch, threads=1, cores=4)
+    set_blas(monkeypatch, cores=4)
     calls = record_kernel_calls(monkeypatch) if kind == "batch" else record_eigvalsh_calls(monkeypatch)
     got = solve(fields, D300)
     if kind == "batch":
@@ -421,7 +426,7 @@ def test_sweep_prescan_splits_onv_3p1_sectors_one_field_per_thread(monkeypatch):
     in one call per sector size each, the two 210-state copies stacked. The
     grid solve of the same two fields
     splits too: each thread makes one one-field kernel call per sector."""
-    set_blas(monkeypatch, threads=1, cores=4)
+    set_blas(monkeypatch, cores=4)
     calls = record_eigvalsh_calls(monkeypatch)
     kernel_calls = record_kernel_calls(monkeypatch)
     sweep(get_system("onv-3p1").system, 500.0, 508.0, 2)
@@ -459,9 +464,9 @@ def test_split_batch_is_bit_identical(data):
     budget = data.draw(st.sampled_from([sweep_mod._STACK_ENTRIES, cores * 2 * int(cell.max()), 1]))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sweep_mod, "_STACK_ENTRIES", budget)
-        set_blas(mp, threads=2)
+        set_blas(mp, cores=1)
         ref_vals, ref_projs = solver.batch(fields, D300)
-        set_blas(mp, threads=1, cores=cores)
+        set_blas(mp, cores=cores)
         calls = record_kernel_calls(mp)
         vals, projs = solver.batch(fields, D300)
     workers = min(cores, len(fields))
@@ -483,10 +488,10 @@ def test_split_survives_frequent_thread_switches(monkeypatch):
     fields = np.linspace(0.5, 1100.0, 64)
     levels_at = np.linspace(0.5, 1100.0, 256)
     need = np.random.default_rng(0).random((256, len(solver.blocks))) < 0.5
-    set_blas(monkeypatch, threads=2)
+    set_blas(monkeypatch, cores=1)
     ref_vals, ref_projs = solver.batch(fields, D300)
     ref_levels = solver.eigvals(levels_at, D300, need)
-    set_blas(monkeypatch, threads=1, cores=8)
+    set_blas(monkeypatch, cores=8)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -498,24 +503,151 @@ def test_split_survives_frequent_thread_switches(monkeypatch):
     assert np.array_equal(levels, ref_levels)
 
 
-@pytest.mark.parametrize("threads", [2, 8, None])
-def test_split_stays_off_unless_blas_runs_one_thread(threads, monkeypatch):
-    """With a threaded BLAS, or none whose thread count can be read, every
-    kernel step runs on the calling thread within the whole budget: onv-2p1
-    has one block of each size, so each step holds as many fields as the
-    budget holds of its vector cell, b x (b + pairs) entries."""
-    set_blas(monkeypatch, threads=threads, cores=4)
+@pytest.fixture
+def openblas():
+    """The real getter and setter of numpy's OpenBLAS thread count, for the
+    test to set; teardown sets back the count it found."""
+    blas = sweep_mod._openblas_threads()
+    if blas is None:
+        pytest.skip("numpy's bundled OpenBLAS is not loaded")
+    get, put = blas
+    count = get()
+    yield blas
+    put(count)
+
+
+def record_blas_counts(mp, get):
+    """Wrap ``_Solver._fill_cells``; each call appends the BLAS thread count
+    it starts and ends at, each with whether ``_BLAS_LOCK`` is held, to the
+    returned list."""
+    counts, fill = [], _Solver._fill_cells
+
+    def recorder(self, *args):
+        counts.append((get(), sweep_mod._BLAS_LOCK.locked()))
+        fill(self, *args)
+        counts.append((get(), sweep_mod._BLAS_LOCK.locked()))
+
+    mp.setattr(_Solver, "_fill_cells", recorder)
+    return counts
+
+
+def both_solves(solver, fields, need):
+    """``batch`` and ``eigvals`` of one solver as one tuple of arrays."""
+    return (*solver.batch(fields, D300), solver.eigvals(fields, D300, need))
+
+
+def test_threaded_blas_gives_the_one_thread_answer(openblas, monkeypatch):
+    """With OpenBLAS at two threads, ``batch`` and ``eigvals`` fill every
+    cell at one thread, under the lock, split across the cores as at one;
+    they equal their one-thread output bit for bit and leave the count at
+    two."""
+    get, put = openblas
+    solver = _Solver(get_system("onv-2p1").system)
+    fields = np.linspace(0.5, 1100.0, 64)
+    need = np.random.default_rng(0).random((64, len(solver.blocks))) < 0.5
+    put(1)
+    want = both_solves(solver, fields, need)
+    put(2)
+    set_blas(monkeypatch, cores=4)
+    counts = record_blas_counts(monkeypatch, get)
     calls = record_kernel_calls(monkeypatch)
-    spec = get_system("onv-2p1").system
-    solver = _Solver(spec)
+    got = both_solves(solver, fields, need)
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    assert counts and set(counts) == {(1, True)} and len({ident for ident, *_ in calls}) > 1
+    assert get() == 2
+
+
+def test_concurrent_solves_share_the_pin(openblas, monkeypatch):
+    """Two threads of the caller's that solve at once, with OpenBLAS at two
+    threads, each get the one-thread answer; every cell runs at one thread
+    under the lock, so neither solve restores the count under the other,
+    and the count reads two afterwards."""
+    get, put = openblas
+    solver = _Solver(get_system("nv-2p1").system)
+    fields = np.linspace(0.5, 1100.0, 96)
+    need = every_block(solver, 96)
+    put(1)
+    want = both_solves(solver, fields, need)
+    put(2)
+    set_blas(monkeypatch, cores=4)
+    counts = record_blas_counts(monkeypatch, get)
+    barrier, results = threading.Barrier(2, timeout=60), [None, None]
+
+    def run(k):
+        barrier.wait()
+        results[k] = [both_solves(solver, fields, need) for _ in range(10)]
+
+    workers = [threading.Thread(target=run, args=(k,)) for k in range(2)]
+    for worker in workers:
+        worker.start()
+    for worker in workers:
+        worker.join(timeout=120)
+    assert not any(worker.is_alive() for worker in workers) and None not in results
+    for got in itertools.chain(*results):
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    assert len(counts) >= 80 and set(counts) == {(1, True)}
+    assert get() == 2
+
+
+def test_blas_without_thread_symbols_solves_serially(monkeypatch):
+    """A BLAS whose thread count cannot be read and set gets no pin and no
+    helper thread: every kernel step runs on the calling thread within the
+    whole budget. onv-2p1 has one block of each size, so each step holds as
+    many fields as the budget holds of its vector cell, b x (b + pairs)."""
+    solver = _Solver(get_system("onv-2p1").system)
+    fields = np.linspace(0.5, 1100.0, 200)
+    set_blas(monkeypatch, cores=1)
+    want = solver.batch(fields, D300)
+    set_blas(monkeypatch, cores=4, symbols=False)
+    calls = record_kernel_calls(monkeypatch)
     assert sorted((blk.size, len(blk.probe_map(solver.v0, solver.d_pre, solver.d_post))) for blk in solver.blocks) == [
         (45, 30), (63, 36)]
-    assert sweep_mod._split_count(200, 45 * (45 + 30) + 63 * (63 + 36)) == 1
-    solver.batch(np.linspace(0.5, 1100.0, 200), D300)
+    assert np.array_equal(solver.batch(fields, D300), want)
     assert {ident for ident, *_ in calls} == {threading.get_ident()}
     for size, pairs, step in ((45, 30, 77), (63, 36, 42)):
         assert step == sweep_mod._STACK_ENTRIES // (size * (size + pairs))
         assert [n for _, n, _, b in calls if b == size] == [step] * (200 // step) + [200 % step]
+
+
+@pytest.mark.parametrize("start", [1, 3])
+def test_solve_restores_only_a_count_it_changed(start, monkeypatch):
+    """Through a faked getter and setter: a solve sets one thread and then
+    the count it read, even when it fails, and sets nothing where BLAS
+    already runs one thread; it releases the lock either way."""
+    count, sets = [start], []
+
+    def put(n):
+        sets.append(n)
+        count[0] = n
+
+    monkeypatch.setattr(sweep_mod, "_openblas_threads", lambda: (lambda: count[0], put))
+    solver = _Solver(get_system("nv").system)
+    solver.batch(np.linspace(0.5, 1100.0, 8), D300)
+    assert sets == ([] if start == 1 else [1, start])
+
+    def fail(*args):
+        raise RuntimeError("solve failed")
+
+    monkeypatch.setattr(_Solver, "_fill_cells", fail)
+    with pytest.raises(RuntimeError, match="solve failed"):
+        solver.batch(np.linspace(0.5, 1100.0, 8), D300)
+    assert sets == ([] if start == 1 else [1, start] * 2) and count == [start]
+    assert not sweep_mod._BLAS_LOCK.locked()
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_pipeline_leaves_the_callers_blas_threads(threads, openblas):
+    """After ``sweep``, ``find_features`` and ``temperature_shift``,
+    OpenBLAS reports the thread count it had before."""
+    get, put = openblas
+    put(threads)
+    spec = get_system("nv-2p1").system
+    sweep(spec, 330.0, 350.0, 64)
+    assert get() == threads
+    feats = find_features(spec, 330.0, 350.0, 256)
+    assert get() == threads
+    temperature_shift(spec, feats[0], [292.0, 300.0])
+    assert get() == threads
 
 
 @pytest.mark.parametrize("kind", ["eigvals", "batch"])
@@ -523,7 +655,7 @@ def test_zero_field_call_stays_serial(kind, monkeypatch):
     """A call with no fields, such as ``temperature_shift`` makes when every
     seed lies at or below -5 G, returns (0, d) arrays from one fill on the
     calling thread even where it would split a call with fields."""
-    set_blas(monkeypatch, threads=1, cores=4)
+    set_blas(monkeypatch, cores=4)
     solver = _Solver(get_system("nv-2p1").system)
     fill, threads = _Solver._fill_cells, []
 
@@ -544,17 +676,26 @@ def test_zero_field_call_stays_serial(kind, monkeypatch):
 
 
 def test_blas_probe_finds_numpy_openblas(monkeypatch):
-    """Wherever numpy bundles its OpenBLAS the probe reads that library's
-    thread count, the setting in OPENBLAS_NUM_THREADS where one is set; it
-    gives None only for another BLAS or a library that lacks the symbol."""
+    """Wherever numpy bundles its OpenBLAS the probe finds that library's
+    thread-count getter, which reads the setting in OPENBLAS_NUM_THREADS
+    where one is set, and its setter; it gives None for another BLAS or a
+    library that lacks either symbol."""
     bundled = list((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas*"))
-    count = sweep_mod._openblas_thread_count()
-    assert (count is not None) == bool(bundled)
-    assert count is None or count() >= 1
-    if count is not None and os.environ.get("OPENBLAS_NUM_THREADS") == "1":
-        assert count() == 1
+    blas = sweep_mod._openblas_threads()
+    assert (blas is not None) == bool(bundled)
+    if blas is not None:
+        get, put = blas
+        count = get()
+        assert count >= 1
+        if os.environ.get("OPENBLAS_NUM_THREADS") == "1":
+            assert count == 1
+        put(count)
+        assert get() == count
     monkeypatch.setattr(sweep_mod.ctypes, "CDLL", lambda path: object())
-    assert sweep_mod._openblas_thread_count.__wrapped__() is None
+    assert sweep_mod._openblas_threads.__wrapped__() is None
+    getter_only = types.SimpleNamespace(scipy_openblas_get_num_threads64_=lambda: 1)
+    monkeypatch.setattr(sweep_mod.ctypes, "CDLL", lambda path: getter_only)
+    assert sweep_mod._openblas_threads.__wrapped__() is None
 
 
 SMALL_PRESETS = [i for i, _ in list_systems() if get_system(i).system.dimension <= 108]
@@ -616,7 +757,7 @@ def test_masked_eigvals_are_bit_identical(data):
     for budget in (1, 3 * largest * largest, sweep_mod._STACK_ENTRIES):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(sweep_mod, "_STACK_ENTRIES", budget)
-            set_blas(mp, threads=1, cores=3)
+            set_blas(mp, cores=3)
             got = solver.eigvals(fields, D300, need)
         assert np.array_equal(got, np.where(columns, want, np.inf))
 
@@ -655,7 +796,7 @@ def test_mixed_zfs_call_is_bit_identical(data):
         budget = 2 * int(cell_entries(solver, vectors).max())
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(sweep_mod, "_STACK_ENTRIES", budget)
-            set_blas(mp, threads=1, cores=4)
+            set_blas(mp, cores=4)
             calls = record_kernel_calls(mp) if vectors else record_eigvalsh_calls(mp)
             mixed[kind] = solver.batch(fields, zfs) if vectors else sorted_levels(solver, fields, zfs)
         assert len({ident for ident, *_ in calls}) > 1

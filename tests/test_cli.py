@@ -619,6 +619,10 @@ def test_detection_settings_precedence(tmp_path, monkeypatch, capsys):
         # At 1e17 K a 1 K step does not move t, which once looped forever.
         (["tshift", "--feature", "1024", "--tmin", "1e17", "--tmax", "1.0000000000000003e17", "--tstep", "1"],
          "resolution"),
+        # Rounded to 1e-6 K, the grid held a 0 K row, and eight 300 K rows.
+        (["tshift", "--feature", "1024", "--tmin", "4e-7", "--tmax", "1", "--tstep", "1"], "--tmin 4e-07 rounds to 0 K"),
+        (["tshift", "--feature", "1024", "--tmin", "299.9999995", "--tmax", "300.000001", "--tstep", "2e-7"],
+         "--tstep 2e-07 is below the grid's resolution"),
     ],
 )
 def test_out_of_range_inputs_exit_1(argv, message, capsys, monkeypatch):
