@@ -285,17 +285,18 @@ def _cmd_tshift(args: argparse.Namespace) -> int:
             f"temperature grid from {tmin} to {tmax} K in steps of {tstep} K exceeds "
             f"the cap of {MAX_TEMPERATURES} points; use a larger --tstep"
         )
-    # The grid's temperatures are rounded to 1e-6 K: each must stay above 0
-    # and above the one before it, which also stops a step that does not move t.
-    if round(tmin, 6) <= 0:
-        raise DomainError(f"--tmin {tmin} rounds to 0 K at the grid's 1e-6 K resolution; use a larger --tmin")
+    # The grid's temperatures are rounded to 0.01 K, the resolution T_K is
+    # printed at: each must stay above 0 and above the one before it, which
+    # also stops a step that does not move t.
+    if round(tmin, 2) <= 0:
+        raise DomainError(f"--tmin {tmin} rounds to 0 K at the grid's 0.01 K resolution; use a larger --tmin")
     temps = []
     t = tmin
     while t <= tmax + 1e-9:
-        if temps and round(t, 6) == temps[-1]:
+        if temps and round(t, 2) == temps[-1]:
             raise DomainError(f"--tstep {tstep} is below the grid's resolution at {t} K "
-                              f"(1e-6 K, or the float spacing there); use a larger --tstep")
-        temps.append(round(t, 6))
+                              f"(0.01 K, or the float spacing there); use a larger --tstep")
+        temps.append(round(t, 2))
         t += tstep
     if T_REF not in temps:
         temps.append(T_REF)

@@ -93,7 +93,11 @@ def _one_blas_thread():
     """Run the block with numpy's OpenBLAS at one thread, under
     ``_BLAS_LOCK``, then set back the count it found if it changed it.
     Yields False, and holds nothing, where ``_openblas_threads`` finds no
-    getter and setter."""
+    getter and setter.
+
+    A solve's matrices are small: on 2 cores, OpenBLAS's own threading
+    makes each ``eigh`` slower, and a thread pool on top of it was slower
+    still. One thread also gives one answer whatever the caller's count."""
     blas = _openblas_threads()
     if blas is None:
         yield False
@@ -259,6 +263,11 @@ class _Solver:
     for the diagonal H_b of M_z blocks), and ``term_norms`` the Frobenius
     norms of H_const, H_d and H_b: by Weyl's inequality a level of that block
     moves by at most |dB| * reach along B at fixed D (see ``_gap_minima``).
+
+    Isospectral sectors are each solved, such as onv-3p1's two 210-state
+    copies of the two-dimensional irrep of S_3: solving one and copying its
+    levels would make the gaps between the copies exactly zero, and
+    detection has no rule for exactly zero gaps yet.
     """
 
     def __init__(self, spec):
@@ -740,6 +749,11 @@ def find_features(
     estimates, and a line can name another level pair than refinement would.
     Use it only where the grid spacing already meets the needed field
     accuracy (e.g. broad-band centers of very large systems).
+
+    Zero-gap lines inside a manifold that stays degenerate over a field
+    range sit where roundoff puts them: Brent on a flat gap returns the
+    point roundoff favours, so such lines, and a center built from them,
+    can differ from a dense solve's by tenths of a gauss.
     """
     config = config or SweepConfig()
     model = model or ThermalZfsModel()
